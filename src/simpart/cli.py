@@ -1,7 +1,9 @@
 """Command-line front end: refine, verify, cone, optimize.
 
 Exit codes separate the outcomes CI cares about: 0 success, 1 a theorem
-check genuinely failed, 2 usage or validation errors, 3 I/O errors.
+check genuinely failed, 2 usage or validation errors, 3 I/O errors,
+4 an unexpected internal error (a bug or input the readers do not yet
+validate), reported on one line instead of a traceback.
 The default Monte-Carlo seed comes from SIMPART_SEED when set.
 """
 
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_THEOREM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _default_seed() -> int:
@@ -200,6 +203,10 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"simpart: error: {message}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # never exit 1, which means a theorem check failed
+        detail = (str(exc).splitlines() or [""])[0]
+        print(f"simpart: internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,6 +14,10 @@ Both are computed from one shared base so their product telescopes
 exactly.  Estimates come in two flavors drawing from distinct streams:
 uniform directions, and Gaussian points whose hit count measures the
 integral of exp(-|x - apex|^2) over the cone.
+
+Every cone, whatever its kind, is tested through one (k, d) matrix H of
+inward half-space normals: a direction u lies in the cone exactly when
+H u >= 0, so testing a batch of directions costs one matrix product.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
 from .geometry import MEMBERSHIP_TOL, Simplex, as_point, barycentric, regular_simplex_ratio
@@ -78,8 +82,12 @@ class VertexCone:
     leaving it), "face" (p lies on a proper face; the cone is the
     intersection of the half-spaces of the active barycentric
     coordinates), or "full" (p is interior; every direction works).
-    Membership tests are homogeneous, so directions never need
-    normalizing.
+
+    Membership goes through the half-space normals of every kind: the
+    rows of inv(spans) for a vertex cone (u = spans @ lam, so lam >= 0
+    is inv(spans) @ u >= 0), the given normals for a face cone, and no
+    rows at all for the full cone.  The tests are homogeneous, so
+    directions never need normalizing.
     """
 
     apex: np.ndarray
@@ -93,18 +101,18 @@ class VertexCone:
         return self.apex.shape[0]
 
     @cached_property
-    def _span_lu(self):
-        return lu_factor(self.spans, check_finite=False)
+    def _halfspaces(self) -> np.ndarray:
+        """(k, d) inward normals H; the cone is {u : H u >= 0}."""
+        if self.kind == "vertex":
+            return np.linalg.inv(self.spans)
+        if self.kind == "face":
+            return np.asarray(self.normals, dtype=float)
+        return np.empty((0, self.dimension))
 
     def contains_directions(self, directions: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, d) array of directions."""
         u = np.asarray(directions, dtype=float)
-        if self.kind == "full":
-            return np.ones(u.shape[0], dtype=bool)
-        if self.kind == "vertex":
-            lam = lu_solve(self._span_lu, u.T, check_finite=False)
-            return np.all(lam >= 0.0, axis=0)
-        return np.all(self.normals @ u.T >= 0.0, axis=0)
+        return np.all(self._halfspaces @ u.T >= 0.0, axis=0)
 
 
 def _barycentric_gradients(s: Simplex) -> np.ndarray:
@@ -145,19 +153,32 @@ def _shard_sizes(config: MonteCarloConfig) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(config.shards)]
 
 
+def _count_hits(cone: VertexCone, config: MonteCarloConfig, tag: int, scale: float = 1.0) -> int:
+    """Draws landing in the cone, over the shards of the (seed, tag) stream.
+
+    Each shard draws scale * N(0, I) offsets into one reused buffer sized
+    to the largest shard, so memory stays bounded by one shard.
+    """
+    sizes = _shard_sizes(config)
+    buf = np.empty((sizes[0], cone.dimension))
+    hits = 0
+    for shard, count in enumerate(sizes):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag, shard]))
+        u = rng.standard_normal(out=buf[:count])
+        if scale != 1.0:
+            u *= scale
+        hits += int(np.count_nonzero(cone.contains_directions(u)))
+    return hits
+
+
 def solid_angle_fraction(cone: VertexCone, config: MonteCarloConfig = MonteCarloConfig()) -> FractionEstimate:
     """Fraction of the sphere of directions lying in the cone.
 
     Standard-normal direction vectors are spherically symmetric, so the
     hit rate estimates the solid-angle fraction directly.
     """
-    d = cone.dimension
-    hits = 0
-    for shard, count in enumerate(_shard_sizes(config)):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _DIRECTION_TAG, shard]))
-        u = rng.standard_normal((count, d))
-        hits += int(cone.contains_directions(u).sum())
-    return _estimate(cone, hits, config, d)
+    hits = _count_hits(cone, config, _DIRECTION_TAG)
+    return _estimate(cone, hits, config, cone.dimension)
 
 
 def solid_angle_fraction_gaussian(
@@ -171,14 +192,9 @@ def solid_angle_fraction_gaussian(
     which equals the solid-angle fraction.  A separate stream tag keeps
     the draws disjoint from the direction estimator's.
     """
-    d = cone.dimension
-    hits = 0
-    for shard, count in enumerate(_shard_sizes(config)):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _GAUSSIAN_TAG, shard]))
-        # offsets x - apex of points x ~ N(apex, I/2)
-        offsets = rng.normal(loc=0.0, scale=math.sqrt(0.5), size=(count, d))
-        hits += int(cone.contains_directions(offsets).sum())
-    return _estimate(cone, hits, config, d)
+    # offsets x - apex of points x ~ N(apex, I/2)
+    hits = _count_hits(cone, config, _GAUSSIAN_TAG, scale=math.sqrt(0.5))
+    return _estimate(cone, hits, config, cone.dimension)
 
 
 def _estimate(cone: VertexCone, hits: int, config: MonteCarloConfig, d: int) -> FractionEstimate:

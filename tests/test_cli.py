@@ -1,5 +1,7 @@
 """End-to-end checks for the command line and the file formats it writes."""
 
+import csv
+import hashlib
 import json
 
 import numpy as np
@@ -212,6 +214,32 @@ def test_verify_missing_file_is_io_error(tmp_path, capsys):
     assert "i/o" in err
 
 
+def _json_array_document(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[]\n")
+    return path
+
+
+def _out_of_range_vertex_id(tmp_path):
+    doc = json.loads(partition_to_json(kuhn_triangulation(2)))
+    doc["nodes"][0]["vertex_ids"][0] = 999
+    path = tmp_path / "oor.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("make_input", [_json_array_document, _out_of_range_vertex_id])
+def test_verify_malformed_input_is_internal_error_not_theorem_failure(tmp_path, capsys, make_input):
+    # exit 1 is reserved for "a theorem check failed"; input the reader
+    # does not yet validate must end in the internal-error code instead,
+    # on one line and without a traceback
+    code, out, err = run_cli(capsys, "verify", str(make_input(tmp_path)), "--samples", "100")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("simpart: internal error: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cone_method_selection(tmp_path, capsys):
     s_path = tmp_path / "s.json"
     write_simplex(canonical_simplex("unit-corner", 2), s_path)
@@ -300,3 +328,56 @@ def test_cli_verify_agrees_with_library(tmp_path, capsys):
     assert code == (0 if report.passed else 1)
     assert f"eta_min={fmt_float(report.eta_min)}" in out
     assert f"max_valence={report.max_observed_valence}" in out
+
+
+# ------------------------------------------------------------ golden bytes
+# Outputs of seeded runs, pinned.  Acceptance 9 compares two runs of the
+# same code, so a change to the sampling streams (seed tags, shard layout,
+# draw order) or to cone membership would still pass it; these would not.
+
+GOLDEN_KUHN2_3_REPORT_SHA256 = "13345d2d4f0c871efd6ca33cb1194eb7fd86b5d099ff348903252f0e5e3a4d74"
+
+# point -> (cone id, direction hits, gaussian hits) at 29999 samples,
+# seed 7 and 3 shards (sizes 10000, 10000, 9999, so the shard order shows),
+# on the tetrahedron of the test below
+GOLDEN_CONE_HITS = {
+    "0.1,0.2,0": ("tet:v0", 1953, 1893),
+    "0.7,0.45,0.05": ("tet:f2.3", 6408, 6356),
+    "0.6,1.2666666666666666,0.13333333333333333": ("tet:f3", 15006, 14940),
+    "0.2,0.5,1.7": ("tet:v3", 936, 972),
+    "0.25,0.35,0.05": ("tet:int", 29999, 29999),
+}
+
+
+def test_verify_report_matches_golden_bytes(tmp_path, capsys):
+    p = kuhn_triangulation(2)
+    refine(p, 3)
+    p_path = tmp_path / "p.json"
+    report = tmp_path / "report.csv"
+    write_partition(p, p_path)
+    code, _, _ = run_cli(
+        capsys, "verify", str(p_path), "--samples", "2000", "--seed", "42", "--report", str(report)
+    )
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_KUHN2_3_REPORT_SHA256
+
+
+@pytest.mark.parametrize("point", sorted(GOLDEN_CONE_HITS))
+def test_cone_hit_counts_match_golden(tmp_path, capsys, point):
+    s = make_simplex(
+        [[0.1, 0.2, 0.0], [1.3, 0.7, 0.1], [0.4, 2.9, 0.3], [0.2, 0.5, 1.7]], id="tet"
+    )
+    s_path = tmp_path / "s.json"
+    csv_path = tmp_path / "cone.csv"
+    write_simplex(s, s_path)
+    code, _, _ = run_cli(
+        capsys, "cone", "--simplex", str(s_path), "--point", point, "--method", "both",
+        "--samples", "29999", "--seed", "7", "--shards", "3", "-o", str(csv_path),
+    )
+    assert code == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cone_id, direction_hits, gaussian_hits = GOLDEN_CONE_HITS[point]
+    assert [row["cone_id"] for row in rows] == [cone_id, cone_id]
+    hits = [round(float(row["fraction"]) * 29999) for row in rows]
+    assert hits == [direction_hits, gaussian_hits]

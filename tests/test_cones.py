@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simpart.cones import (
     FractionEstimate,
@@ -17,10 +19,10 @@ from simpart.cones import (
     sphere_surface_area,
 )
 from simpart.errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
-from simpart.geometry import canonical_simplex, make_simplex, regularity_ratio
+from simpart.geometry import barycentric_many, canonical_simplex, make_simplex, regularity_ratio
 
 from .oracles import gauss_cone_mass, triangle_vertex_angle
-from .support import jittered_regular_simplex
+from .support import jittered_regular_simplex, random_simplex
 
 FAST = MonteCarloConfig(samples=40_000, seed=42, shards=4)
 
@@ -67,6 +69,52 @@ def test_vertex_cone_span_and_normal_routes_agree():
         via_spans = cone.contains_directions(u)
         via_normals = np.all(normals @ u.T >= 0.0, axis=0)
         assert np.array_equal(via_spans, via_normals)
+
+
+def _point_with_active_set(s, active, rng):
+    """A point of s whose barycentric coordinates vanish exactly on active."""
+    weights = rng.uniform(0.1, 1.0, s.dimension + 1)
+    weights[list(active)] = 0.0
+    weights /= weights.sum()
+    if np.count_nonzero(weights) == 1:
+        return s.vertices[int(np.argmax(weights))].copy()
+    return weights @ s.vertices
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    kind=st.sampled_from(["vertex", "face", "full"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_halfspace_membership_matches_barycentric_reference(d, kind, seed):
+    # u is in the tangent cone at p exactly when moving along u does not
+    # decrease any barycentric coordinate that vanishes at p; barycentric
+    # coordinates are affine, so lambda(p + t u) - lambda(p) has the sign
+    # of the directional derivative for every t > 0
+    rng = np.random.default_rng(seed)
+    s = random_simplex(d, rng)
+    n_active = {"vertex": d, "full": 0, "face": int(rng.integers(1, d))}[kind]
+    active = np.sort(rng.choice(d + 1, size=n_active, replace=False))
+    cone = cone_at_point(s, _point_with_active_set(s, active, rng))
+    assert cone.kind == kind
+
+    u = rng.standard_normal((400, d))
+    lam_apex = barycentric_many(s, cone.apex[None, :])
+    lam_moved = barycentric_many(s, cone.apex + u)  # t = 1
+    change = (lam_moved - lam_apex)[:, active]
+    scale = 1.0 + np.abs(lam_moved[:, active]) + np.abs(lam_apex[:, active])
+    clear = np.all(np.abs(change) > 1e-12 * scale, axis=1)  # skip near-facet directions
+    expected = np.all(change >= 0.0, axis=1)
+    got = cone.contains_directions(u)
+    assert got.dtype == bool and got.shape == (400,)
+    assert np.array_equal(got[clear], expected[clear])
+    assert clear.sum() >= 390
+
+    for n in (0, 1):
+        mask = cone.contains_directions(u[:n])
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert np.array_equal(mask, got[:n])
 
 
 def test_orthant_fraction_is_two_to_minus_d():
