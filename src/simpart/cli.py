@@ -2,8 +2,8 @@
 
 Exit codes separate the outcomes CI cares about: 0 success, 1 a theorem
 check genuinely failed, 2 usage or validation errors, 3 I/O errors,
-4 an unexpected internal error (a bug or input the readers do not yet
-validate), reported on one line instead of a traceback.
+4 an unexpected internal error (a bug), reported on one line instead of
+a traceback.
 The default Monte-Carlo seed comes from SIMPART_SEED when set.
 """
 
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cones import MonteCarloConfig, cone_at_point, solid_angle_fraction, solid_angle_fraction_gaussian
+from .cones import MonteCarloConfig, cone_at_point, solid_angle_fraction
 from .errors import SimpartError
 from .geometry import make_simplex
 from .optimizer import OBJECTIVES, build_objective, optimize
@@ -60,10 +60,13 @@ def _mc_config(args) -> MonteCarloConfig:
     return MonteCarloConfig(samples=args.samples, seed=seed, shards=args.shards)
 
 
-def _add_sampling_flags(sub, default_samples: int) -> None:
-    sub.add_argument("--samples", type=int, default=default_samples, help="total Monte-Carlo draws per cone")
-    sub.add_argument("--seed", type=int, default=None, help="base seed (default: SIMPART_SEED or 42)")
-    sub.add_argument("--shards", type=int, default=4, help="independent sampling shards")
+def _add_sampling_flags(sub, default_samples: int, audit: bool = False) -> None:
+    # the audit measures cones in d <= 3 exactly, so sampling only matters in d >= 4
+    note = "; d >= 4 only, cones in d <= 3 are measured exactly" if audit else ""
+    seed_note = "; in d <= 3 it only picks the pairs audited above the pair cap" if audit else ""
+    sub.add_argument("--samples", type=int, default=default_samples, help="Monte-Carlo draws per cone" + note)
+    sub.add_argument("--seed", type=int, default=None, help="base seed (SIMPART_SEED or 42)" + seed_note)
+    sub.add_argument("--shards", type=int, default=4, help="independent sampling shards" + note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="audit a partition against the intersection bound")
     p_ver.add_argument("partition", help="partition JSON path")
-    _add_sampling_flags(p_ver, default_samples=100_000)
+    _add_sampling_flags(p_ver, default_samples=100_000, audit=True)
     p_ver.add_argument("--report", default=None, help="write the check rows to this CSV")
     p_ver.add_argument(
         "--full-audit",
@@ -96,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cone = sub.add_parser("cone", help="estimate the solid-angle fraction at a point of a simplex")
     p_cone.add_argument("--simplex", required=True, help="simplex JSON path")
     p_cone.add_argument("--point", required=True, help="comma-separated coordinates")
-    p_cone.add_argument(
-        "--method",
-        choices=("direction", "gaussian", "both"),
-        default="both",
-        help="estimator stream(s) to run",
-    )
     _add_sampling_flags(p_cone, default_samples=1_000_000)
     p_cone.add_argument("-o", "--output", default=None, help="write estimates to this CSV")
     p_cone.set_defaults(func=cmd_cone)
@@ -147,7 +144,7 @@ def cmd_verify(args) -> int:
         f"max_valence={report.max_observed_valence} "
         f"vertex_checks={strong_ok}/{len(report.per_vertex_checks)} "
         f"decomposition={decomp_ok}/{len(report.decomposition_checks)} "
-        f"audited={report.audited_pairs}/{report.total_pairs} {verdict}"
+        f"audited={report.audited_pairs}/{report.total_pairs} method={report.method} {verdict}"
     )
     return EXIT_OK if report.passed else EXIT_THEOREM_FAILURE
 
@@ -155,22 +152,13 @@ def cmd_verify(args) -> int:
 def cmd_cone(args) -> int:
     s = read_simplex(args.simplex)
     point = np.array([float(c) for c in args.point.split(",")])
-    cone = cone_at_point(s, point)
-    config = _mc_config(args)
-    estimates = []
-    if args.method in ("direction", "both"):
-        estimates.append(solid_angle_fraction(cone, config))
-    if args.method in ("gaussian", "both"):
-        estimates.append(solid_angle_fraction_gaussian(cone, config))
-    for est in estimates:
-        print(
-            f"cone={est.cone_id} fraction={fmt_float(est.fraction)} "
-            f"stderr={fmt_float(est.stderr)} "
-            f"gaussian_integral={fmt_float(est.gaussian_integral)} "
-            f"samples={est.samples} seed={est.seed}"
-        )
+    est = solid_angle_fraction(cone_at_point(s, point), _mc_config(args))
+    print(
+        f"cone={est.cone_id} fraction={fmt_float(est.fraction)} "
+        f"stderr={fmt_float(est.stderr)} samples={est.samples} seed={est.seed}"
+    )
     if args.output:
-        write_fraction_csv(estimates, args.output)
+        write_fraction_csv([est], args.output)
     return EXIT_OK
 
 

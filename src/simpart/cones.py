@@ -2,8 +2,10 @@
 
 The tangent cone of a simplex S at a point p collects the directions one
 can move in from p without leaving S.  Its size is measured as a
-fraction of the full sphere of directions, estimated by Monte Carlo.
-Two bounds tie the measure to the regularity ratio:
+fraction of the full sphere of directions: in closed form for cones
+with at most three facets, which covers every cone in d <= 3, and by
+Monte Carlo in general.  Two bounds tie the measure to the regularity
+ratio:
 
 * at any vertex of a simplex with rho(S) >= eta, the solid-angle
   fraction is at least eta * (d / (2 e pi))^(d/2);
@@ -11,9 +13,7 @@ Two bounds tie the measure to the regularity ratio:
   partition can meet at a point.
 
 Both are computed from one shared base so their product telescopes
-exactly.  Estimates come in two flavors drawing from distinct streams:
-uniform directions, and Gaussian points whose hit count measures the
-integral of exp(-|x - apex|^2) over the cone.
+exactly.
 
 Every cone, whatever its kind, is tested through one (k, d) matrix H of
 inward half-space normals: a direction u lies in the cone exactly when
@@ -33,9 +33,15 @@ from scipy.linalg import lu_solve
 from .errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
 from .geometry import MEMBERSHIP_TOL, Simplex, as_point, barycentric, regular_simplex_ratio
 
-# SeedSequence entropy tags keeping the two estimator streams disjoint.
+# SeedSequence entropy tag of the direction estimator's streams.
 _DIRECTION_TAG = 101
-_GAUSSIAN_TAG = 202
+
+# Rounding allowance reported as the standard error of an exact fraction.
+# The closed forms are accurate to a few units in the last place (worst
+# interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), so
+# 4 sigma of one cone, 1e-12, is a wide margin that still lets the
+# audit's sigma-based tests apply to exact rows unchanged.
+EXACT_STDERR = 2.5e-13
 
 
 @dataclass(frozen=True)
@@ -60,16 +66,11 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class FractionEstimate:
-    """Monte-Carlo solid-angle fraction with its binomial standard error.
-
-    gaussian_integral is the induced value of the integral of
-    exp(-|x - apex|^2) over the cone, fraction * pi^(d/2).
-    """
+    """Monte-Carlo solid-angle fraction with its binomial standard error."""
 
     cone_id: str
     fraction: float
     stderr: float
-    gaussian_integral: float
     samples: int
     seed: int
 
@@ -153,11 +154,11 @@ def _shard_sizes(config: MonteCarloConfig) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(config.shards)]
 
 
-def _count_hits(cone: VertexCone, config: MonteCarloConfig, tag: int, scale: float = 1.0) -> int:
+def _count_hits(cone: VertexCone, config: MonteCarloConfig, tag: int) -> int:
     """Draws landing in the cone, over the shards of the (seed, tag) stream.
 
-    Each shard draws scale * N(0, I) offsets into one reused buffer sized
-    to the largest shard, so memory stays bounded by one shard.
+    Each shard draws N(0, I) directions into one reused buffer sized to
+    the largest shard, so memory stays bounded by one shard.
     """
     sizes = _shard_sizes(config)
     buf = np.empty((sizes[0], cone.dimension))
@@ -165,8 +166,6 @@ def _count_hits(cone: VertexCone, config: MonteCarloConfig, tag: int, scale: flo
     for shard, count in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag, shard]))
         u = rng.standard_normal(out=buf[:count])
-        if scale != 1.0:
-            u *= scale
         hits += int(np.count_nonzero(cone.contains_directions(u)))
     return hits
 
@@ -178,54 +177,58 @@ def solid_angle_fraction(cone: VertexCone, config: MonteCarloConfig = MonteCarlo
     hit rate estimates the solid-angle fraction directly.
     """
     hits = _count_hits(cone, config, _DIRECTION_TAG)
-    return _estimate(cone, hits, config, cone.dimension)
-
-
-def solid_angle_fraction_gaussian(
-    cone: VertexCone, config: MonteCarloConfig = MonteCarloConfig()
-) -> FractionEstimate:
-    """Same fraction, measured through the Gaussian integral.
-
-    Points are drawn from N(apex, I/2), whose density is
-    pi^(-d/2) exp(-|x - apex|^2); the hit rate therefore estimates
-    pi^(-d/2) times the integral of exp(-|x - apex|^2) over the cone,
-    which equals the solid-angle fraction.  A separate stream tag keeps
-    the draws disjoint from the direction estimator's.
-    """
-    # offsets x - apex of points x ~ N(apex, I/2)
-    hits = _count_hits(cone, config, _GAUSSIAN_TAG, scale=math.sqrt(0.5))
-    return _estimate(cone, hits, config, cone.dimension)
-
-
-def _estimate(cone: VertexCone, hits: int, config: MonteCarloConfig, d: int) -> FractionEstimate:
     f = hits / config.samples
-    stderr = math.sqrt(f * (1.0 - f) / config.samples)
     return FractionEstimate(
         cone_id=cone.id,
         fraction=f,
-        stderr=stderr,
-        gaussian_integral=f * math.pi ** (d / 2),
+        stderr=math.sqrt(f * (1.0 - f) / config.samples),
         samples=config.samples,
         seed=config.seed,
     )
 
 
-def sphere_surface_area(d: int, radius: float = 1.0) -> float:
-    """Surface area of the (d-1)-sphere of the given radius in R^d."""
-    if d < 2:
-        raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-    return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2) * radius ** (d - 1)
+def _angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Angle between two nonzero vectors, accurate near 0 and pi.
 
-
-def optimal_gaussian_scale(d: int) -> float:
-    """Radius maximizing x^d exp(-x^2), namely sqrt(d/2).
-
-    This is where the radial mass of the cone's Gaussian integral
-    concentrates; the lower bound below evaluates the integrand there.
+    Kahan's form 2 atan2(|a' - b'|, |a' + b'|) on the unit vectors
+    avoids the cancellation of acos near a dot product of +-1.
     """
-    if d < 2:
-        raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-    return math.sqrt(d / 2.0)
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    return 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+
+
+def exact_solid_angle_fraction(cone: VertexCone) -> float:
+    """Closed-form fraction of the sphere of directions in the cone.
+
+    Works on the k inward normals of the cone's half-space matrix, so a
+    cone of any kind is handled alike: k = 0 is the full space (1), k = 1
+    a half-space (1/2), k = 2 a wedge whose opening is pi minus the
+    angle between the normals, (pi - theta) / 2pi, and k = 3 a trihedral
+    cone, whose solid angle is the spherical excess of its dihedral
+    angles pi - theta_ij (Girard), over 4pi.  A cone with k normals is a
+    k-dimensional cone times a flat factor, so the formulas hold in any
+    ambient dimension; every cone of a simplex in d <= 3 has k <= 3.
+    Beyond three facets there is no elementary formula (Ribando,
+    "Measuring solid angles beyond dimension three", 2006).
+
+    The normals must be linearly independent, as they are for every cone
+    cone_at_point builds.
+    """
+    h = cone._halfspaces
+    k = h.shape[0]
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return 0.5
+    if k == 2:
+        return (math.pi - _angle(h[0], h[1])) / (2.0 * math.pi)
+    if k == 3 and cone.dimension >= 3:
+        excess = 2.0 * math.pi - _angle(h[0], h[1]) - _angle(h[0], h[2]) - _angle(h[1], h[2])
+        return excess / (4.0 * math.pi)
+    raise UnsupportedDimension(
+        f"no closed-form solid angle for a cone with {k} facets in d={cone.dimension}"
+    )
 
 
 def _bound_base(d: int) -> float:

@@ -8,11 +8,12 @@ can be counted and audited against the bound
 (2 e pi / d)^(d/2) / eta_min, where eta_min is the smallest leaf
 regularity ratio.
 
-verify_theorem is the end-to-end check: it estimates the solid-angle
-fraction of every (leaf, vertex) cone, compares each against the
-per-simplex lower bound, sums the fractions around every registry
-vertex (they must tile the sphere of directions at interior points),
-and compares the observed maximum valence with the theoretical bound.
+verify_theorem is the end-to-end check: it measures the solid-angle
+fraction of every (leaf, vertex) cone (exactly in d <= 3, by Monte
+Carlo beyond), compares each against the per-simplex lower bound, sums
+the fractions around every registry vertex (they must tile the sphere
+of directions at interior points), and compares the observed maximum
+valence with the theoretical bound.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import (
+    EXACT_STDERR,
     MonteCarloConfig,
+    VertexCone,
     cone_at_point,
+    exact_solid_angle_fraction,
     max_intersection_bound,
     per_simplex_angle_bound,
     solid_angle_fraction,
@@ -335,8 +339,9 @@ class VertexCheck:
     """One (leaf, vertex) cone audit row.
 
     strong_bound uses the leaf's own regularity ratio; uniform_bound
-    uses the partition-wide eta_min.  Both must sit below the estimated
-    fraction plus 3 standard errors.
+    uses the partition-wide eta_min.  Both must sit below the measured
+    fraction plus 3 standard errors; an exact fraction carries
+    EXACT_STDERR as its rounding allowance.
     """
 
     leaf_id: int
@@ -370,6 +375,13 @@ class DecompositionCheck:
 
 @dataclass
 class TheoremReport:
+    """Outcome of verify_theorem.
+
+    method is "exact" when every cone was measured in closed form
+    (d <= 3) and "monte-carlo" otherwise; samples_per_cone and seed
+    record the sampling budget, which the exact route does not draw on.
+    """
+
     d: int
     eta_min: float
     theoretical_bound: float
@@ -379,6 +391,7 @@ class TheoremReport:
     seed: int
     total_pairs: int
     audited_pairs: int
+    method: str
     per_vertex_checks: list[VertexCheck] = field(default_factory=list)
     decomposition_checks: list[DecompositionCheck] = field(default_factory=list)
     valence_ok: bool = True
@@ -447,13 +460,18 @@ def verify_theorem(
     """End-to-end audit of the intersection-number bound.
 
     Steps: compute eta_min and the theoretical bound N(eta_min, d);
-    count valences of all registry vertices; estimate the solid-angle
+    count valences of all registry vertices; measure the solid-angle
     fraction of each (leaf, vertex) cone (above AUDIT_PAIR_CAP pairs, a
     seeded uniform subsample is audited instead unless full_audit);
     check each fraction against the per-simplex bound minus 3 stderr;
     and sum fractions around every vertex whose incident cones were all
-    estimated (interior sums must hit 1 within 4 combined stderr,
+    measured (interior sums must hit 1 within 4 combined stderr,
     boundary sums must not exceed 1 by more).
+
+    In d <= 3 every cone has at most three facets and is measured in
+    closed form with stderr EXACT_STDERR, so mc only seeds the
+    subsample; in d >= 4 each pair draws mc.samples directions from its
+    own stream.
     """
     leaves = p.leaves
     if not leaves:
@@ -474,29 +492,37 @@ def verify_theorem(
         chosen = rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False)
         pairs = [pairs[i] for i in sorted(chosen)]
 
+    exact = d <= 3
+
+    def measure(cone: VertexCone, leaf: int, vid: int) -> tuple[float, float]:
+        if exact:
+            return exact_solid_angle_fraction(cone), EXACT_STDERR
+        est = solid_angle_fraction(cone, _pair_config(mc, leaf, vid))
+        return est.fraction, est.stderr
+
     estimates: dict[tuple[int, int], tuple[float, float]] = {}
     checks = []
     for leaf, vid in pairs:
         s = p.simplex(leaf)
         cone = cone_at_point(s, p.vertex_coords(vid))
-        est = solid_angle_fraction(cone, _pair_config(mc, leaf, vid))
+        fraction, stderr = measure(cone, leaf, vid)
         rho = regularity_ratio(s)
         strong = per_simplex_angle_bound(rho, d)
         checks.append(
             VertexCheck(
                 leaf_id=leaf,
                 vertex_id=vid,
-                cone_id=est.cone_id,
-                fraction=est.fraction,
-                stderr=est.stderr,
+                cone_id=cone.id,
+                fraction=fraction,
+                stderr=stderr,
                 rho=rho,
                 strong_bound=strong,
                 uniform_bound=uniform_bound,
-                passed_strong=est.fraction >= strong - 3.0 * est.stderr,
-                passed_uniform=est.fraction >= uniform_bound - 3.0 * est.stderr,
+                passed_strong=fraction >= strong - 3.0 * stderr,
+                passed_uniform=fraction >= uniform_bound - 3.0 * stderr,
             )
         )
-        estimates[(leaf, vid)] = (est.fraction, est.stderr)
+        estimates[(leaf, vid)] = (fraction, stderr)
 
     # vertex -> leaves whose vertex set contains it; hanging-node
     # incidences (vertex on a leaf's face) are added geometrically below
@@ -533,8 +559,7 @@ def verify_theorem(
                     complete = False
                     break
                 cone = cone_at_point(p.simplex(leaf), p.vertex_coords(vid))
-                est = solid_angle_fraction(cone, _pair_config(mc, leaf, vid))
-                got = (est.fraction, est.stderr)
+                got = measure(cone, leaf, vid)
                 estimates[(leaf, vid)] = got
             fracs.append(got[0])
             errs.append(got[1])
@@ -568,6 +593,7 @@ def verify_theorem(
         seed=mc.seed,
         total_pairs=total_pairs,
         audited_pairs=len(pairs),
+        method="exact" if exact else "monte-carlo",
         per_vertex_checks=checks,
         decomposition_checks=decomposition,
         valence_ok=max_val <= bound_n,

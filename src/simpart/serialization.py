@@ -92,31 +92,102 @@ def write_partition(p: Partition, path) -> None:
         fh.write(partition_to_json(p))
 
 
+def _field(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _int_field(obj: dict, key: str, where: str) -> int:
+    value = _field(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _id_list(obj: dict, key: str, where: str, limit: int) -> tuple[int, ...]:
+    """Integer ids in [0, limit) from a list field."""
+    values = _field(obj, key, where)
+    if not isinstance(values, list):
+        raise ValueError(f"{where}: {key} must be a list, got {values!r}")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < limit:
+            raise ValueError(f"{where}: {key} entry {v!r} is not an id in [0, {limit})")
+    return tuple(values)
+
+
+def _read_node(raw, index: int, n_nodes: int, n_vertices: int) -> Node:
+    where = f"node {index}"
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: expected an object, got {type(raw).__name__}")
+    parent = _field(raw, "parent", where)
+    if parent is not None:
+        parent = _int_field(raw, "parent", where)
+        if not 0 <= parent < n_nodes:
+            raise ValueError(f"{where}: parent {parent} is not a node id in [0, {n_nodes})")
+    return Node(
+        id=_int_field(raw, "id", where),
+        parent=parent,
+        generation=_int_field(raw, "generation", where),
+        vertex_ids=_id_list(raw, "vertex_ids", where, n_vertices),
+        children=_id_list(raw, "children", where, n_nodes),
+    )
+
+
+def _check_forest(nodes: list[Node]) -> None:
+    """Parent and children links agree, and generations count the depth.
+
+    Each child names its parent, each parent lists the child, and a
+    child's generation is its parent's plus one, so a node has a single
+    parent and no chain of children can return to where it started.
+    """
+    for n in nodes:
+        if n.parent is None:
+            continue
+        up = nodes[n.parent]
+        if n.id not in up.children:
+            raise ValueError(f"node {n.id}: parent {n.parent} does not list it among its children")
+        if n.generation != up.generation + 1:
+            raise ValueError(
+                f"node {n.id}: generation {n.generation} is not parent {up.id}'s generation "
+                f"{up.generation} plus 1"
+            )
+    for n in nodes:
+        for c in n.children:
+            if nodes[c].parent != n.id:
+                raise ValueError(f"node {n.id}: child {c} names parent {nodes[c].parent}")
+
+
 def read_partition(path) -> Partition:
     """Rebuild a partition from its JSON form.
 
-    The vertex merge tolerance is derived from the loaded roots (1e-9
-    times the largest root edge), matching how the builders set it, so
-    a round-tripped partition behaves identically.
+    The document is validated before anything is built: ids must be in
+    range, parent and children links must agree, and generations must
+    increase by one from parent to child; a violation raises ValueError
+    naming the node and field.  The vertex merge tolerance is derived
+    from the loaded roots (1e-9 times the largest root edge), matching
+    how the builders set it, so a round-tripped partition behaves
+    identically.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    d = int(doc["d"])
-    coords = [np.asarray(v, dtype=float) for v in doc["vertices"]]
-    nodes = [
-        Node(
-            id=int(n["id"]),
-            parent=None if n["parent"] is None else int(n["parent"]),
-            generation=int(n["generation"]),
-            vertex_ids=tuple(int(v) for v in n["vertex_ids"]),
-            children=tuple(int(c) for c in n["children"]),
-        )
-        for n in doc["nodes"]
-    ]
+    if not isinstance(doc, dict):
+        raise ValueError(f"partition file must hold a JSON object, got {type(doc).__name__}")
+    d = _int_field(doc, "d", "partition")
+    raw_vertices = _field(doc, "vertices", "partition")
+    raw_nodes = _field(doc, "nodes", "partition")
+    if not isinstance(raw_vertices, list) or not isinstance(raw_nodes, list):
+        raise ValueError("partition: vertices and nodes must be lists")
+    try:
+        coords = [np.asarray(v, dtype=float) for v in raw_vertices]
+    except (TypeError, ValueError):
+        raise ValueError("partition: vertices must be lists of numbers") from None
+    nodes = [_read_node(n, i, len(raw_nodes), len(coords)) for i, n in enumerate(raw_nodes)]
     if not nodes:
         raise EmptyPartition("partition file contains no nodes")
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be 0..n-1 in order")
+    _check_forest(nodes)
     roots = [n for n in nodes if n.parent is None]
     if not roots:
         raise ValueError("partition file has no root nodes")
@@ -147,18 +218,9 @@ def _open_csv(path):
 def write_fraction_csv(estimates: list[FractionEstimate], path) -> None:
     with _open_csv(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["cone_id", "fraction", "stderr", "gaussian_integral", "samples", "seed"])
+        w.writerow(["cone_id", "fraction", "stderr", "samples", "seed"])
         for e in estimates:
-            w.writerow(
-                [
-                    e.cone_id,
-                    fmt_float(e.fraction),
-                    fmt_float(e.stderr),
-                    fmt_float(e.gaussian_integral),
-                    e.samples,
-                    e.seed,
-                ]
-            )
+            w.writerow([e.cone_id, fmt_float(e.fraction), fmt_float(e.stderr), e.samples, e.seed])
 
 
 def write_theorem_report_csv(report: TheoremReport, path) -> None:

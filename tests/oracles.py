@@ -96,19 +96,3 @@ def grid_minimum(fn, lo, hi, per_axis: int) -> float:
         best = min(best, float(fn(np.asarray(coords))))
     return best
 
-
-def gauss_cone_mass(apex, edge_dirs, n: int, seed: int) -> float:
-    """Monte-Carlo integral of exp(-|x - apex|^2) over a vertex cone.
-
-    Draws from N(apex, I/2), whose density is pi^(-d/2) exp(-|x-apex|^2),
-    and returns pi^(d/2) times the hit fraction.  This is the density
-    route; the library integrates over directions instead.
-    """
-    apex = np.asarray(apex, dtype=float)
-    e = np.asarray(edge_dirs, dtype=float)
-    d = apex.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.normal(loc=apex, scale=math.sqrt(0.5), size=(n, d))
-    lam = np.linalg.solve(e, (x - apex).T)
-    hits = np.all(lam >= 0.0, axis=0)
-    return math.pi ** (d / 2) * float(hits.mean())

@@ -21,6 +21,7 @@ from simpart import (
     build_objective,
     cone_at_point,
     diameter_oracle,
+    exact_solid_angle_fraction,
     kuhn_triangulation,
     longest_edge,
     make_simplex,
@@ -31,7 +32,6 @@ from simpart import (
     regular_simplex_ratio,
     regularity_ratio,
     solid_angle_fraction,
-    solid_angle_fraction_gaussian,
     verify_theorem,
     write_fraction_csv,
     write_theorem_report_csv,
@@ -200,28 +200,29 @@ def test_acceptance_2_analytic_cone_fractions(capsys, analytic_fractions):
     assert elapsed <= 120.0, f"took {elapsed:.1f}s"
 
 
-def test_acceptance_3_gaussian_route_matches_direction_route(capsys):
+def test_acceptance_3_exact_route_matches_direction_route(capsys):
+    """Closed-form fractions against the direction estimator, vertex and face cones."""
     disagreements = []
-    identity_breaks = []
-    for d in (2, 3, 4, 5, 6):
+    for d in (2, 3):
         rng = np.random.default_rng(np.random.SeedSequence([5512, d]))
         mc = MonteCarloConfig(200_000, SEED, 4)
         for k in range(10):
             s = make_simplex(
                 jittered_regular_simplex(d, rng, jitter=0.2).vertices, id=f"pair-{d}-{k}"
             )
-            cone = cone_at_point(s, s.vertices[int(rng.integers(0, d + 1))])
-            direct = solid_angle_fraction(cone, mc)
-            gauss = solid_angle_fraction_gaussian(cone, mc)
-            for est in (direct, gauss):
-                if est.gaussian_integral != est.fraction * math.pi ** (d / 2):
-                    identity_breaks.append(est.cone_id)
-            sigma = math.hypot(direct.stderr, gauss.stderr)
-            if abs(direct.fraction - gauss.fraction) > 4.0 * sigma:
-                disagreements.append((cone.id, direct.fraction, gauss.fraction, sigma))
-    ok = not disagreements and not identity_breaks
-    announce(capsys, 3, "gaussian integral identity and estimator agreement", ok)
-    assert not identity_breaks, identity_breaks
+            # a vertex, then a point whose zero barycentric coordinates
+            # span a proper face (a facet in d=2, a facet or edge in d=3)
+            weights = rng.uniform(0.1, 1.0, d + 1)
+            weights[rng.choice(d + 1, size=int(rng.integers(1, d)), replace=False)] = 0.0
+            points = (s.vertices[int(rng.integers(0, d + 1))], weights / weights.sum() @ s.vertices)
+            for point in points:
+                cone = cone_at_point(s, point)
+                exact = exact_solid_angle_fraction(cone)
+                est = solid_angle_fraction(cone, mc)
+                if abs(est.fraction - exact) > 4.0 * est.stderr:
+                    disagreements.append((cone.id, exact, est.fraction, est.stderr))
+    ok = not disagreements
+    announce(capsys, 3, "exact solid angles agree with the direction estimator", ok)
     assert not disagreements, disagreements
 
 
@@ -289,10 +290,12 @@ def test_acceptance_7_decomposition_sums_to_one(capsys, theorem_audits):
     bad = []
     n_interior = 0
     for d, report in reports.items():
+        assert report.method == "exact"
         for c in report.decomposition_checks:
             if c.interior:
                 n_interior += 1
-                if abs(c.fraction_sum - 1.0) > 4.0 * c.combined_stderr:
+                # exact fractions tile the sphere to rounding
+                if abs(c.fraction_sum - 1.0) > min(4.0 * c.combined_stderr, 1e-12):
                     bad.append((d, c.vertex_id, c.fraction_sum, c.combined_stderr))
             elif c.fraction_sum > 1.0 + 4.0 * c.combined_stderr:
                 bad.append((d, c.vertex_id, c.fraction_sum, c.combined_stderr))

@@ -95,11 +95,11 @@ def test_fraction_csv_layout(tmp_path):
     path = tmp_path / "f.csv"
     write_fraction_csv([est], path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "cone_id,fraction,stderr,gaussian_integral,samples,seed"
+    assert lines[0] == "cone_id,fraction,stderr,samples,seed"
     fields = lines[1].split(",")
     assert fields[0] == est.cone_id
     assert float(fields[1]) == est.fraction
-    assert fields[4:] == ["4000", "11"]
+    assert fields[3:] == ["4000", "11"]
 
 
 # -------------------------------------------------------------------- CLI
@@ -158,7 +158,7 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
         "--report", str(report_path),
     )
     assert code == 0
-    assert out.strip().endswith("PASS")
+    assert out.strip().endswith("method=exact PASS")
     lines = report_path.read_text().splitlines()
     assert lines[0].startswith("check,leaf_id,vertex_id")
     assert lines[-1].startswith("summary,")
@@ -228,32 +228,62 @@ def _out_of_range_vertex_id(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("make_input", [_json_array_document, _out_of_range_vertex_id])
+def _edited_kuhn2(tmp_path, edit):
+    doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 2)))
+    edit(doc["nodes"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _out_of_range_child(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[0]["children"].__setitem__(0, 99))
+
+
+def _out_of_range_parent(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", 99))
+
+
+def _parent_not_listing_the_child(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", 1))
+
+
+def _generation_skip(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("generation", 3))
+
+
+def _children_cycle(tmp_path):
+    # node 2 is a child of root 0; listing root 0 as its child closes a loop
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("children", [0]))
+
+
+def _non_integer_node_id(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[3].__setitem__("id", "three"))
+
+
+# input writer -> a word the one-line message must contain
+MALFORMED = {
+    _json_array_document: "JSON object",
+    _out_of_range_vertex_id: "vertex_ids",
+    _out_of_range_child: "children",
+    _out_of_range_parent: "parent",
+    _parent_not_listing_the_child: "parent",
+    _generation_skip: "generation",
+    _children_cycle: "node",
+    _non_integer_node_id: "id",
+}
+
+
+@pytest.mark.parametrize("make_input", list(MALFORMED))
 def test_verify_malformed_input_is_internal_error_not_theorem_failure(tmp_path, capsys, make_input):
-    # exit 1 is reserved for "a theorem check failed"; input the reader
-    # does not yet validate must end in the internal-error code instead,
-    # on one line and without a traceback
+    # exit 1 is reserved for "a theorem check failed" and 4 for bugs; the
+    # reader validates the file and rejects malformed input as a usage
+    # error (2), on one line naming the field and without a traceback
     code, out, err = run_cli(capsys, "verify", str(make_input(tmp_path)), "--samples", "100")
-    assert code == 4
+    assert code == 2
     assert out == ""
-    assert err.startswith("simpart: internal error: ")
+    assert err.startswith("simpart: error: ") and MALFORMED[make_input] in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-def test_cone_method_selection(tmp_path, capsys):
-    s_path = tmp_path / "s.json"
-    write_simplex(canonical_simplex("unit-corner", 2), s_path)
-    common = ["cone", "--simplex", str(s_path), "--point", "0,0",
-              "--samples", "4000", "--shards", "2", "--seed", "5"]
-    code, out, _ = run_cli(capsys, *common, "--method", "direction")
-    assert code == 0
-    assert len(out.splitlines()) == 1
-
-    csv_path = tmp_path / "est.csv"
-    code, out, _ = run_cli(capsys, *common, "--method", "both", "-o", str(csv_path))
-    assert code == 0
-    assert len(out.splitlines()) == 2
-    assert len(csv_path.read_text().splitlines()) == 3  # header + two estimates
 
 
 def test_cone_outside_point_is_usage_error(tmp_path, capsys):
@@ -333,33 +363,48 @@ def test_cli_verify_agrees_with_library(tmp_path, capsys):
 # ------------------------------------------------------------ golden bytes
 # Outputs of seeded runs, pinned.  Acceptance 9 compares two runs of the
 # same code, so a change to the sampling streams (seed tags, shard layout,
-# draw order) or to cone membership would still pass it; these would not.
+# draw order), to cone membership or to the closed-form fractions would
+# still pass it; these would not.
 
-GOLDEN_KUHN2_3_REPORT_SHA256 = "13345d2d4f0c871efd6ca33cb1194eb7fd86b5d099ff348903252f0e5e3a4d74"
+# kuhn(2)@3 is audited by the exact route: the hash pins the closed forms
+GOLDEN_KUHN2_3_REPORT_SHA256 = "955be84ba58018fb74f0e778fadd89c9a53db5792ed58a9f081a7bc5404b858f"
 
-# point -> (cone id, direction hits, gaussian hits) at 29999 samples,
-# seed 7 and 3 shards (sizes 10000, 10000, 9999, so the shard order shows),
-# on the tetrahedron of the test below
+# kuhn(4)@1 is audited by Monte Carlo: the hash pins the per-pair streams.
+# At 2000 samples three cones of fraction ~1.3e-4 draw no hit, so the
+# verdict is FAIL (exit 1); the bytes are what is pinned here.
+GOLDEN_KUHN4_1_REPORT_SHA256 = "3b227a72fc011103c8653b69d09019f53a320ae9981683a31436c1e863337984"
+
+# point -> (cone id, direction hits) at 29999 samples, seed 7 and 3 shards
+# (sizes 10000, 10000, 9999, so the shard order shows), on the
+# tetrahedron of the test below
 GOLDEN_CONE_HITS = {
-    "0.1,0.2,0": ("tet:v0", 1953, 1893),
-    "0.7,0.45,0.05": ("tet:f2.3", 6408, 6356),
-    "0.6,1.2666666666666666,0.13333333333333333": ("tet:f3", 15006, 14940),
-    "0.2,0.5,1.7": ("tet:v3", 936, 972),
-    "0.25,0.35,0.05": ("tet:int", 29999, 29999),
+    "0.1,0.2,0": ("tet:v0", 1953),
+    "0.7,0.45,0.05": ("tet:f2.3", 6408),
+    "0.6,1.2666666666666666,0.13333333333333333": ("tet:f3", 15006),
+    "0.2,0.5,1.7": ("tet:v3", 936),
+    "0.25,0.35,0.05": ("tet:int", 29999),
 }
 
 
-def test_verify_report_matches_golden_bytes(tmp_path, capsys):
-    p = kuhn_triangulation(2)
-    refine(p, 3)
+def _kuhn_report_sha256(tmp_path, capsys, d, rounds, expected_code):
+    p = kuhn_triangulation(d)
+    refine(p, rounds)
     p_path = tmp_path / "p.json"
     report = tmp_path / "report.csv"
     write_partition(p, p_path)
     code, _, _ = run_cli(
         capsys, "verify", str(p_path), "--samples", "2000", "--seed", "42", "--report", str(report)
     )
-    assert code == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_KUHN2_3_REPORT_SHA256
+    assert code == expected_code
+    return hashlib.sha256(report.read_bytes()).hexdigest()
+
+
+def test_verify_report_matches_golden_bytes(tmp_path, capsys):
+    assert _kuhn_report_sha256(tmp_path, capsys, 2, 3, 0) == GOLDEN_KUHN2_3_REPORT_SHA256
+
+
+def test_monte_carlo_report_matches_golden_bytes(tmp_path, capsys):
+    assert _kuhn_report_sha256(tmp_path, capsys, 4, 1, 1) == GOLDEN_KUHN4_1_REPORT_SHA256
 
 
 @pytest.mark.parametrize("point", sorted(GOLDEN_CONE_HITS))
@@ -371,13 +416,12 @@ def test_cone_hit_counts_match_golden(tmp_path, capsys, point):
     csv_path = tmp_path / "cone.csv"
     write_simplex(s, s_path)
     code, _, _ = run_cli(
-        capsys, "cone", "--simplex", str(s_path), "--point", point, "--method", "both",
+        capsys, "cone", "--simplex", str(s_path), "--point", point,
         "--samples", "29999", "--seed", "7", "--shards", "3", "-o", str(csv_path),
     )
     assert code == 0
     with open(csv_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    cone_id, direction_hits, gaussian_hits = GOLDEN_CONE_HITS[point]
-    assert [row["cone_id"] for row in rows] == [cone_id, cone_id]
-    hits = [round(float(row["fraction"]) * 29999) for row in rows]
-    assert hits == [direction_hits, gaussian_hits]
+    cone_id, direction_hits = GOLDEN_CONE_HITS[point]
+    assert [row["cone_id"] for row in rows] == [cone_id]
+    assert round(float(rows[0]["fraction"]) * 29999) == direction_hits

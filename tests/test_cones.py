@@ -1,27 +1,27 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpart.cones import (
+    EXACT_STDERR,
     FractionEstimate,
     MonteCarloConfig,
     VertexCone,
     _barycentric_gradients,
     cone_at_point,
+    exact_solid_angle_fraction,
     max_intersection_bound,
-    optimal_gaussian_scale,
     per_simplex_angle_bound,
     solid_angle_fraction,
-    solid_angle_fraction_gaussian,
-    sphere_surface_area,
 )
 from simpart.errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
 from simpart.geometry import barycentric_many, canonical_simplex, make_simplex, regularity_ratio
 
-from .oracles import gauss_cone_mass, triangle_vertex_angle
+from .oracles import triangle_vertex_angle
 from .support import jittered_regular_simplex, random_simplex
 
 FAST = MonteCarloConfig(samples=40_000, seed=42, shards=4)
@@ -157,27 +157,96 @@ def test_estimates_are_deterministic_and_shard_sensitive():
     assert abs(c.fraction - 0.125) <= 5 * c.stderr
 
 
-def test_direction_and_gaussian_routes_agree():
+# ---------------------------------------------------------- exact route
+
+
+def test_exact_closed_forms():
+    for d in (2, 3):
+        half = VertexCone(np.zeros(d), "face", normals=np.eye(d)[:1])
+        full = VertexCone(np.zeros(d), "full")
+        orthant = cone_at_point(unit_corner(d), np.zeros(d))
+        assert exact_solid_angle_fraction(half) == 0.5
+        assert exact_solid_angle_fraction(full) == 1.0
+        assert exact_solid_angle_fraction(orthant) == pytest.approx(2.0**-d, abs=1e-16)
+    tri = canonical_simplex("regular", 2)
+    for k in range(3):
+        assert exact_solid_angle_fraction(cone_at_point(tri, tri.vertices[k])) == pytest.approx(
+            1 / 6, abs=1e-16
+        )
+    # regular tetrahedron: three dihedral angles acos(1/3) at every vertex
+    tet = canonical_simplex("regular", 3)
+    expected = (3 * math.acos(1 / 3) - math.pi) / (4 * math.pi)
+    for k in range(4):
+        got = exact_solid_angle_fraction(cone_at_point(tet, tet.vertices[k]))
+        assert got == pytest.approx(expected, abs=1e-16)
+
+
+def test_exact_wedge_fraction():
+    # an edge point of a tetrahedron: two active half-spaces whose normals
+    # meet at theta leave a dihedral wedge of (pi - theta) / 2pi
     rng = np.random.default_rng(2003)
-    for d in (2, 3, 4):
-        s = jittered_regular_simplex(d, rng)
-        cone = cone_at_point(s, s.vertices[0])
-        a = solid_angle_fraction(cone, FAST)
-        g = solid_angle_fraction_gaussian(cone, FAST)
-        sigma = math.hypot(a.stderr, g.stderr)
-        assert abs(a.fraction - g.fraction) <= 5 * max(sigma, 1e-6)
-        assert g.gaussian_integral == g.fraction * math.pi ** (d / 2)
+    for _ in range(20):
+        s = random_simplex(3, rng)
+        cone = cone_at_point(s, _point_with_active_set(s, [0, 1], rng))
+        assert cone.kind == "face" and cone.normals.shape == (2, 3)
+        n0, n1 = cone.normals
+        cos = float(n0 @ n1) / (np.linalg.norm(n0) * np.linalg.norm(n1))
+        theta = math.acos(min(1.0, max(-1.0, cos)))
+        expected = (math.pi - theta) / (2 * math.pi)
+        assert exact_solid_angle_fraction(cone) == pytest.approx(expected, abs=1e-14)
 
 
-def test_gaussian_route_against_density_oracle():
-    rng = np.random.default_rng(2004)
-    s = jittered_regular_simplex(3, rng)
-    cone = cone_at_point(s, s.vertices[1])
-    est = solid_angle_fraction_gaussian(cone, MonteCarloConfig(samples=200_000, seed=7, shards=2))
-    oracle = gauss_cone_mass(cone.apex, cone.spans, n=200_000, seed=1234)
-    scale = math.pi ** 1.5
-    sigma = scale * math.hypot(est.stderr, est.stderr)
-    assert abs(est.gaussian_integral - oracle) <= 5 * max(sigma, 1e-4)
+def _van_oosterom_strackee(a, b, c) -> float:
+    """40-digit solid-angle fraction of the cone spanned by a, b, c."""
+    with mpmath.workdps(40):
+        a, b, c = ([mpmath.mpf(float(x)) for x in v] for v in (a, b, c))
+        dot = lambda x, y: sum(p * q for p, q in zip(x, y))
+        la, lb, lc = (mpmath.sqrt(dot(v, v)) for v in (a, b, c))
+        num = abs(mpmath.det(mpmath.matrix([a, b, c])))
+        den = la * lb * lc + dot(a, b) * lc + dot(a, c) * lb + dot(b, c) * la
+        return float(2 * mpmath.atan2(num, den) / (4 * mpmath.pi))
+
+
+def test_exact_tetrahedron_vertices_match_van_oosterom_strackee():
+    # the library sums dihedral angles of the half-space normals; the
+    # reference works on the edge generators in 40-digit arithmetic
+    rng = np.random.default_rng(2007)
+    for _ in range(50):
+        s = random_simplex(3, rng)
+        for k in range(4):
+            cone = cone_at_point(s, s.vertices[k])
+            a, b, c = cone.spans.T
+            assert abs(exact_solid_angle_fraction(cone) - _van_oosterom_strackee(a, b, c)) <= 1e-14
+
+
+def test_exact_rejects_cones_without_closed_form():
+    orthant4 = cone_at_point(unit_corner(4), np.zeros(4))
+    with pytest.raises(UnsupportedDimension):
+        exact_solid_angle_fraction(orthant4)
+    # three facets in d >= 4 still form a trihedral cone times a flat factor
+    edge4 = VertexCone(np.zeros(4), "face", normals=np.eye(4)[:3])
+    assert exact_solid_angle_fraction(edge4) == pytest.approx(0.125, abs=1e-16)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 3),
+    n_active=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_fraction_matches_monte_carlo(d, n_active, seed):
+    # interior (0 active), facet (1), edge (2, d = 3) and vertex (d) points;
+    # the binomial sigma is taken at the exact fraction, so a tiny cone
+    # that draws no hit is still judged fairly
+    n_active = min(n_active, d)
+    rng = np.random.default_rng(seed)
+    s = jittered_regular_simplex(d, rng, jitter=0.3)
+    active = np.sort(rng.choice(d + 1, size=n_active, replace=False))
+    cone = cone_at_point(s, _point_with_active_set(s, active, rng))
+    exact = exact_solid_angle_fraction(cone)
+    est = solid_angle_fraction(cone, MonteCarloConfig(samples=20_000, seed=seed, shards=2))
+    sigma = math.sqrt(exact * (1.0 - exact) / est.samples)
+    assert abs(est.fraction - exact) <= 4.0 * sigma + EXACT_STDERR
 
 
 def test_fraction_estimate_fields():
@@ -189,15 +258,6 @@ def test_fraction_estimate_fields():
 
 
 # ---------------------------------------------------------------- bounds
-
-
-def test_sphere_surface_area_low_dimensions():
-    assert sphere_surface_area(2) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert sphere_surface_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
-    assert sphere_surface_area(4) == pytest.approx(2 * math.pi**2, rel=1e-14)
-    assert sphere_surface_area(3, radius=2.0) == pytest.approx(16 * math.pi, rel=1e-14)
-    with pytest.raises(UnsupportedDimension):
-        sphere_surface_area(1)
 
 
 def test_bound_reference_values():
@@ -238,15 +298,6 @@ def test_bound_validation():
         max_intersection_bound(0.2, 1)
     with pytest.warns(UserWarning):
         max_intersection_bound(0.5, 2)  # above the regular-triangle ratio
-
-
-def test_optimal_gaussian_scale_maximizes_radial_mass():
-    for d in range(2, 8):
-        x = optimal_gaussian_scale(d)
-        assert x == pytest.approx(math.sqrt(d / 2), rel=1e-15)
-        g = lambda t: t**d * math.exp(-(t**2))
-        assert g(x) > g(x - 0.01)
-        assert g(x) > g(x + 0.01)
 
 
 def test_vertex_fractions_dominate_regularity_bound():

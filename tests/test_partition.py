@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import simpart.partition as partition_mod
-from simpart.cones import MonteCarloConfig, max_intersection_bound
+from simpart.cones import EXACT_STDERR, MonteCarloConfig, max_intersection_bound
 from simpart.errors import EmptyPartition, PointOutsideDomain, UnsupportedDimension
 from simpart.geometry import (
     canonical_simplex,
@@ -343,12 +343,7 @@ def test_verify_theorem_single_equilateral():
 def test_verify_theorem_nonconforming_partition():
     # hanging vertices force face-cone contributions into the sums
     p = refine(kuhn_triangulation(2), 11, strategy="bisect-largest-leaf")
-    corner_count = {}
-    for leaf in p.leaves:
-        for vid in p.nodes[leaf].vertex_ids:
-            corner_count[vid] = corner_count.get(vid, 0) + 1
-    vals = registry_valences(p)
-    hanging = [v for v in corner_count if vals[v] != corner_count[v]]
+    hanging = _hanging_vertices(p)
     assert hanging, "expected at least one hanging vertex"
     report = verify_theorem(p, AUDIT)
     assert report.passed
@@ -377,6 +372,45 @@ def test_verify_theorem_subsample_cap(monkeypatch):
     by_pair = {(c.leaf_id, c.vertex_id): c.fraction for c in full.per_vertex_checks}
     for c in capped.per_vertex_checks:
         assert by_pair[(c.leaf_id, c.vertex_id)] == c.fraction
+
+
+def _hanging_vertices(p):
+    """Registry vertices lying on the face of a leaf they are not a corner of."""
+    corner_count = {}
+    for leaf in p.leaves:
+        for vid in p.nodes[leaf].vertex_ids:
+            corner_count[vid] = corner_count.get(vid, 0) + 1
+    vals = registry_valences(p)
+    return [v for v in corner_count if vals[v] != corner_count[v]]
+
+
+@pytest.mark.parametrize(
+    "d, steps, strategy",
+    [(3, 4, "bisect-all-leaves"), (2, 11, "bisect-largest-leaf"), (3, 54, "bisect-largest-leaf")],
+)
+def test_exact_interior_sums_are_one(d, steps, strategy):
+    # in d <= 3 every cone is measured in closed form, so the cones around
+    # an interior vertex tile the sphere to rounding, face cones at
+    # hanging vertices included
+    p = refine(kuhn_triangulation(d), steps, strategy=strategy)
+    report = verify_theorem(p, AUDIT)
+    assert report.method == "exact" and report.passed
+    assert all(c.stderr == EXACT_STDERR for c in report.per_vertex_checks)
+    interior = [c for c in report.decomposition_checks if c.interior]
+    assert interior
+    for c in interior:
+        assert abs(c.fraction_sum - 1.0) <= 1e-12, (c.vertex_id, c.fraction_sum)
+    if strategy == "bisect-largest-leaf":
+        hanging = set(_hanging_vertices(p))
+        assert hanging & {c.vertex_id for c in interior}
+
+
+def test_verify_theorem_method_follows_dimension():
+    small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
+    assert verify_theorem(kuhn_triangulation(3), small).method == "exact"
+    report = verify_theorem(kuhn_triangulation(4), small)
+    assert report.method == "monte-carlo"
+    assert all(c.stderr != EXACT_STDERR for c in report.per_vertex_checks)
 
 
 def test_verify_theorem_empty():
