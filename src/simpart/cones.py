@@ -15,9 +15,11 @@ ratio:
 Both are computed from one shared base so their product telescopes
 exactly.
 
-Every cone, whatever its kind, is tested through one (k, d) matrix H of
-inward half-space normals: a direction u lies in the cone exactly when
-H u >= 0, so testing a batch of directions costs one matrix product.
+A cone is one (k, d) matrix H of inward half-space normals: a direction
+u lies in the cone exactly when H u >= 0.  The rows are the gradients of
+the barycentric coordinates that vanish at p, so an interior point has
+none, a point on a facet one, and a vertex d; testing a batch of
+directions costs one matrix product.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
 from .geometry import MEMBERSHIP_TOL, Simplex, as_point, barycentric, regular_simplex_ratio
@@ -77,57 +77,36 @@ class FractionEstimate:
 
 @dataclass(frozen=True)
 class VertexCone:
-    """Tangent cone of a simplex at one of its points.
+    """Tangent cone of a simplex at one of its points: {u : H u >= 0}.
 
-    kind is "vertex" (p is a vertex; the cone is spanned by the d edges
-    leaving it), "face" (p lies on a proper face; the cone is the
-    intersection of the half-spaces of the active barycentric
-    coordinates), or "full" (p is interior; every direction works).
-
-    Membership goes through the half-space normals of every kind: the
-    rows of inv(spans) for a vertex cone (u = spans @ lam, so lam >= 0
-    is inv(spans) @ u >= 0), the given normals for a face cone, and no
-    rows at all for the full cone.  The tests are homogeneous, so
-    directions never need normalizing.
+    halfspaces is the (k, d) matrix H of inward normals, one row per
+    barycentric coordinate that vanishes at the apex; k = 0 is the full
+    space.  The test is homogeneous, so directions never need
+    normalizing.
     """
 
     apex: np.ndarray
-    kind: str
+    halfspaces: np.ndarray
     id: str = "cone"
-    spans: np.ndarray | None = None  # d x d columns, vertex cones only
-    normals: np.ndarray | None = None  # k x d rows, face cones only
 
     @property
     def dimension(self) -> int:
         return self.apex.shape[0]
 
-    @cached_property
-    def _halfspaces(self) -> np.ndarray:
-        """(k, d) inward normals H; the cone is {u : H u >= 0}."""
-        if self.kind == "vertex":
-            return np.linalg.inv(self.spans)
-        if self.kind == "face":
-            return np.asarray(self.normals, dtype=float)
-        return np.empty((0, self.dimension))
-
     def contains_directions(self, directions: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, d) array of directions."""
         u = np.asarray(directions, dtype=float)
-        return np.all(self._halfspaces @ u.T >= 0.0, axis=0)
-
-
-def _barycentric_gradients(s: Simplex) -> np.ndarray:
-    """(d+1, d) rows of grad lambda_i; row 0 is minus the sum of the rest."""
-    grads = lu_solve(s._edge_lu, np.eye(s.dimension), check_finite=False)
-    return np.vstack([-grads.sum(axis=0), grads])
+        return np.all(self.halfspaces @ u.T >= 0.0, axis=0)
 
 
 def cone_at_point(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> VertexCone:
     """Tangent cone of s at a point p of s.
 
-    The active set collects barycentric coordinates within tol of zero.
-    Empty active set means p is interior (full cone); a full active set
-    of size d means p is a vertex; anything between is a face cone.
+    The active set collects barycentric coordinates within tol of zero,
+    and the cone is cut by their gradients.  Only the id tells the cases
+    apart: "<s>:int" for an interior point (no active coordinate),
+    "<s>:v<k>" for vertex k (d active coordinates), and "<s>:f<i.j...>"
+    for a point on the face where the listed coordinates vanish.
 
     Raises PointOutsideSimplex when p is not in s up to tol.
     """
@@ -136,17 +115,13 @@ def cone_at_point(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> VertexCone:
     if not inside:
         raise PointOutsideSimplex(f"point is outside simplex {s.id} (min lambda {lam.min():.3e})")
     active = np.flatnonzero(lam <= tol)
-    d = s.dimension
     if active.size == 0:
-        return VertexCone(apex=p, kind="full", id=f"{s.id}:int")
-    if active.size == d:
-        k = int(np.argmax(lam))
-        others = [i for i in range(d + 1) if i != k]
-        spans = (s.vertices[others] - s.vertices[k]).T
-        return VertexCone(apex=s.vertices[k].copy(), kind="vertex", id=f"{s.id}:v{k}", spans=spans)
-    normals = _barycentric_gradients(s)[active]
-    face = ".".join(str(int(i)) for i in active)
-    return VertexCone(apex=p, kind="face", id=f"{s.id}:f{face}", normals=normals)
+        where = "int"
+    elif active.size == s.dimension:
+        where = f"v{int(np.argmax(lam))}"
+    else:
+        where = "f" + ".".join(str(int(i)) for i in active)
+    return VertexCone(apex=p, halfspaces=s.barycentric_gradients[active], id=f"{s.id}:{where}")
 
 
 def _shard_sizes(config: MonteCarloConfig) -> list[int]:
@@ -174,15 +149,19 @@ def solid_angle_fraction(cone: VertexCone, config: MonteCarloConfig = MonteCarlo
     """Fraction of the sphere of directions lying in the cone.
 
     Standard-normal direction vectors are spherically symmetric, so the
-    hit rate estimates the solid-angle fraction directly.
+    hit rate estimates the solid-angle fraction directly.  The binomial
+    standard error is taken at no fewer than one hit: a cone that draws
+    none still has a fraction of order 1/n (the rule of three puts its
+    95% upper limit at 3/n), not a certain 0.
     """
+    n = config.samples
     hits = _count_hits(cone, config, _DIRECTION_TAG)
-    f = hits / config.samples
+    floor = max(hits, 1) / n
     return FractionEstimate(
         cone_id=cone.id,
-        fraction=f,
-        stderr=math.sqrt(f * (1.0 - f) / config.samples),
-        samples=config.samples,
+        fraction=hits / n,
+        stderr=math.sqrt(floor * (1.0 - floor) / n),
+        samples=n,
         seed=config.seed,
     )
 
@@ -201,21 +180,21 @@ def _angle(a: np.ndarray, b: np.ndarray) -> float:
 def exact_solid_angle_fraction(cone: VertexCone) -> float:
     """Closed-form fraction of the sphere of directions in the cone.
 
-    Works on the k inward normals of the cone's half-space matrix, so a
-    cone of any kind is handled alike: k = 0 is the full space (1), k = 1
-    a half-space (1/2), k = 2 a wedge whose opening is pi minus the
-    angle between the normals, (pi - theta) / 2pi, and k = 3 a trihedral
-    cone, whose solid angle is the spherical excess of its dihedral
-    angles pi - theta_ij (Girard), over 4pi.  A cone with k normals is a
-    k-dimensional cone times a flat factor, so the formulas hold in any
-    ambient dimension; every cone of a simplex in d <= 3 has k <= 3.
+    Works on the k inward normals of the cone's half-space matrix: k = 0
+    is the full space (1), k = 1 a half-space (1/2), k = 2 a wedge whose
+    opening is pi minus the angle between the normals, (pi - theta) / 2pi,
+    and k = 3 a trihedral cone, whose solid angle is the spherical excess
+    of its dihedral angles pi - theta_ij (Girard), over 4pi.  A cone with
+    k normals is a k-dimensional cone times a flat factor, so the formulas
+    hold in any ambient dimension; every cone of a simplex in d <= 3 has
+    k <= 3.
     Beyond three facets there is no elementary formula (Ribando,
     "Measuring solid angles beyond dimension three", 2006).
 
     The normals must be linearly independent, as they are for every cone
     cone_at_point builds.
     """
-    h = cone._halfspaces
+    h = cone.halfspaces
     k = h.shape[0]
     if k == 0:
         return 1.0

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     DegenerateSimplex,
@@ -58,9 +57,10 @@ class Simplex:
     """Immutable simplex: d+1 vertices in R^d plus an opaque id.
 
     Construct through :func:`make_simplex`, which validates dimensions
-    and nondegeneracy.  Derived quantities are cached on first use; the
-    vertex array is marked read-only so instances are safe to share
-    between workers.
+    and nondegeneracy.  Derived quantities (edge matrix, barycentric
+    gradients, volume, longest edge) are cached on first use; the vertex
+    and gradient arrays are marked read-only so instances are safe to
+    share between workers.
     """
 
     vertices: np.ndarray
@@ -76,8 +76,18 @@ class Simplex:
         return (self.vertices[1:] - self.vertices[0]).T
 
     @cached_property
-    def _edge_lu(self):
-        return lu_factor(self.edge_matrix, check_finite=False)
+    def barycentric_gradients(self) -> np.ndarray:
+        """(d+1, d) rows of grad lambda_i, the barycentric coordinates' gradients.
+
+        Rows 1..d are the inverse of the edge matrix; row 0 is minus
+        their sum, since the coordinates add up to 1.  Row i is also the
+        inward normal of the facet opposite vertex i, so the tangent
+        cones of the simplex are cut from these rows.
+        """
+        grads = np.linalg.inv(self.edge_matrix)
+        grads = np.vstack([-grads.sum(axis=0), grads])
+        grads.flags.writeable = False
+        return grads
 
     @cached_property
     def volume(self) -> float:
@@ -184,14 +194,13 @@ def regular_simplex_ratio(d: int) -> float:
 def barycentric(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> tuple[BarycentricCoords, bool]:
     """Barycentric coordinates of ``p`` and a membership flag.
 
-    Solves p = sum_i lambda_i v_i with sum_i lambda_i = 1 via the cached
-    LU factorization of the edge matrix.  ``inside`` is true when every
-    coordinate is >= -tol.
+    Solves p = sum_i lambda_i v_i with sum_i lambda_i = 1: lambda_i for
+    i >= 1 is the cached gradient row i times p - v_0, and lambda_0 is
+    what is left of 1.  ``inside`` is true when every coordinate is
+    >= -tol.
     """
     p = as_point(p, s.dimension)
-    lam_rest = lu_solve(s._edge_lu, p - s.vertices[0], check_finite=False)
-    lam0 = 1.0 - float(lam_rest.sum())
-    coords = np.concatenate(([lam0], lam_rest))
+    coords = barycentric_many(s, p[None, :])[0]
     inside = bool(np.all(coords >= -tol))
     return coords, inside
 
@@ -199,9 +208,9 @@ def barycentric(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> tuple[Barycentric
 def barycentric_many(s: Simplex, points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates for a (k, d) batch of points, shape (k, d+1)."""
     pts = np.asarray(points, dtype=float)
-    lam_rest = lu_solve(s._edge_lu, (pts - s.vertices[0]).T, check_finite=False)
-    lam0 = 1.0 - lam_rest.sum(axis=0)
-    return np.column_stack([lam0, lam_rest.T])
+    lam_rest = (pts - s.vertices[0]) @ s.barycentric_gradients[1:].T
+    lam0 = 1.0 - lam_rest.sum(axis=1)
+    return np.column_stack([lam0, lam_rest])
 
 
 def contains(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -52,7 +52,8 @@ from .geometry import (
 _PAIR_TAG = 303
 _SUBSAMPLE_TAG = 404
 
-# Above this many (leaf, vertex) pairs the audit draws a seeded subsample.
+# Above this many (leaf, vertex) pairs a Monte Carlo audit (d >= 4) draws
+# a seeded subsample; the exact route of d <= 3 always audits every pair.
 AUDIT_PAIR_CAP = 10_000
 
 
@@ -147,21 +148,15 @@ class Partition:
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
 
-        The midpoint of the canonical longest edge (u, w) replaces w in
-        the first child and u in the second, so each child keeps one
-        endpoint of the split edge.
+        The children are those of bisection_vertex_ids: the midpoint of
+        the canonical longest edge (u, w) replaces w in the first child
+        and u in the second.
         """
         node = self.nodes[node_id]
         if node.children:
             raise ValueError(f"node {node_id} is not a leaf")
-        s = self.simplex(node_id)
-        _, (i, j) = s.longest_edge
-        mid = self.vertex_id((s.vertices[i] + s.vertices[j]) / 2.0)
-        vids = node.vertex_ids
-        first = vids[:j] + (mid,) + vids[j + 1 :]
-        second = vids[:i] + (mid,) + vids[i + 1 :]
         ids = []
-        for child_vids in (first, second):
+        for child_vids in self.bisection_vertex_ids(node_id):
             child = Node(
                 id=len(self.nodes),
                 parent=node_id,
@@ -172,6 +167,17 @@ class Partition:
             ids.append(child.id)
         node.children = tuple(ids)
         return ids[0], ids[1]
+
+    def bisection_vertex_ids(self, node_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Registry vertex ids of the two children that bisect would make.
+
+        The midpoint goes through the registry, so it is merged with an
+        existing vertex in the same quantized cell, or added.
+        """
+        s = self.simplex(node_id)
+        _, (i, j) = s.longest_edge
+        mid = self.vertex_id((s.vertices[i] + s.vertices[j]) / 2.0)
+        return split_edge(self.nodes[node_id].vertex_ids, i, j, mid)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
@@ -184,6 +190,17 @@ class Partition:
         )
 
 
+def split_edge(vertices, i: int, j: int, mid) -> tuple[tuple, tuple]:
+    """The two children of a simplex bisected on its edge (i, j).
+
+    The midpoint replaces vertex j in the first child and vertex i in
+    the second, so each child keeps one endpoint of the split edge and
+    the vertex order of the parent.
+    """
+    vertices = tuple(vertices)
+    return vertices[:j] + (mid,) + vertices[j + 1 :], vertices[:i] + (mid,) + vertices[i + 1 :]
+
+
 def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
     """Standalone longest-edge bisection of a single simplex.
 
@@ -192,11 +209,7 @@ def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
     split edge.
     """
     _, (i, j) = s.longest_edge
-    mid = (s.vertices[i] + s.vertices[j]) / 2.0
-    first = s.vertices.copy()
-    first[j] = mid
-    second = s.vertices.copy()
-    second[i] = mid
+    first, second = split_edge(s.vertices, i, j, (s.vertices[i] + s.vertices[j]) / 2.0)
     return make_simplex(first, id=f"{s.id}.0"), make_simplex(second, id=f"{s.id}.1")
 
 
@@ -461,17 +474,18 @@ def verify_theorem(
 
     Steps: compute eta_min and the theoretical bound N(eta_min, d);
     count valences of all registry vertices; measure the solid-angle
-    fraction of each (leaf, vertex) cone (above AUDIT_PAIR_CAP pairs, a
-    seeded uniform subsample is audited instead unless full_audit);
+    fraction of each (leaf, vertex) cone (on the Monte Carlo route, above
+    AUDIT_PAIR_CAP pairs, a seeded uniform subsample is audited instead
+    unless full_audit);
     check each fraction against the per-simplex bound minus 3 stderr;
     and sum fractions around every vertex whose incident cones were all
     measured (interior sums must hit 1 within 4 combined stderr,
     boundary sums must not exceed 1 by more).
 
     In d <= 3 every cone has at most three facets and is measured in
-    closed form with stderr EXACT_STDERR, so mc only seeds the
-    subsample; in d >= 4 each pair draws mc.samples directions from its
-    own stream.
+    closed form with stderr EXACT_STDERR, every pair is audited, and mc
+    and full_audit play no part; in d >= 4 each pair draws mc.samples
+    directions from its own stream.
     """
     leaves = p.leaves
     if not leaves:
@@ -485,14 +499,13 @@ def verify_theorem(
     witness_id = int(np.argmax(valences))
     max_val = int(valences[witness_id])
 
+    exact = d <= 3
     pairs = [(leaf, vid) for leaf in leaves for vid in p.nodes[leaf].vertex_ids]
     total_pairs = len(pairs)
-    if total_pairs > AUDIT_PAIR_CAP and not full_audit:
+    if not exact and total_pairs > AUDIT_PAIR_CAP and not full_audit:
         rng = np.random.default_rng(np.random.SeedSequence([mc.seed, _SUBSAMPLE_TAG]))
         chosen = rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False)
         pairs = [pairs[i] for i in sorted(chosen)]
-
-    exact = d <= 3
 
     def measure(cone: VertexCone, leaf: int, vid: int) -> tuple[float, float]:
         if exact:

@@ -163,11 +163,12 @@ def read_partition(path) -> Partition:
 
     The document is validated before anything is built: ids must be in
     range, parent and children links must agree, and generations must
-    increase by one from parent to child; a violation raises ValueError
-    naming the node and field.  The vertex merge tolerance is derived
-    from the loaded roots (1e-9 times the largest root edge), matching
-    how the builders set it, so a round-tripped partition behaves
-    identically.
+    increase by one from parent to child.  Once the simplices are built,
+    each parent's children must be its longest-edge bisection.  A
+    violation raises ValueError naming the node and field.  The vertex
+    merge tolerance is derived from the loaded roots (1e-9 times the
+    largest root edge), matching how the builders set it, so a
+    round-tripped partition behaves identically.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -205,7 +206,32 @@ def read_partition(path) -> Partition:
     p.nodes = nodes
     for n in nodes:
         p.simplex(n.id)  # validates shape and nondegeneracy
+    _check_bisections(p)
     return p
+
+
+def _check_bisections(p: Partition) -> None:
+    """Every parent's children are its longest-edge bisection.
+
+    The split is recomputed as Partition.bisect makes it, midpoint
+    registry lookup included.  A midpoint missing from the registry gets
+    a fresh id that no child can carry, so it is reported as a mismatch.
+    """
+    for n in p.nodes:
+        if not n.children:
+            continue
+        expected = p.bisection_vertex_ids(n.id)
+        if len(n.children) != len(expected):
+            raise ValueError(
+                f"node {n.id}: children lists {len(n.children)} nodes, a bisection makes 2"
+            )
+        for child, want in zip(n.children, expected):
+            got = p.nodes[child].vertex_ids
+            if got != want:
+                raise ValueError(
+                    f"node {child}: vertex_ids {list(got)} are not the longest-edge bisection "
+                    f"of parent {n.id}"
+                )
 
 
 # -------------------------------------------------------------------- CSV

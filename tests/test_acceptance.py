@@ -77,9 +77,9 @@ def run_analytic_fractions(out_dir):
     mc = MonteCarloConfig(samples=1_000_000, seed=SEED, shards=4)
     estimates = []
     for d in range(2, 7):
-        half = VertexCone(np.zeros(d), "face", id=f"half-space-{d}", normals=np.eye(d)[:1])
-        orthant = VertexCone(np.zeros(d), "vertex", id=f"orthant-{d}", spans=np.eye(d))
-        full = VertexCone(np.zeros(d), "full", id=f"full-space-{d}")
+        half = VertexCone(np.zeros(d), halfspaces=np.eye(d)[:1], id=f"half-space-{d}")
+        orthant = VertexCone(np.zeros(d), halfspaces=np.eye(d), id=f"orthant-{d}")
+        full = VertexCone(np.zeros(d), halfspaces=np.empty((0, d)), id=f"full-space-{d}")
         estimates += [solid_angle_fraction(c, mc) for c in (half, orthant, full)]
     path = out_dir / "analytic_fractions.csv"
     write_fraction_csv(estimates, path)

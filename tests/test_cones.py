@@ -11,7 +11,6 @@ from simpart.cones import (
     FractionEstimate,
     MonteCarloConfig,
     VertexCone,
-    _barycentric_gradients,
     cone_at_point,
     exact_solid_angle_fraction,
     max_intersection_bound,
@@ -36,13 +35,13 @@ def unit_corner(d):
 
 def test_cone_classification():
     s = unit_corner(3)
-    assert cone_at_point(s, [0.1, 0.1, 0.1]).kind == "full"
+    interior = cone_at_point(s, [0.1, 0.1, 0.1])
+    assert interior.id == f"{s.id}:int" and interior.halfspaces.shape == (0, 3)
     c = cone_at_point(s, [0.0, 0.0, 0.0])
-    assert c.kind == "vertex" and c.id == f"{s.id}:v0"
-    assert np.allclose(c.spans, np.eye(3))
+    assert c.id == f"{s.id}:v0" and c.halfspaces.shape == (3, 3)
+    assert np.allclose(c.halfspaces, np.eye(3))  # the orthant x, y, z >= 0
     f = cone_at_point(s, [0.5, 0.5, 0.0])  # on the face z = 0, lambda_0 = 0 too
-    assert f.kind == "face" and f.id == f"{s.id}:f0.3"
-    assert f.normals.shape == (2, 3)
+    assert f.id == f"{s.id}:f0.3" and f.halfspaces.shape == (2, 3)
     with pytest.raises(PointOutsideSimplex):
         cone_at_point(s, [0.5, 0.5, 0.5])
 
@@ -54,20 +53,20 @@ def test_full_cone_contains_everything():
 
 
 def test_vertex_cone_span_and_normal_routes_agree():
-    # the same cone admits two descriptions: nonnegative combinations of
-    # the edges, or the half-spaces of the active barycentric gradients
+    # the same cone admits two descriptions: the half-spaces of the active
+    # barycentric gradients, or nonnegative combinations of the d edges
+    # leaving the vertex, u = E c with c = inv(E) u >= 0
     rng = np.random.default_rng(2001)
     for _ in range(10):
         d = int(rng.integers(2, 6))
         s = jittered_regular_simplex(d, rng)
         k = int(rng.integers(0, d + 1))
         cone = cone_at_point(s, s.vertices[k])
-        assert cone.kind == "vertex"
-        active = [i for i in range(d + 1) if i != k]
-        normals = _barycentric_gradients(s)[active]
+        assert cone.id == f"{s.id}:v{k}" and cone.halfspaces.shape == (d, d)
+        edges = np.delete(s.vertices, k, axis=0) - s.vertices[k]
         u = rng.standard_normal((2000, d))
-        via_spans = cone.contains_directions(u)
-        via_normals = np.all(normals @ u.T >= 0.0, axis=0)
+        via_normals = cone.contains_directions(u)
+        via_spans = np.all(np.linalg.solve(edges.T, u.T) >= 0.0, axis=0)
         assert np.array_equal(via_spans, via_normals)
 
 
@@ -97,7 +96,8 @@ def test_halfspace_membership_matches_barycentric_reference(d, kind, seed):
     n_active = {"vertex": d, "full": 0, "face": int(rng.integers(1, d))}[kind]
     active = np.sort(rng.choice(d + 1, size=n_active, replace=False))
     cone = cone_at_point(s, _point_with_active_set(s, active, rng))
-    assert cone.kind == kind
+    assert cone.halfspaces.shape == (n_active, d)
+    assert cone.id.split(":")[1][0] == {"vertex": "v", "face": "f", "full": "i"}[kind]
 
     u = rng.standard_normal((400, d))
     lam_apex = barycentric_many(s, cone.apex[None, :])
@@ -140,7 +140,7 @@ def test_face_cone_wedge_fraction():
     # a wedge with normal angle theta covers (pi - theta) / 2pi of the sphere
     s = unit_corner(3)
     cone = cone_at_point(s, [0.5, 0.5, 0.0])
-    n0, n1 = cone.normals
+    n0, n1 = cone.halfspaces
     theta = math.acos(float(n0 @ n1) / (np.linalg.norm(n0) * np.linalg.norm(n1)))
     expected = (math.pi - theta) / (2 * math.pi)
     est = solid_angle_fraction(cone, FAST)
@@ -162,8 +162,8 @@ def test_estimates_are_deterministic_and_shard_sensitive():
 
 def test_exact_closed_forms():
     for d in (2, 3):
-        half = VertexCone(np.zeros(d), "face", normals=np.eye(d)[:1])
-        full = VertexCone(np.zeros(d), "full")
+        half = VertexCone(np.zeros(d), halfspaces=np.eye(d)[:1])
+        full = VertexCone(np.zeros(d), halfspaces=np.empty((0, d)))
         orthant = cone_at_point(unit_corner(d), np.zeros(d))
         assert exact_solid_angle_fraction(half) == 0.5
         assert exact_solid_angle_fraction(full) == 1.0
@@ -188,8 +188,8 @@ def test_exact_wedge_fraction():
     for _ in range(20):
         s = random_simplex(3, rng)
         cone = cone_at_point(s, _point_with_active_set(s, [0, 1], rng))
-        assert cone.kind == "face" and cone.normals.shape == (2, 3)
-        n0, n1 = cone.normals
+        assert cone.id == f"{s.id}:f0.1" and cone.halfspaces.shape == (2, 3)
+        n0, n1 = cone.halfspaces
         cos = float(n0 @ n1) / (np.linalg.norm(n0) * np.linalg.norm(n1))
         theta = math.acos(min(1.0, max(-1.0, cos)))
         expected = (math.pi - theta) / (2 * math.pi)
@@ -215,7 +215,7 @@ def test_exact_tetrahedron_vertices_match_van_oosterom_strackee():
         s = random_simplex(3, rng)
         for k in range(4):
             cone = cone_at_point(s, s.vertices[k])
-            a, b, c = cone.spans.T
+            a, b, c = np.delete(s.vertices, k, axis=0) - s.vertices[k]
             assert abs(exact_solid_angle_fraction(cone) - _van_oosterom_strackee(a, b, c)) <= 1e-14
 
 
@@ -224,7 +224,7 @@ def test_exact_rejects_cones_without_closed_form():
     with pytest.raises(UnsupportedDimension):
         exact_solid_angle_fraction(orthant4)
     # three facets in d >= 4 still form a trihedral cone times a flat factor
-    edge4 = VertexCone(np.zeros(4), "face", normals=np.eye(4)[:3])
+    edge4 = VertexCone(np.zeros(4), halfspaces=np.eye(4)[:3])
     assert exact_solid_angle_fraction(edge4) == pytest.approx(0.125, abs=1e-16)
 
 
@@ -247,6 +247,20 @@ def test_exact_fraction_matches_monte_carlo(d, n_active, seed):
     est = solid_angle_fraction(cone, MonteCarloConfig(samples=20_000, seed=seed, shards=2))
     sigma = math.sqrt(exact * (1.0 - exact) / est.samples)
     assert abs(est.fraction - exact) <= 4.0 * sigma + EXACT_STDERR
+
+
+def test_zero_hit_estimate_keeps_a_positive_stderr():
+    # a 1e-5 rad wedge holds 1.6e-6 of the circle: at 2000 draws it
+    # almost surely draws no hit, yet its fraction is not certainly 0;
+    # the stderr is taken at one hit, so 3 sigma (the rule of three's
+    # 3/n scale) still covers the true fraction
+    s = make_simplex([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-5]], id="thin")
+    cone = cone_at_point(s, s.vertices[0])
+    n = 2000
+    est = solid_angle_fraction(cone, MonteCarloConfig(samples=n, seed=42, shards=2))
+    assert est.fraction == 0.0
+    assert est.stderr == math.sqrt((1 / n) * (1 - 1 / n) / n) > 0.0
+    assert 3.0 * est.stderr >= exact_solid_angle_fraction(cone)
 
 
 def test_fraction_estimate_fields():

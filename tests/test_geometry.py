@@ -155,6 +155,19 @@ def test_barycentric_reconstructs_point():
         assert np.allclose(coords, lam, atol=1e-8)
 
 
+def test_barycentric_gradients_invert_the_edges():
+    # lambda_i(v_j) = delta_ij and the coordinates sum to 1, so the
+    # gradients annihilate constants and invert the edge matrix
+    rng = np.random.default_rng(1007)
+    for _ in range(20):
+        d = int(rng.integers(2, 7))
+        s = random_simplex(d, rng)
+        g = s.barycentric_gradients
+        assert g.shape == (d + 1, d) and not g.flags.writeable
+        assert np.allclose(g @ s.edge_matrix, np.eye(d + 1)[:, 1:] - np.eye(d + 1)[:, :1], atol=1e-9)
+        assert np.allclose(g.sum(axis=0), 0.0, atol=1e-9)
+
+
 def test_barycentric_detects_outside_points():
     s = make_simplex([[0, 0], [2, 0], [0, 2]])
     assert contains(s, [0.5, 0.5])

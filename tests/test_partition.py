@@ -112,6 +112,18 @@ def test_bisect_halves_volume_everywhere():
         assert c1.id == f"{s.id}.0" and c2.id == f"{s.id}.1"
 
 
+def test_partition_bisect_matches_standalone_bisection():
+    # both callers split through the same routine: the registry children
+    # have the coordinates of the standalone children, in the same order
+    rng = np.random.default_rng(3002)
+    for _ in range(10):
+        s = random_simplex(int(rng.integers(2, 5)), rng)
+        p = partition_from_simplices([s])
+        kids = p.bisect(0)
+        for node_id, child in zip(kids, bisect_longest_edge(s)):
+            assert np.array_equal(p.simplex(node_id).vertices, child.vertices)
+
+
 def test_partition_bisect_requires_leaf():
     p = kuhn_triangulation(2)
     p.bisect(0)
@@ -362,16 +374,29 @@ def test_verify_theorem_is_deterministic():
 
 def test_verify_theorem_subsample_cap(monkeypatch):
     monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", 10)
-    p = refine(kuhn_triangulation(2), 3)  # 16 leaves, 48 pairs
+    p = kuhn_triangulation(4)  # 24 leaves, 120 pairs, Monte Carlo route
     small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
     capped = verify_theorem(p, small)
-    assert capped.total_pairs == 48 and capped.audited_pairs == 10
+    assert capped.method == "monte-carlo"
+    assert capped.total_pairs == 120 and capped.audited_pairs == 10
     full = verify_theorem(p, small, full_audit=True)
-    assert full.audited_pairs == 48
+    assert full.audited_pairs == 120
     # estimates are pair-seeded, so overlapping pairs agree across runs
     by_pair = {(c.leaf_id, c.vertex_id): c.fraction for c in full.per_vertex_checks}
     for c in capped.per_vertex_checks:
         assert by_pair[(c.leaf_id, c.vertex_id)] == c.fraction
+
+
+def test_exact_audit_ignores_the_pair_cap(monkeypatch):
+    # the cap saves sampling time, which the exact route does not spend,
+    # so a d <= 3 audit checks every pair and every sum whatever the seed
+    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", 10)
+    p = refine(kuhn_triangulation(2), 3)  # 16 leaves, 48 pairs, 25 vertices
+    for seed in (1, 2):
+        report = verify_theorem(p, MonteCarloConfig(samples=2_000, seed=seed, shards=1))
+        assert report.method == "exact" and report.passed
+        assert report.total_pairs == report.audited_pairs == 48
+        assert len(report.decomposition_checks) == p.n_vertices
 
 
 def _hanging_vertices(p):
