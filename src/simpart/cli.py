@@ -4,14 +4,12 @@ Exit codes separate the outcomes CI cares about: 0 success, 1 a theorem
 check genuinely failed, 2 usage or validation errors, 3 I/O errors,
 4 an unexpected internal error (a bug), reported on one line instead of
 a traceback.
-The default Monte-Carlo seed comes from SIMPART_SEED when set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -45,19 +43,8 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SIMPART_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SIMPART_SEED must be an integer, got {raw!r}") from None
-
-
 def _mc_config(args) -> MonteCarloConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
-    return MonteCarloConfig(samples=args.samples, seed=seed, shards=args.shards)
+    return MonteCarloConfig(samples=args.samples, seed=args.seed, shards=args.shards)
 
 
 def _add_sampling_flags(sub, default_samples: int, audit: bool = False) -> None:
@@ -65,7 +52,7 @@ def _add_sampling_flags(sub, default_samples: int, audit: bool = False) -> None:
     note = "; d >= 4 only, cones in d <= 3 are measured exactly" if audit else ""
     seed_note = "; d >= 4 only, where it also picks the pairs audited above the pair cap" if audit else ""
     sub.add_argument("--samples", type=int, default=default_samples, help="Monte-Carlo draws per cone" + note)
-    sub.add_argument("--seed", type=int, default=None, help="base seed (SIMPART_SEED or 42)" + seed_note)
+    sub.add_argument("--seed", type=int, default=42, help="base seed (default 42)" + seed_note)
     sub.add_argument("--shards", type=int, default=4, help="independent sampling shards" + note)
 
 

@@ -139,7 +139,7 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
     """
     try:
         arr = np.asarray(vertices, dtype=float)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatch("vertex dimensions disagree") from exc
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D vertex array, got shape {arr.shape}")

@@ -148,15 +148,21 @@ class Partition:
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
 
-        The children are those of bisection_vertex_ids: the midpoint of
-        the canonical longest edge (u, w) replaces w in the first child
-        and u in the second.
+        The midpoint of the canonical longest edge (u, w) goes through
+        the registry, so it is merged with an existing vertex in the same
+        quantized cell, or added; it replaces w in the first child and u
+        in the second (split_edge).  Both children are appended at the
+        end of nodes, so node ids are creation order, which is what lets
+        read_partition replay a file.
         """
         node = self.nodes[node_id]
         if node.children:
             raise ValueError(f"node {node_id} is not a leaf")
+        s = self.simplex(node_id)
+        _, (i, j) = s.longest_edge
+        mid = self.vertex_id((s.vertices[i] + s.vertices[j]) / 2.0)
         ids = []
-        for child_vids in self.bisection_vertex_ids(node_id):
+        for child_vids in split_edge(node.vertex_ids, i, j, mid):
             child = Node(
                 id=len(self.nodes),
                 parent=node_id,
@@ -167,17 +173,6 @@ class Partition:
             ids.append(child.id)
         node.children = tuple(ids)
         return ids[0], ids[1]
-
-    def bisection_vertex_ids(self, node_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Registry vertex ids of the two children that bisect would make.
-
-        The midpoint goes through the registry, so it is merged with an
-        existing vertex in the same quantized cell, or added.
-        """
-        s = self.simplex(node_id)
-        _, (i, j) = s.longest_edge
-        mid = self.vertex_id((s.vertices[i] + s.vertices[j]) / 2.0)
-        return split_edge(self.nodes[node_id].vertex_ids, i, j, mid)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):

@@ -65,9 +65,8 @@ def write_simplex(s: Simplex, path) -> None:
 
 
 def read_simplex(path) -> Simplex:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return make_simplex(doc["vertices"], id=str(doc.get("id", "S")))
+    doc = _read_object(path, "simplex")
+    return make_simplex(_field(doc, "vertices", "simplex"), id=str(doc.get("id", "S")))
 
 
 # --------------------------------------------------------------- partition
@@ -90,6 +89,14 @@ def partition_to_json(p: Partition) -> str:
 def write_partition(p: Partition, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(partition_to_json(p))
+
+
+def _read_object(path, what: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _field(obj: dict, key: str, where: str):
@@ -134,46 +141,22 @@ def _read_node(raw, index: int, n_nodes: int, n_vertices: int) -> Node:
     )
 
 
-def _check_forest(nodes: list[Node]) -> None:
-    """Parent and children links agree, and generations count the depth.
-
-    Each child names its parent, each parent lists the child, and a
-    child's generation is its parent's plus one, so a node has a single
-    parent and no chain of children can return to where it started.
-    """
-    for n in nodes:
-        if n.parent is None:
-            continue
-        up = nodes[n.parent]
-        if n.id not in up.children:
-            raise ValueError(f"node {n.id}: parent {n.parent} does not list it among its children")
-        if n.generation != up.generation + 1:
-            raise ValueError(
-                f"node {n.id}: generation {n.generation} is not parent {up.id}'s generation "
-                f"{up.generation} plus 1"
-            )
-    for n in nodes:
-        for c in n.children:
-            if nodes[c].parent != n.id:
-                raise ValueError(f"node {n.id}: child {c} names parent {nodes[c].parent}")
-
-
 def read_partition(path) -> Partition:
-    """Rebuild a partition from its JSON form.
+    """Rebuild a partition by replaying its refinement.
 
-    The document is validated before anything is built: ids must be in
-    range, parent and children links must agree, and generations must
-    increase by one from parent to child.  Once the simplices are built,
-    each parent's children must be its longest-edge bisection.  A
-    violation raises ValueError naming the node and field.  The vertex
-    merge tolerance is derived from the loaded roots (1e-9 times the
-    largest root edge), matching how the builders set it, so a
-    round-tripped partition behaves identically.
+    Node ids are creation order (Partition.bisect appends both children
+    at the end), so the nodes are walked in id order: a root goes in
+    through add_root, and any other node not yet built is made by
+    bisecting its parent, which must be a leaf built before it.  Every
+    node of the file must then equal the replayed one in parent,
+    generation, vertex_ids and children.  Malformed fields and every
+    disagreement raise ValueError naming the node and field.  The
+    vertex merge tolerance is 1e-9 times the longest root edge, as the
+    builders set it, so a round-tripped partition behaves identically.
+    Only roots and bisected nodes have their simplex built here; leaves
+    are built on first use.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"partition file must hold a JSON object, got {type(doc).__name__}")
+    doc = _read_object(path, "partition")
     d = _int_field(doc, "d", "partition")
     raw_vertices = _field(doc, "vertices", "partition")
     raw_nodes = _field(doc, "nodes", "partition")
@@ -188,50 +171,29 @@ def read_partition(path) -> Partition:
         raise EmptyPartition("partition file contains no nodes")
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be 0..n-1 in order")
-    _check_forest(nodes)
-    roots = [n for n in nodes if n.parent is None]
+    roots = [make_simplex([coords[v] for v in n.vertex_ids]) for n in nodes if n.parent is None]
     if not roots:
         raise ValueError("partition file has no root nodes")
-    root_h = 0.0
-    for n in roots:
-        pts = np.array([coords[v] for v in n.vertex_ids])
-        for i in range(pts.shape[0] - 1):
-            for j in range(i + 1, pts.shape[0]):
-                root_h = max(root_h, float(np.linalg.norm(pts[i] - pts[j])))
-    p = Partition(d, vertex_merge_tol=1e-9 * root_h)
+    p = Partition(d, vertex_merge_tol=1e-9 * max(s.longest_edge[0] for s in roots))
     for v in coords:
         p.vertex_id(v)
     if p.n_vertices != len(coords):
         raise ValueError("vertex list contains duplicate registry entries")
-    p.nodes = nodes
     for n in nodes:
-        p.simplex(n.id)  # validates shape and nondegeneracy
-    _check_bisections(p)
-    return p
-
-
-def _check_bisections(p: Partition) -> None:
-    """Every parent's children are its longest-edge bisection.
-
-    The split is recomputed as Partition.bisect makes it, midpoint
-    registry lookup included.  A midpoint missing from the registry gets
-    a fresh id that no child can carry, so it is reported as a mismatch.
-    """
-    for n in p.nodes:
-        if not n.children:
-            continue
-        expected = p.bisection_vertex_ids(n.id)
-        if len(n.children) != len(expected):
-            raise ValueError(
-                f"node {n.id}: children lists {len(n.children)} nodes, a bisection makes 2"
-            )
-        for child, want in zip(n.children, expected):
-            got = p.nodes[child].vertex_ids
+        if n.id < len(p.nodes):
+            continue  # the second child of a bisection already replayed
+        if n.parent is None:
+            p.add_root([coords[v] for v in n.vertex_ids])
+        elif n.parent < len(p.nodes) and not p.nodes[n.parent].children:
+            p.bisect(n.parent)
+        else:
+            raise ValueError(f"node {n.id}: parent {n.parent} is not a leaf built before it")
+    for n, built in zip(nodes, p.nodes):
+        for key in ("parent", "generation", "vertex_ids", "children"):
+            got, want = getattr(n, key), getattr(built, key)
             if got != want:
-                raise ValueError(
-                    f"node {child}: vertex_ids {list(got)} are not the longest-edge bisection "
-                    f"of parent {n.id}"
-                )
+                raise ValueError(f"node {n.id}: {key} is {got}, the replayed refinement gives {want}")
+    return p
 
 
 # -------------------------------------------------------------------- CSV

@@ -1,25 +1,33 @@
 """End-to-end checks for the command line and the file formats it writes."""
 
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simpart
 from simpart import (
     EmptyPartition,
     MonteCarloConfig,
     Partition,
+    build_objective,
     canonical_simplex,
     cone_at_point,
     kuhn_triangulation,
     make_simplex,
+    optimize,
     partition_from_simplices,
     read_partition,
     read_simplex,
@@ -64,17 +72,37 @@ def test_simplex_round_trip(tmp_path):
     assert np.array_equal(back.vertices, s.vertices)
 
 
+def _root_added_then_refined():
+    p = refine(kuhn_triangulation(2), 2)
+    p.add_root([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    return refine(p, 1)
+
+
+def _optimizer_refined():
+    p = kuhn_triangulation(2)
+    optimize(build_objective("shifted-sphere", 2), p, budget=400, tol=1e-3)
+    return p
+
+
 def test_partition_round_trip_is_equal_and_byte_stable(tmp_path):
-    p = kuhn_triangulation(3)
-    refine(p, 2)
-    first = tmp_path / "p.json"
-    second = tmp_path / "p2.json"
-    write_partition(p, first)
-    q = read_partition(first)
-    assert isinstance(q, Partition)
-    assert q == p
-    write_partition(q, second)
-    assert first.read_bytes() == second.read_bytes()
+    # largest-leaf refinement bisects parents out of id order, the optimizer
+    # refines by its own priority, and a root can come after bisected nodes
+    partitions = [
+        refine(kuhn_triangulation(3), 2),
+        refine(kuhn_triangulation(2), 40, "bisect-largest-leaf"),
+        refine(kuhn_triangulation(3), 54, "bisect-largest-leaf"),
+        _optimizer_refined(),
+        _root_added_then_refined(),
+    ]
+    for k, p in enumerate(partitions):
+        first = tmp_path / f"p{k}.json"
+        second = tmp_path / f"p{k}-again.json"
+        write_partition(p, first)
+        q = read_partition(first)
+        assert isinstance(q, Partition)
+        assert q == p
+        write_partition(q, second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_read_partition_rejects_empty_node_list(tmp_path):
@@ -272,8 +300,29 @@ def _child_not_the_bisection(tmp_path):
     return _edited_kuhn2(tmp_path, edit)
 
 
+def _child_listed_before_its_parent(tmp_path):
+    # kuhn(2)@1 makes roots 0 and 1, then children 2, 3 of root 0 and 4, 5
+    # of root 1; swapping ids 1 and 2 keeps every link consistent, but
+    # the ids are no longer the order in which bisection creates nodes
+    swap = {1: 2, 2: 1}
+    doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 1)))
+    for node in doc["nodes"]:
+        node["id"] = swap.get(node["id"], node["id"])
+        if node["parent"] is not None:
+            node["parent"] = swap.get(node["parent"], node["parent"])
+        node["children"] = [swap.get(c, c) for c in node["children"]]
+    doc["nodes"].sort(key=lambda node: node["id"])
+    path = tmp_path / "permuted.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _non_integer_node_id(tmp_path):
     return _edited_kuhn2(tmp_path, lambda nodes: nodes[3].__setitem__("id", "three"))
+
+
+def _non_integer_parent(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", "0"))
 
 
 # input writer -> a word the one-line message must contain
@@ -286,7 +335,9 @@ MALFORMED = {
     _generation_skip: "generation",
     _children_cycle: "node",
     _child_not_the_bisection: "vertex_ids",
+    _child_listed_before_its_parent: "parent",
     _non_integer_node_id: "id",
+    _non_integer_parent: "parent",
 }
 
 
@@ -299,6 +350,99 @@ def test_verify_malformed_input_is_internal_error_not_theorem_failure(tmp_path, 
     assert code == 2
     assert out == ""
     assert err.startswith("simpart: error: ") and MALFORMED[make_input] in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# Mutations of two valid files: kuhn(2)@3, and largest-leaf kuhn(2)@9,
+# which has hanging vertices and parents bisected out of id order.
+MUTATION_BASES = [
+    json.loads(partition_to_json(refine(kuhn_triangulation(2), 3))),
+    json.loads(partition_to_json(refine(kuhn_triangulation(2), 9, "bisect-largest-leaf"))),
+]
+NODE_KEYS = ["id", "parent", "generation", "vertex_ids", "children"]
+ODD_VALUES = st.one_of(
+    st.integers(-2, 40), st.none(), st.text(max_size=3), st.lists(st.integers(-1, 40), max_size=4), st.booleans()
+)
+MUTATIONS = [
+    "set-field", "replace-entry", "delete-key", "swap-nodes", "drop-node",
+    "drop-vertex", "perturb-vertex", "replace-document-field",
+]
+
+
+@st.composite
+def mutated_partition_documents(draw):
+    """A valid file after one to three mutations; replacing d, nodes or
+    vertices is always the last."""
+    doc = copy.deepcopy(draw(st.sampled_from(MUTATION_BASES)))
+    nodes, vertices = doc["nodes"], doc["vertices"]
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        node = draw(st.sampled_from(nodes)) if nodes else {}
+        if kind == "set-field":
+            node[draw(st.sampled_from(NODE_KEYS))] = draw(ODD_VALUES)
+        elif kind == "replace-entry":
+            ids = node.get(draw(st.sampled_from(["vertex_ids", "children"])))
+            if isinstance(ids, list) and ids:
+                ids[draw(st.integers(0, len(ids) - 1))] = draw(st.integers(-1, len(vertices)))
+        elif kind == "delete-key":
+            node.pop(draw(st.sampled_from(NODE_KEYS)), None)
+        elif kind in ("swap-nodes", "drop-node") and nodes:
+            i, j = draw(st.integers(0, len(nodes) - 1)), draw(st.integers(0, len(nodes) - 1))
+            if kind == "swap-nodes":
+                nodes[i], nodes[j] = nodes[j], nodes[i]
+            else:
+                del nodes[i]
+        elif kind in ("drop-vertex", "perturb-vertex") and vertices:
+            i = draw(st.integers(0, len(vertices) - 1))
+            if kind == "drop-vertex":
+                del vertices[i]
+            else:
+                vertices[i][draw(st.integers(0, 1))] += draw(
+                    st.sampled_from([1e-12, -1e-12, 1e-3, -1e-3, 0.5, -0.5])
+                )
+        elif kind == "replace-document-field":
+            doc[draw(st.sampled_from(["d", "nodes", "vertices"]))] = draw(ODD_VALUES)
+            break
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=mutated_partition_documents())
+def test_verify_mutated_partition_exits_zero_or_two(tmp_path_factory, doc):
+    # a mutated file is either still a valid refinement (exit 0) or is
+    # rejected on one line (exit 2); never a theorem failure, a crash or a hang
+    path = tmp_path_factory.mktemp("mutated") / "p.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), "--samples", "100"])
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 2), err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue()
+
+
+# simplex document -> a word the one-line message must contain
+MALFORMED_SIMPLEX = {
+    "[]": "JSON object",
+    '"x"': "JSON object",
+    '{"id": "a"}': "vertices",
+    '{"vertices": {}}': "vertex",
+}
+
+
+@pytest.mark.parametrize("command", ["cone", "refine"])
+@pytest.mark.parametrize("text", list(MALFORMED_SIMPLEX))
+def test_malformed_simplex_file_is_usage_error(tmp_path, capsys, command, text):
+    s_path = tmp_path / "s.json"
+    s_path.write_text(text + "\n")
+    if command == "cone":
+        argv = ["cone", "--simplex", str(s_path), "--point", "0,0", "--samples", "100"]
+    else:
+        argv = ["refine", "--root", str(s_path), "-o", str(tmp_path / "p.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("simpart: error: ") and MALFORMED_SIMPLEX[text] in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
@@ -334,24 +478,6 @@ def test_optimize_unknown_objective(capsys):
     code, _, err = run_cli(capsys, "optimize", "--objective", "mystery")
     assert code == 2
     assert "mystery" in err
-
-
-def test_seed_env_matches_explicit_flag(tmp_path, capsys, monkeypatch):
-    s_path = tmp_path / "s.json"
-    write_simplex(canonical_simplex("unit-corner", 2), s_path)
-    base = ["cone", "--simplex", str(s_path), "--point", "0,0",
-            "--samples", "4000", "--shards", "2"]
-
-    monkeypatch.setenv("SIMPART_SEED", "123")
-    _, from_env, _ = run_cli(capsys, *base)
-    monkeypatch.delenv("SIMPART_SEED")
-    _, explicit, _ = run_cli(capsys, *base, "--seed", "123")
-    assert from_env == explicit
-
-    monkeypatch.setenv("SIMPART_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, *base)
-    assert code == 2
-    assert "SIMPART_SEED" in err
 
 
 def test_usage_errors_exit_two(capsys):
