@@ -39,14 +39,9 @@ from .geometry import (
     barycentric,
     canonical_simplex,
     contains,
-    diameter_oracle,
-    longest_edge,
     make_simplex,
-    max_pairwise_distance,
     regular_simplex_ratio,
     regularity_ratio,
-    sample_uniform,
-    volume,
 )
 from .optimizer import (
     OBJECTIVES,
@@ -62,7 +57,6 @@ from .partition import (
     Partition,
     TheoremReport,
     VertexCheck,
-    bisect_longest_edge,
     boundary_vertex_mask,
     kuhn_triangulation,
     max_valence,
@@ -113,19 +107,15 @@ __all__ = [
     "VertexCheck",
     "VertexCone",
     "barycentric",
-    "bisect_longest_edge",
     "boundary_vertex_mask",
     "build_objective",
     "canonical_simplex",
     "cone_at_point",
     "contains",
-    "diameter_oracle",
     "exact_solid_angle_fraction",
     "kuhn_triangulation",
-    "longest_edge",
     "make_simplex",
     "max_intersection_bound",
-    "max_pairwise_distance",
     "max_valence",
     "min_regularity",
     "optimize",
@@ -138,13 +128,11 @@ __all__ = [
     "registry_valences",
     "regular_simplex_ratio",
     "regularity_ratio",
-    "sample_uniform",
     "simplex_lower_bound",
     "simplex_to_json",
     "solid_angle_fraction",
     "verify_theorem",
     "vertex_valence",
-    "volume",
     "write_fraction_csv",
     "write_partition",
     "write_simplex",

@@ -2,9 +2,7 @@
 
 A simplex in dimension d >= 2 is stored as a (d+1, d) array of vertex
 coordinates.  The module provides the exact quantities (volume, longest
-edge, regularity ratio, barycentric coordinates) and a sampled diameter
-oracle used to confirm that the longest edge of a simplex equals its
-diameter.
+edge, regularity ratio, barycentric coordinates).
 
 The regularity ratio rho(S) = vol(S) / h(S)^d, with h(S) the longest
 edge length, is the shape measure everything downstream is built on:
@@ -161,16 +159,6 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
     return s
 
 
-def volume(s: Simplex) -> float:
-    """Volume of the simplex, |det(E)| / d!."""
-    return s.volume
-
-
-def longest_edge(s: Simplex) -> tuple[float, tuple[int, int]]:
-    """Length and canonical vertex-index pair of the longest edge."""
-    return s.longest_edge
-
-
 def regularity_ratio(s: Simplex) -> float:
     """Shape ratio rho(S) = vol(S) / h(S)^d.
 
@@ -216,93 +204,6 @@ def barycentric_many(s: Simplex, points: np.ndarray) -> np.ndarray:
 def contains(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership test via barycentric coordinates."""
     return barycentric(s, p, tol)[1]
-
-
-def sample_uniform(s: Simplex, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points uniformly from the simplex.
-
-    Uses symmetric Dirichlet(1, ..., 1) barycentric weights, the standard
-    uniform law on a simplex.
-    """
-    weights = rng.dirichlet(np.ones(s.dimension + 1), size=n)
-    return weights @ s.vertices
-
-
-def max_pairwise_distance(points: np.ndarray) -> float:
-    """Exact maximum pairwise Euclidean distance of a finite point set.
-
-    The value returned is the maximum over pairs of
-    ``np.linalg.norm(points[i] - points[j])``, bitwise, with two layers
-    of acceleration that cannot change it:
-
-    * centroid-ball pruning: if lb is a known pairwise distance, any
-      pair (x, y) with |x - y| >= lb has both |x - c| and |y - c| at
-      least lb - rmax (since |x - y| <= |x - c| + rmax), so points
-      strictly inside that radius can be discarded;
-    * a blocked squared-distance scan over the survivors locates every
-      pair within a small absolute margin of the squared maximum, and
-      only those near-ties are re-evaluated with the canonical per-pair
-      norm call.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n < 2:
-        raise ValueError("need at least two points")
-    c = pts.mean(axis=0)
-    centered = pts - c
-    radii = np.linalg.norm(centered, axis=1)
-    rmax = float(radii.max())
-
-    # farthest-point sweep gives the pruning lower bound; shaved by a
-    # scale-relative hair so float dust cannot over-prune
-    a = int(np.argmax(radii))
-    b = int(np.argmax(np.linalg.norm(pts - pts[a], axis=1)))
-    lb = float(np.linalg.norm(pts[a] - pts[b]))
-    e = int(np.argmax(np.linalg.norm(pts - pts[b], axis=1)))
-    lb = max(lb, float(np.linalg.norm(pts[b] - pts[e])))
-
-    keep = np.flatnonzero(radii >= lb - rmax - 1e-9 * rmax)
-    cand = centered[keep]
-    m = cand.shape[0]
-
-    # Gram-identity squared distances on centered coordinates: absolute
-    # error is a few ulps of rmax^2, far below the margin used here
-    sq = np.einsum("ij,ij->i", cand, cand)
-    margin = 1e-9 * rmax * rmax
-    best_d2 = -1.0
-    rows = []
-    block = 256
-    for i0 in range(0, m, block):
-        i1 = min(i0 + block, m)
-        d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (cand[i0:i1] @ cand.T)
-        rows.append(d2.max(axis=1))
-        best_d2 = max(best_d2, float(d2.max()))
-    row_max = np.concatenate(rows)
-
-    best = 0.0
-    for i in np.flatnonzero(row_max >= best_d2 - margin):
-        d2_row = sq[i] + sq - 2.0 * (cand @ cand[i])
-        for j in np.flatnonzero(d2_row >= best_d2 - margin):
-            if j == i:
-                continue
-            val = float(np.linalg.norm(pts[keep[i]] - pts[keep[j]]))
-            if val > best:
-                best = val
-    return best
-
-
-def diameter_oracle(s: Simplex, samples: int, seed: int) -> float:
-    """Sampled diameter of the simplex.
-
-    Maximum pairwise distance over ``samples`` uniform points from S,
-    with the vertices always included in the point set, so the result is
-    never below the longest edge.  Deterministic for a fixed seed.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    rng = np.random.default_rng(seed)
-    pts = np.vstack([s.vertices, sample_uniform(s, samples, rng)])
-    return max_pairwise_distance(pts)
 
 
 def canonical_simplex(kind: str, d: int, id: str | None = None) -> Simplex:

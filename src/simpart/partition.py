@@ -71,41 +71,38 @@ class Node:
 class Partition:
     """Refinement forest with a deduplicated vertex registry.
 
-    Vertices are merged when they land in the same quantized cell of
-    width eps (1e-9 times the root longest edge).  Bisection midpoints
-    of a shared edge are computed from identical registry coordinates,
-    so they merge bitwise; the tolerance only matters for externally
-    supplied points.
+    Two vertices are the same exactly when their coordinates are equal.
+    That is enough for shared midpoints: both cells on an edge compute
+    its midpoint as (a + b) / 2 from the same registry coordinates, and
+    IEEE addition commutes, so the two results are bitwise equal.
 
     Mutation (adding roots, bisecting) is single-stream; reads may be
     performed concurrently between mutations.
     """
 
-    def __init__(self, d: int, vertex_merge_tol: float):
+    def __init__(self, d: int):
         if d < 2:
             raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-        if not (vertex_merge_tol > 0):
-            raise ValueError("vertex_merge_tol must be positive")
         self.d = d
-        self.eps = float(vertex_merge_tol)
         self.nodes: list[Node] = []
         self._coords: list[np.ndarray] = []
-        self._cells: dict[tuple, int] = {}
+        self._ids: dict[tuple, int] = {}
         self._simplices: dict[int, Simplex] = {}
 
     # ------------------------------------------------------------ registry
 
     def vertex_id(self, p) -> int:
-        """Registry id for p, merging points in the same quantized cell."""
+        """Registry id of the vertex whose coordinates equal p's, added if new.
+
+        Keyed by the coordinate tuple: -0.0 and 0.0 are one vertex, points
+        one ulp apart are two, and shared midpoints agree bitwise (above).
+        """
         p = as_point(p, self.d)
-        key = tuple(int(c) for c in np.round(p / self.eps))
-        hit = self._cells.get(key)
-        if hit is not None:
-            return hit
-        vid = len(self._coords)
-        self._coords.append(p.copy())
-        self._cells[key] = vid
-        return vid
+        key = tuple(p.tolist())
+        if key not in self._ids:
+            self._ids[key] = len(self._coords)
+            self._coords.append(p.copy())
+        return self._ids[key]
 
     def vertex_coords(self, vid: int) -> np.ndarray:
         return self._coords[vid]
@@ -149,11 +146,10 @@ class Partition:
         """Longest-edge bisection of a leaf; returns the child node ids.
 
         The midpoint of the canonical longest edge (u, w) goes through
-        the registry, so it is merged with an existing vertex in the same
-        quantized cell, or added; it replaces w in the first child and u
-        in the second (split_edge).  Both children are appended at the
-        end of nodes, so node ids are creation order, which is what lets
-        read_partition replay a file.
+        the registry, so one a neighbour already made keeps its id; it
+        replaces w in the first child and u in the second (split_edge).
+        Both children are appended at the end of nodes, so node ids are
+        creation order, which is what lets read_partition replay a file.
         """
         node = self.nodes[node_id]
         if node.children:
@@ -196,18 +192,6 @@ def split_edge(vertices, i: int, j: int, mid) -> tuple[tuple, tuple]:
     return vertices[:j] + (mid,) + vertices[j + 1 :], vertices[:i] + (mid,) + vertices[i + 1 :]
 
 
-def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
-    """Standalone longest-edge bisection of a single simplex.
-
-    Children carry ids "<parent>.0" and "<parent>.1" and each has half
-    the parent's volume; the first child keeps the first endpoint of the
-    split edge.
-    """
-    _, (i, j) = s.longest_edge
-    first, second = split_edge(s.vertices, i, j, (s.vertices[i] + s.vertices[j]) / 2.0)
-    return make_simplex(first, id=f"{s.id}.0"), make_simplex(second, id=f"{s.id}.1")
-
-
 def kuhn_triangulation(d: int) -> Partition:
     """Unit cube split into d! path simplices sharing the main diagonal.
 
@@ -217,7 +201,7 @@ def kuhn_triangulation(d: int) -> Partition:
     """
     if d < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-    p = Partition(d, vertex_merge_tol=1e-9 * math.sqrt(d))
+    p = Partition(d)
     for perm in itertools.permutations(range(d)):
         verts = np.zeros((d + 1, d))
         for k, axis in enumerate(perm):
@@ -230,13 +214,11 @@ def kuhn_triangulation(d: int) -> Partition:
 def partition_from_simplices(simplices: list[Simplex]) -> Partition:
     """Partition whose roots are the given simplices.
 
-    The vertex merge tolerance is set from the largest root edge; the
-    caller is responsible for the roots having disjoint interiors.
+    The caller is responsible for the roots having disjoint interiors.
     """
     if not simplices:
         raise EmptyPartition("at least one root simplex is required")
-    h = max(s.longest_edge[0] for s in simplices)
-    p = Partition(simplices[0].dimension, vertex_merge_tol=1e-9 * h)
+    p = Partition(simplices[0].dimension)
     for s in simplices:
         p.add_root(s.vertices)
     return p
@@ -433,10 +415,12 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     A vertex is on the boundary iff it lies on some boundary facet of
     the root simplices: within the facet's affine hull (small residual)
     and inside the facet simplex (barycentric coordinates >= -tol).
+    The residual tolerance is 1e-9 times the longest root edge.
     """
     pts = p.vertices
     mask = np.zeros(p.n_vertices, dtype=bool)
-    tol = max(p.eps, 1e-12)
+    h = max((p.simplex(r).longest_edge[0] for r in p.roots), default=0.0)
+    tol = max(1e-9 * h, 1e-12)
     for facet in _boundary_facets(p):
         base = p.vertex_coords(facet[0])
         edges = np.stack([p.vertex_coords(v) - base for v in facet[1:]], axis=1)

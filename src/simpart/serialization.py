@@ -149,12 +149,12 @@ def read_partition(path) -> Partition:
     through add_root, and any other node not yet built is made by
     bisecting its parent, which must be a leaf built before it.  Every
     node of the file must then equal the replayed one in parent,
-    generation, vertex_ids and children.  Malformed fields and every
-    disagreement raise ValueError naming the node and field.  The
-    vertex merge tolerance is 1e-9 times the longest root edge, as the
-    builders set it, so a round-tripped partition behaves identically.
-    Only roots and bisected nodes have their simplex built here; leaves
-    are built on first use.
+    generation, vertex_ids and children, and the vertex list must equal
+    the replayed registry: the same count, and each vertex bitwise equal
+    to the one the replay made.  Malformed fields and every disagreement
+    raise ValueError naming the node, field or vertex.  Only roots and
+    bisected nodes have their simplex built here; leaves are built on
+    first use.
     """
     doc = _read_object(path, "partition")
     d = _int_field(doc, "d", "partition")
@@ -171,14 +171,7 @@ def read_partition(path) -> Partition:
         raise EmptyPartition("partition file contains no nodes")
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be 0..n-1 in order")
-    roots = [make_simplex([coords[v] for v in n.vertex_ids]) for n in nodes if n.parent is None]
-    if not roots:
-        raise ValueError("partition file has no root nodes")
-    p = Partition(d, vertex_merge_tol=1e-9 * max(s.longest_edge[0] for s in roots))
-    for v in coords:
-        p.vertex_id(v)
-    if p.n_vertices != len(coords):
-        raise ValueError("vertex list contains duplicate registry entries")
+    p = Partition(d)
     for n in nodes:
         if n.id < len(p.nodes):
             continue  # the second child of a bisection already replayed
@@ -193,6 +186,12 @@ def read_partition(path) -> Partition:
             got, want = getattr(n, key), getattr(built, key)
             if got != want:
                 raise ValueError(f"node {n.id}: {key} is {got}, the replayed refinement gives {want}")
+    if len(coords) != p.n_vertices:
+        raise ValueError(f"partition: {len(coords)} vertices listed, the replayed refinement gives {p.n_vertices}")
+    for vid, got in enumerate(coords):
+        want = p.vertex_coords(vid)
+        if not np.array_equal(got, want):
+            raise ValueError(f"vertex {vid}: stored as {got.tolist()}, the replayed refinement gives {want.tolist()}")
     return p
 
 

@@ -2,14 +2,18 @@
 
 Every routine here recomputes a quantity the library produces, using a
 different algorithm (and usually worse asymptotics), so agreement is
-meaningful.  Nothing in this module imports library internals beyond the
-plain Simplex container.
+meaningful: the sampled diameter checks the longest edge, and the
+standalone bisection checks Partition.bisect.  Nothing in this module
+imports library internals beyond the Simplex container and its
+validating constructor.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from simpart.geometry import Simplex, make_simplex
 
 
 def cayley_menger_volume(vertices) -> float:
@@ -40,6 +44,106 @@ def naive_max_pairwise_distance(points) -> float:
         for j in range(i + 1, pts.shape[0]):
             best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
     return best
+
+
+def sample_uniform(s: Simplex, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n points uniformly from the simplex.
+
+    Uses symmetric Dirichlet(1, ..., 1) barycentric weights, the standard
+    uniform law on a simplex.
+    """
+    weights = rng.dirichlet(np.ones(s.dimension + 1), size=n)
+    return weights @ s.vertices
+
+
+def max_pairwise_distance(points: np.ndarray) -> float:
+    """Exact maximum pairwise Euclidean distance of a finite point set.
+
+    The value returned is the maximum over pairs of
+    ``np.linalg.norm(points[i] - points[j])``, bitwise, with two layers
+    of acceleration that cannot change it:
+
+    * centroid-ball pruning: if lb is a known pairwise distance, any
+      pair (x, y) with |x - y| >= lb has both |x - c| and |y - c| at
+      least lb - rmax (since |x - y| <= |x - c| + rmax), so points
+      strictly inside that radius can be discarded;
+    * a blocked squared-distance scan over the survivors locates every
+      pair within a small absolute margin of the squared maximum, and
+      only those near-ties are re-evaluated with the canonical per-pair
+      norm call.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n < 2:
+        raise ValueError("need at least two points")
+    c = pts.mean(axis=0)
+    centered = pts - c
+    radii = np.linalg.norm(centered, axis=1)
+    rmax = float(radii.max())
+
+    # farthest-point sweep gives the pruning lower bound; shaved by a
+    # scale-relative hair so float dust cannot over-prune
+    a = int(np.argmax(radii))
+    b = int(np.argmax(np.linalg.norm(pts - pts[a], axis=1)))
+    lb = float(np.linalg.norm(pts[a] - pts[b]))
+    e = int(np.argmax(np.linalg.norm(pts - pts[b], axis=1)))
+    lb = max(lb, float(np.linalg.norm(pts[b] - pts[e])))
+
+    keep = np.flatnonzero(radii >= lb - rmax - 1e-9 * rmax)
+    cand = centered[keep]
+    m = cand.shape[0]
+
+    # Gram-identity squared distances on centered coordinates: absolute
+    # error is a few ulps of rmax^2, far below the margin used here
+    sq = np.einsum("ij,ij->i", cand, cand)
+    margin = 1e-9 * rmax * rmax
+    best_d2 = -1.0
+    rows = []
+    block = 256
+    for i0 in range(0, m, block):
+        i1 = min(i0 + block, m)
+        d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (cand[i0:i1] @ cand.T)
+        rows.append(d2.max(axis=1))
+        best_d2 = max(best_d2, float(d2.max()))
+    row_max = np.concatenate(rows)
+
+    best = 0.0
+    for i in np.flatnonzero(row_max >= best_d2 - margin):
+        d2_row = sq[i] + sq - 2.0 * (cand @ cand[i])
+        for j in np.flatnonzero(d2_row >= best_d2 - margin):
+            if j == i:
+                continue
+            val = float(np.linalg.norm(pts[keep[i]] - pts[keep[j]]))
+            if val > best:
+                best = val
+    return best
+
+
+def diameter_oracle(s: Simplex, samples: int, seed: int) -> float:
+    """Sampled diameter of the simplex.
+
+    Maximum pairwise distance over ``samples`` uniform points from S,
+    with the vertices always included in the point set, so the result is
+    never below the longest edge.  Deterministic for a fixed seed.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([s.vertices, sample_uniform(s, samples, rng)])
+    return max_pairwise_distance(pts)
+
+
+def bisect_longest_edge(s: Simplex) -> tuple[Simplex, Simplex]:
+    """Standalone longest-edge bisection of a single simplex.
+
+    Children carry ids "<parent>.0" and "<parent>.1" and each has half
+    the parent's volume; the first child keeps the first endpoint of the
+    split edge.
+    """
+    _, (i, j) = s.longest_edge
+    first, second = s.vertices.copy(), s.vertices.copy()
+    first[j] = second[i] = (s.vertices[i] + s.vertices[j]) / 2.0
+    return make_simplex(first, id=f"{s.id}.0"), make_simplex(second, id=f"{s.id}.1")
 
 
 def triangle_vertex_angle(vertices, k: int) -> float:

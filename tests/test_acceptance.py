@@ -20,10 +20,8 @@ from simpart import (
     VertexCone,
     build_objective,
     cone_at_point,
-    diameter_oracle,
     exact_solid_angle_fraction,
     kuhn_triangulation,
-    longest_edge,
     make_simplex,
     max_intersection_bound,
     optimize,
@@ -38,6 +36,7 @@ from simpart import (
     write_trace_csv,
 )
 
+from .oracles import diameter_oracle
 from .support import jittered_regular_simplex, random_simplex
 
 SEED = 43
@@ -171,7 +170,7 @@ def test_acceptance_1_longest_edge_is_the_diameter(capsys):
         rng = np.random.default_rng(np.random.SeedSequence([2026, d]))
         for k in range(1000):
             s = random_simplex(d, rng)
-            h = longest_edge(s)[0]
+            h = s.longest_edge[0]
             dia = diameter_oracle(s, samples=10_000, seed=k)
             if not (dia <= h + 1e-9 and dia == h):
                 failures.append((d, k, h, dia))

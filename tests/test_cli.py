@@ -325,6 +325,25 @@ def _non_integer_parent(tmp_path):
     return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", "0"))
 
 
+def _root_vertex_moved_off_its_midpoints(tmp_path):
+    # each midpoint that depends on the origin now replays at most 5e-11
+    # away from its stored coordinates: near, but not bitwise equal
+    doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 9, "bisect-largest-leaf")))
+    assert doc["vertices"][0] == [0.0, 0.0]
+    doc["vertices"][0][0] += 1e-10
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _huge_extra_vertex(tmp_path):
+    doc = json.loads(partition_to_json(kuhn_triangulation(2)))
+    doc["vertices"].append([1e300, 0.0])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 # input writer -> a word the one-line message must contain
 MALFORMED = {
     _json_array_document: "JSON object",
@@ -338,6 +357,8 @@ MALFORMED = {
     _child_listed_before_its_parent: "parent",
     _non_integer_node_id: "id",
     _non_integer_parent: "parent",
+    _root_vertex_moved_off_its_midpoints: "vertex",
+    _huge_extra_vertex: "vertices",
 }
 
 
@@ -396,9 +417,10 @@ def mutated_partition_documents(draw):
             if kind == "drop-vertex":
                 del vertices[i]
             else:
-                vertices[i][draw(st.integers(0, 1))] += draw(
-                    st.sampled_from([1e-12, -1e-12, 1e-3, -1e-3, 0.5, -0.5])
-                )
+                # None replaces the coordinate with a huge one instead
+                k = draw(st.integers(0, 1))
+                delta = draw(st.sampled_from([1e-12, -1e-12, 1e-10, -1e-10, 1e-3, -1e-3, 0.5, -0.5, None]))
+                vertices[i][k] = 1e300 if delta is None else vertices[i][k] + delta
         elif kind == "replace-document-field":
             doc[draw(st.sampled_from(["d", "nodes", "vertices"]))] = draw(ODD_VALUES)
             break

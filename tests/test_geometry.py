@@ -14,17 +14,18 @@ from simpart.geometry import (
     barycentric_many,
     canonical_simplex,
     contains,
-    diameter_oracle,
-    longest_edge,
     make_simplex,
-    max_pairwise_distance,
     regular_simplex_ratio,
     regularity_ratio,
-    sample_uniform,
-    volume,
 )
 
-from .oracles import cayley_menger_volume, naive_max_pairwise_distance
+from .oracles import (
+    cayley_menger_volume,
+    diameter_oracle,
+    max_pairwise_distance,
+    naive_max_pairwise_distance,
+    sample_uniform,
+)
 from .support import random_simplex
 
 # rho of the regular d-simplex, sqrt(d+1) / (d! 2^(d/2)), d = 2..6
@@ -63,7 +64,7 @@ def test_simplex_vertices_are_immutable():
 def test_volume_unit_corner_is_inverse_factorial():
     for d in range(2, 7):
         s = canonical_simplex("unit-corner", d)
-        assert volume(s) == pytest.approx(1.0 / math.factorial(d), rel=1e-14)
+        assert s.volume == pytest.approx(1.0 / math.factorial(d), rel=1e-14)
 
 
 def test_volume_against_cayley_menger():
@@ -71,7 +72,7 @@ def test_volume_against_cayley_menger():
     for _ in range(60):
         d = int(rng.integers(2, 7))
         s = random_simplex(d, rng)
-        assert volume(s) == pytest.approx(cayley_menger_volume(s.vertices), rel=1e-9)
+        assert s.volume == pytest.approx(cayley_menger_volume(s.vertices), rel=1e-9)
 
 
 def test_longest_edge_matches_pairwise_max():
@@ -79,7 +80,7 @@ def test_longest_edge_matches_pairwise_max():
     for _ in range(50):
         d = int(rng.integers(2, 6))
         s = random_simplex(d, rng)
-        h, (i, j) = longest_edge(s)
+        h, (i, j) = s.longest_edge
         dists = [
             np.linalg.norm(s.vertices[a] - s.vertices[b])
             for a in range(d + 1)
@@ -94,7 +95,7 @@ def test_longest_edge_tie_break_is_lexicographic():
     # tall isoceles: edges (0,2) and (1,2) are bitwise equal (the squared
     # coordinates 0.5^2 and (-0.5)^2 are the same float) and both longest
     s = make_simplex([[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]])
-    h, pair = longest_edge(s)
+    h, pair = s.longest_edge
     assert h == float(np.linalg.norm(np.array([0.5, 2.0])))
     assert pair == (0, 2)
 
@@ -237,7 +238,7 @@ def test_diameter_oracle_never_below_longest_edge():
     for _ in range(20):
         d = int(rng.integers(2, 6))
         s = random_simplex(d, rng)
-        h, _ = longest_edge(s)
+        h, _ = s.longest_edge
         assert diameter_oracle(s, samples=500, seed=7) >= h
 
 
@@ -248,7 +249,7 @@ def test_diameter_equals_longest_edge():
     for _ in range(12):
         d = int(rng.integers(2, 5))
         s = random_simplex(d, rng)
-        h, _ = longest_edge(s)
+        h, _ = s.longest_edge
         assert diameter_oracle(s, samples=4000, seed=11) == h
 
 

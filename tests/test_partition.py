@@ -8,14 +8,11 @@ from simpart.cones import EXACT_STDERR, MonteCarloConfig, max_intersection_bound
 from simpart.errors import EmptyPartition, PointOutsideDomain, UnsupportedDimension
 from simpart.geometry import (
     canonical_simplex,
-    longest_edge,
     make_simplex,
     regularity_ratio,
-    volume,
 )
 from simpart.partition import (
     Partition,
-    bisect_longest_edge,
     boundary_vertex_mask,
     kuhn_triangulation,
     max_valence,
@@ -27,7 +24,7 @@ from simpart.partition import (
     vertex_valence,
 )
 
-from .oracles import flat_scan_count
+from .oracles import bisect_longest_edge, flat_scan_count
 from .support import random_simplex
 
 
@@ -52,7 +49,7 @@ def test_kuhn_volumes_and_diagonal():
     for d in (2, 3, 4):
         p = kuhn_triangulation(d)
         assert len(p.roots) == math.factorial(d)
-        vols = [volume(p.simplex(i)) for i in p.roots]
+        vols = [p.simplex(i).volume for i in p.roots]
         assert all(v == pytest.approx(1.0 / math.factorial(d), rel=1e-12) for v in vols)
         assert sum(vols) == pytest.approx(1.0, rel=1e-12)
         # every root carries the main diagonal's endpoints
@@ -81,15 +78,15 @@ def test_bisect_unit_right_triangle():
     c1, c2 = bisect_longest_edge(s)
     assert set(map(tuple, c1.vertices.tolist())) == {(0.0, 0.0), (1.0, 0.0), (0.5, 0.5)}
     assert set(map(tuple, c2.vertices.tolist())) == {(0.0, 0.0), (0.0, 1.0), (0.5, 0.5)}
-    assert volume(c1) == pytest.approx(0.25, rel=1e-14)
-    assert volume(c2) == pytest.approx(0.25, rel=1e-14)
+    assert c1.volume == pytest.approx(0.25, rel=1e-14)
+    assert c2.volume == pytest.approx(0.25, rel=1e-14)
 
 
 def test_bisect_equilateral_gives_right_triangles():
     s = canonical_simplex("regular", 2)
     c1, c2 = bisect_longest_edge(s)
     for c in (c1, c2):
-        assert volume(c) == pytest.approx(math.sqrt(3) / 8, rel=1e-12)
+        assert c.volume == pytest.approx(math.sqrt(3) / 8, rel=1e-12)
         # one interior angle is a right angle
         angles = []
         for k in range(3):
@@ -104,17 +101,17 @@ def test_bisect_halves_volume_everywhere():
         d = int(rng.integers(2, 6))
         s = random_simplex(d, rng)
         c1, c2 = bisect_longest_edge(s)
-        assert volume(c1) == pytest.approx(volume(s) / 2, rel=1e-9)
-        assert volume(c2) == pytest.approx(volume(s) / 2, rel=1e-9)
-        assert volume(c1) + volume(c2) == pytest.approx(volume(s), rel=1e-9)
-        assert longest_edge(c1)[0] <= longest_edge(s)[0] + 1e-12
-        assert longest_edge(c2)[0] <= longest_edge(s)[0] + 1e-12
+        assert c1.volume == pytest.approx(s.volume / 2, rel=1e-9)
+        assert c2.volume == pytest.approx(s.volume / 2, rel=1e-9)
+        assert c1.volume + c2.volume == pytest.approx(s.volume, rel=1e-9)
+        assert c1.longest_edge[0] <= s.longest_edge[0] + 1e-12
+        assert c2.longest_edge[0] <= s.longest_edge[0] + 1e-12
         assert c1.id == f"{s.id}.0" and c2.id == f"{s.id}.1"
 
 
 def test_partition_bisect_matches_standalone_bisection():
-    # both callers split through the same routine: the registry children
-    # have the coordinates of the standalone children, in the same order
+    # the registry children have the coordinates of an independent
+    # standalone bisection, in the same order
     rng = np.random.default_rng(3002)
     for _ in range(10):
         s = random_simplex(int(rng.integers(2, 5)), rng)
@@ -132,11 +129,24 @@ def test_partition_bisect_requires_leaf():
 
 
 def test_bisection_midpoints_merge_in_registry():
-    # the two kuhn(2) roots share the diagonal; one uniform round creates
-    # its midpoint twice, which must collapse to a single registry entry
-    p = refine(kuhn_triangulation(2), 1)
-    assert p.n_vertices == 5
-    assert len(p.leaves) == 4
+    # the registry identifies vertices by exact coordinates, so the
+    # midpoint of a shared edge, made once from each cell around it, must
+    # come out bitwise equal and collapse to one entry; kuhn(2)@1 makes the
+    # midpoint of the diagonal both roots share twice.  A single shared
+    # midpoint that failed to merge would raise a pinned count.
+    cases = [
+        (kuhn_triangulation(2), 1, 5),
+        (kuhn_triangulation(2), 12, 4225),
+        (kuhn_triangulation(3), 10, 1241),
+        (kuhn_triangulation(4), 5, 97),
+    ]
+    for scale in (1e-6, 1e6):
+        root = random_simplex(3, np.random.default_rng(6), scale=scale)
+        cases.append((partition_from_simplices([root]), 6, 42))
+    for p, steps, n_vertices in cases:
+        refine(p, steps)
+        assert p.n_vertices == n_vertices
+        assert len(p.leaves) == len(p.roots) * 2**steps
 
 
 # ------------------------------------------------------------- refinement
@@ -146,7 +156,7 @@ def test_refine_uniform_counts():
     for k in (1, 2, 5):
         p = refine(kuhn_triangulation(2), k)
         assert len(p.leaves) == 2 ** (k + 1)
-        total = sum(volume(p.simplex(i)) for i in p.leaves)
+        total = sum(p.simplex(i).volume for i in p.leaves)
         assert total == pytest.approx(1.0, rel=1e-9)
 
 
@@ -175,9 +185,9 @@ def test_refine_largest_leaf_targets_longest_edge():
     assert len(p.leaves) == 3
     refine(p, 3, strategy="bisect-largest-leaf")
     assert len(p.leaves) == 6
-    hs = [longest_edge(p.simplex(i))[0] for i in p.leaves]
+    hs = [p.simplex(i).longest_edge[0] for i in p.leaves]
     # no remaining leaf is longer than any leaf that was split
-    split_hs = [longest_edge(p.simplex(n.id))[0] for n in p.nodes if n.children]
+    split_hs = [p.simplex(n.id).longest_edge[0] for n in p.nodes if n.children]
     assert max(hs) <= min(split_hs) + 1e-12
 
 
@@ -193,8 +203,8 @@ def test_child_volumes_tile_parent():
     p = refine(kuhn_triangulation(3), 3)
     for n in p.nodes:
         if n.children:
-            parent_vol = volume(p.simplex(n.id))
-            child_vol = sum(volume(p.simplex(c)) for c in n.children)
+            parent_vol = p.simplex(n.id).volume
+            child_vol = sum(p.simplex(c).volume for c in n.children)
             assert child_vol == pytest.approx(parent_vol, rel=1e-9)
 
 
@@ -228,7 +238,7 @@ def test_min_regularity_kuhn3_cycles_with_period_three():
 
 
 def test_min_regularity_empty():
-    p = Partition(2, vertex_merge_tol=1e-9)
+    p = Partition(2)
     with pytest.raises(EmptyPartition):
         min_regularity(p)
 
@@ -440,4 +450,4 @@ def test_verify_theorem_method_follows_dimension():
 
 def test_verify_theorem_empty():
     with pytest.raises(EmptyPartition):
-        verify_theorem(Partition(2, vertex_merge_tol=1e-9), AUDIT)
+        verify_theorem(Partition(2), AUDIT)
