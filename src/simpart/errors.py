@@ -10,7 +10,7 @@ class DimensionMismatch(SimpartError):
 
 
 class InvalidPoint(SimpartError):
-    """A coordinate is NaN or infinite."""
+    """A coordinate is NaN, infinite, or too large for a simplex's h^d to be finite."""
 
 
 class DegenerateSimplex(SimpartError):

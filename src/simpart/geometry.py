@@ -12,6 +12,7 @@ a partition is eta-regular when every cell satisfies rho(S) >= eta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,7 +133,8 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
     ------
     DimensionMismatch : point dimensions disagree or the count is not d+1.
     UnsupportedDimension : ambient dimension below 2.
-    InvalidPoint : NaN or infinite coordinate.
+    InvalidPoint : NaN or infinite coordinate, or one so large that h^d
+        may overflow.
     DegenerateSimplex : volume at or below the relative threshold.
     """
     try:
@@ -146,8 +148,17 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
         raise DimensionMismatch(f"need d+1 vertices of dimension d, got {n} of dimension {d}")
     if d < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-    if not np.all(np.isfinite(arr)):
+    largest = float(np.abs(arr).max())
+    if not math.isfinite(largest):
         raise InvalidPoint("vertex coordinates must be finite")
+    # an edge is at most 2 sqrt(d) max|x| long; with a factor 2 to spare for
+    # rounding, no edge length, h^d or volume determinant overflows below this
+    limit = sys.float_info.max ** (1.0 / d) / (4.0 * math.sqrt(d))
+    if largest > limit:
+        raise InvalidPoint(
+            f"vertex coordinates too large: |x| = {largest:.3e} exceeds {limit:.3e}, "
+            f"beyond which h^{d} may overflow"
+        )
     arr = arr.copy()
     arr.flags.writeable = False
     s = Simplex(vertices=arr, id=id)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,26 +264,32 @@ def min_regularity(p: Partition) -> float:
     return min(regularity_ratio(p.simplex(i)) for i in leaves)
 
 
-def _descend_counts(p: Partition, points: np.ndarray, tol: float) -> np.ndarray:
-    """Leaf-membership counts for a (n, d) batch via tree descent."""
-    counts = np.zeros(points.shape[0], dtype=int)
+def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(point index, leaf id) pairs of every leaf whose closure holds a point.
+
+    A tree descent from each root: a batch of points follows a child
+    when its barycentric coordinates in the child are all >= -tol, so a
+    hanging vertex on a leaf's face is found as well as the leaf corners.
+    """
+    found: list[np.ndarray] = []
+    leaf_ids: list[int] = []
     for root in p.roots:
         stack = [(root, np.arange(points.shape[0]))]
         while stack:
             node_id, idx = stack.pop()
-            if idx.size == 0:
-                continue
             lam = barycentric_many(p.simplex(node_id), points[idx])
             inside = idx[np.all(lam >= -tol, axis=1)]
             if inside.size == 0:
                 continue
-            node = p.nodes[node_id]
-            if not node.children:
-                counts[inside] += 1
+            children = p.nodes[node_id].children
+            if children:
+                stack.extend((child, inside) for child in children)
             else:
-                for child in node.children:
-                    stack.append((child, inside))
-    return counts
+                found.append(inside)
+                leaf_ids.append(node_id)
+    if not found:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    return np.concatenate(found), np.repeat(leaf_ids, [idx.size for idx in found])
 
 
 def vertex_valence(p: Partition, point, tol: float = MEMBERSHIP_TOL) -> int:
@@ -294,18 +301,18 @@ def vertex_valence(p: Partition, point, tol: float = MEMBERSHIP_TOL) -> int:
     pt = as_point(point, p.d)
     if not p.leaves:
         raise EmptyPartition("partition has no leaves")
-    counts = _descend_counts(p, pt[None, :], tol)
-    if counts[0] == 0:
+    count = _incidence(p, pt[None, :], tol)[0].size
+    if count == 0:
         # roots tile the domain, so zero leaves means outside it
         raise PointOutsideDomain(f"point {pt.tolist()} is outside the root domain")
-    return int(counts[0])
+    return count
 
 
 def registry_valences(p: Partition, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Valence of every registry vertex, in registry order."""
     if not p.leaves:
         raise EmptyPartition("partition has no leaves")
-    return _descend_counts(p, p.vertices, tol)
+    return np.bincount(_incidence(p, p.vertices, tol)[0], minlength=p.n_vertices)
 
 
 def max_valence(p: Partition, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, int]:
@@ -395,42 +402,29 @@ class TheoremReport:
         )
 
 
-def _boundary_facets(p: Partition) -> list[tuple[int, ...]]:
-    """Root facets that appear exactly once (the domain boundary)."""
-    seen: dict[frozenset, tuple[int, ...]] = {}
-    count: dict[frozenset, int] = {}
-    for root in p.roots:
-        vids = p.nodes[root].vertex_ids
-        for skip in range(len(vids)):
-            facet = vids[:skip] + vids[skip + 1 :]
-            key = frozenset(facet)
-            seen[key] = facet
-            count[key] = count.get(key, 0) + 1
-    return [seen[k] for k, c in count.items() if c == 1]
-
-
 def boundary_vertex_mask(p: Partition) -> np.ndarray:
     """True where a registry vertex lies on the domain boundary.
 
-    A vertex is on the boundary iff it lies on some boundary facet of
-    the root simplices: within the facet's affine hull (small residual)
-    and inside the facet simplex (barycentric coordinates >= -tol).
-    The residual tolerance is 1e-9 times the longest root edge.
+    The boundary is made of the root facets that no other root shares.
+    A vertex lies on the facet of root r opposite corner i when its
+    barycentric coordinates in r are all >= -MEMBERSHIP_TOL and
+    coordinate i is <= MEMBERSHIP_TOL: the membership test of the
+    valence descent, applied to the facet.
     """
+    facets = Counter(
+        frozenset(vids[:i] + vids[i + 1 :])
+        for vids in (p.nodes[r].vertex_ids for r in p.roots)
+        for i in range(len(vids))
+    )
     pts = p.vertices
     mask = np.zeros(p.n_vertices, dtype=bool)
-    h = max((p.simplex(r).longest_edge[0] for r in p.roots), default=0.0)
-    tol = max(1e-9 * h, 1e-12)
-    for facet in _boundary_facets(p):
-        base = p.vertex_coords(facet[0])
-        edges = np.stack([p.vertex_coords(v) - base for v in facet[1:]], axis=1)
-        pinv = np.linalg.pinv(edges)
-        rel = pts - base
-        lam = (pinv @ rel.T).T  # (n, d-1) facet coordinates
-        residual = np.linalg.norm(rel - lam @ edges.T, axis=1)
-        lam0 = 1.0 - lam.sum(axis=1)
-        on = (residual <= tol) & (lam0 >= -MEMBERSHIP_TOL) & np.all(lam >= -MEMBERSHIP_TOL, axis=1)
-        mask |= on
+    for root in p.roots:
+        vids = p.nodes[root].vertex_ids
+        lam = barycentric_many(p.simplex(root), pts)
+        inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
+        for i in range(len(vids)):
+            if facets[frozenset(vids[:i] + vids[i + 1 :])] == 1:
+                mask |= inside & (lam[:, i] <= MEMBERSHIP_TOL)
     return mask
 
 
@@ -452,14 +446,16 @@ def verify_theorem(
     """End-to-end audit of the intersection-number bound.
 
     Steps: compute eta_min and the theoretical bound N(eta_min, d);
-    count valences of all registry vertices; measure the solid-angle
-    fraction of each (leaf, vertex) cone (on the Monte Carlo route, above
-    AUDIT_PAIR_CAP pairs, a seeded uniform subsample is audited instead
-    unless full_audit);
+    locate every registry vertex by one tree descent, whose (vertex,
+    leaf) incidences give both the valences and the leaves around each
+    vertex; measure the solid-angle fraction of each (leaf, vertex) cone
+    (on the Monte Carlo route, above AUDIT_PAIR_CAP pairs, a seeded
+    uniform subsample is audited instead unless full_audit);
     check each fraction against the per-simplex bound minus 3 stderr;
-    and sum fractions around every vertex whose incident cones were all
-    measured (interior sums must hit 1 within 4 combined stderr,
-    boundary sums must not exceed 1 by more).
+    and sum the fractions of the incident leaves around every vertex
+    none of whose corner pairs was subsampled away, measuring the face
+    cone of each leaf the vertex hangs on (interior sums must hit 1
+    within 4 combined stderr, boundary sums must not exceed 1 by more).
 
     In d <= 3 every cone has at most three facets and is measured in
     closed form with stderr EXACT_STDERR, every pair is audited, and mc
@@ -474,7 +470,8 @@ def verify_theorem(
     bound_n = max_intersection_bound(eta_min, d)
     uniform_bound = per_simplex_angle_bound(eta_min, d)
 
-    valences = registry_valences(p)
+    at_vertex, at_leaf = _incidence(p, p.vertices, MEMBERSHIP_TOL)
+    valences = np.bincount(at_vertex, minlength=p.n_vertices)
     witness_id = int(np.argmax(valences))
     max_val = int(valences[witness_id])
 
@@ -516,47 +513,24 @@ def verify_theorem(
         )
         estimates[(leaf, vid)] = (fraction, stderr)
 
-    # vertex -> leaves whose vertex set contains it; hanging-node
-    # incidences (vertex on a leaf's face) are added geometrically below
-    incident: dict[int, list[int]] = {}
-    for leaf in leaves:
-        for vid in p.nodes[leaf].vertex_ids:
-            incident.setdefault(vid, []).append(leaf)
+    # each vertex's incident leaves in ascending id order, the order of the sums
+    order = np.lexsort((at_leaf, at_vertex))
+    incident = np.split(at_leaf[order], np.cumsum(valences)[:-1])
 
     boundary = boundary_vertex_mask(p)
     decomposition = []
-    for vid in sorted(incident):
-        own = incident[vid]
-        if any((leaf, vid) not in estimates for leaf in own):
-            continue  # subsampled away; sum would be meaningless
-        leaves_at = own
-        if valences[vid] != len(own):
-            # non-conforming state: the vertex hangs on the face of some
-            # leaf it is not a corner of; find them by geometric descent
-            leaves_at = [
-                leaf
-                for leaf in leaves
-                if np.all(
-                    barycentric_many(p.simplex(leaf), p.vertex_coords(vid)[None, :])
-                    >= -MEMBERSHIP_TOL
-                )
-            ]
+    for vid, leaves_at in enumerate(incident):
+        leaves_at = leaves_at.tolist()
+        if any((leaf, vid) not in estimates and vid in p.nodes[leaf].vertex_ids for leaf in leaves_at):
+            continue  # a corner pair was subsampled away; the sum would be meaningless
         fracs = []
         errs = []
-        complete = True
         for leaf in leaves_at:
             got = estimates.get((leaf, vid))
-            if got is None:
-                if vid in set(p.nodes[leaf].vertex_ids):
-                    complete = False
-                    break
-                cone = cone_at_point(p.simplex(leaf), p.vertex_coords(vid))
-                got = measure(cone, leaf, vid)
-                estimates[(leaf, vid)] = got
+            if got is None:  # the vertex hangs on a face of this leaf
+                got = measure(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), leaf, vid)
             fracs.append(got[0])
             errs.append(got[1])
-        if not complete:
-            continue
         total = float(sum(fracs))
         sigma = math.sqrt(sum(e * e for e in errs))
         interior = not bool(boundary[vid])

@@ -344,6 +344,16 @@ def _huge_extra_vertex(tmp_path):
     return path
 
 
+def _huge_root_vertex(tmp_path):
+    # the edges from [1e300, 0] are finite, but their length squared is not
+    doc = json.loads(partition_to_json(kuhn_triangulation(2)))
+    assert doc["vertices"][0] == [0.0, 0.0]
+    doc["vertices"][0] = [1e300, 0.0]
+    path = tmp_path / "huge-root.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 # input writer -> a word the one-line message must contain
 MALFORMED = {
     _json_array_document: "JSON object",
@@ -359,6 +369,7 @@ MALFORMED = {
     _non_integer_parent: "parent",
     _root_vertex_moved_off_its_midpoints: "vertex",
     _huge_extra_vertex: "vertices",
+    _huge_root_vertex: "too large",
 }
 
 
@@ -449,6 +460,8 @@ MALFORMED_SIMPLEX = {
     '"x"': "JSON object",
     '{"id": "a"}': "vertices",
     '{"vertices": {}}': "vertex",
+    # h^3 overflows, and so would the determinant of the volume
+    '{"vertices": [[0, 0, 0], [1e150, 0, 0], [0, 1e150, 0], [0, 0, 1e150]]}': "too large",
 }
 
 
@@ -547,6 +560,12 @@ GOLDEN_KUHN2_3_REPORT_SHA256 = "955be84ba58018fb74f0e778fadd89c9a53db5792ed58a9f
 # PASS (exit 0).
 GOLDEN_KUHN4_1_REPORT_SHA256 = "04148499fb3f5bdec50672356dc7ee78aff192fa9d386982525d7a8468af27d0"
 
+# Largest-leaf refinement leaves vertices hanging on the faces of leaves
+# they are not corners of, so these sums include face cones: exact in
+# kuhn(2)@40, Monte Carlo streams in kuhn(4)@30.
+GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256 = "fb5b1017b430f7449e47126ae8a046c979be98fd48a9aca1904445411412c777"
+GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "78df54b539cb57a79579b8ffcdec070c86307be4ab1a3c2f74fe8c9839637476"
+
 # point -> (cone id, direction hits) at 29999 samples, seed 7 and 3 shards
 # (sizes 10000, 10000, 9999, so the shard order shows), on the
 # tetrahedron of the test below
@@ -559,9 +578,9 @@ GOLDEN_CONE_HITS = {
 }
 
 
-def _kuhn_report_sha256(tmp_path, capsys, d, rounds, expected_code):
+def _kuhn_report_sha256(tmp_path, capsys, d, rounds, expected_code, strategy="bisect-all-leaves"):
     p = kuhn_triangulation(d)
-    refine(p, rounds)
+    refine(p, rounds, strategy)
     p_path = tmp_path / "p.json"
     report = tmp_path / "report.csv"
     write_partition(p, p_path)
@@ -574,10 +593,14 @@ def _kuhn_report_sha256(tmp_path, capsys, d, rounds, expected_code):
 
 def test_verify_report_matches_golden_bytes(tmp_path, capsys):
     assert _kuhn_report_sha256(tmp_path, capsys, 2, 3, 0) == GOLDEN_KUHN2_3_REPORT_SHA256
+    got = _kuhn_report_sha256(tmp_path, capsys, 2, 40, 0, "bisect-largest-leaf")
+    assert got == GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256
 
 
 def test_monte_carlo_report_matches_golden_bytes(tmp_path, capsys):
     assert _kuhn_report_sha256(tmp_path, capsys, 4, 1, 0) == GOLDEN_KUHN4_1_REPORT_SHA256
+    got = _kuhn_report_sha256(tmp_path, capsys, 4, 30, 0, "bisect-largest-leaf")
+    assert got == GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256
 
 
 @pytest.mark.parametrize("point", sorted(GOLDEN_CONE_HITS))

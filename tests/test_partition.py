@@ -266,6 +266,7 @@ def test_valence_matches_flat_scan():
         refine(kuhn_triangulation(2), 4),
         refine(kuhn_triangulation(2), 25, strategy="bisect-largest-leaf"),
         refine(kuhn_triangulation(3), 2),
+        refine(kuhn_triangulation(3), 54, strategy="bisect-largest-leaf"),
     ]
     for p in partitions:
         leaf_sets = [p.simplex(i).vertices for i in p.leaves]
@@ -308,11 +309,32 @@ def test_valence_respects_theorem_bound():
 
 
 def test_boundary_mask_matches_cube_faces():
-    p = refine(kuhn_triangulation(2), 6)
-    mask = boundary_vertex_mask(p)
-    coords = p.vertices
-    on_face = np.any((np.abs(coords) < 1e-12) | (np.abs(coords - 1.0) < 1e-12), axis=1)
-    assert np.array_equal(mask, on_face)
+    for p in (
+        refine(kuhn_triangulation(2), 6),
+        refine(kuhn_triangulation(3), 4),
+        refine(kuhn_triangulation(3), 54, strategy="bisect-largest-leaf"),
+    ):
+        mask = boundary_vertex_mask(p)
+        coords = p.vertices
+        on_face = np.any((np.abs(coords) < 1e-12) | (np.abs(coords - 1.0) < 1e-12), axis=1)
+        assert np.array_equal(mask, on_face)
+
+
+def test_boundary_mask_nonconvex_domain():
+    # an L of three unit squares: the plane of the reentrant facet y = 1,
+    # 1 <= x <= 2 also holds interior vertices with x < 1
+    squares = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    p = Partition(2)
+    for x, y in squares:
+        p.add_root([[x, y], [x + 1, y], [x + 1, y + 1]])
+        p.add_root([[x, y], [x, y + 1], [x + 1, y + 1]])
+    refine(p, 2)
+    x, y = p.vertices.T
+    on_boundary = (
+        (x == 0) | (y == 0) | ((x == 2) & (y <= 1)) | ((y == 2) & (x <= 1))
+        | ((y == 1) & (x >= 1)) | ((x == 1) & (y >= 1))
+    )
+    assert not on_boundary.all() and np.array_equal(boundary_vertex_mask(p), on_boundary)
 
 
 def test_boundary_mask_single_simplex():
@@ -395,6 +417,13 @@ def test_verify_theorem_subsample_cap(monkeypatch):
     by_pair = {(c.leaf_id, c.vertex_id): c.fraction for c in full.per_vertex_checks}
     for c in capped.per_vertex_checks:
         assert by_pair[(c.leaf_id, c.vertex_id)] == c.fraction
+    # a vertex is summed only when every leaf it is a corner of was audited
+    audited = {(c.leaf_id, c.vertex_id) for c in capped.per_vertex_checks}
+    complete = [
+        v for v in range(p.n_vertices)
+        if all((leaf, v) in audited for leaf in p.leaves if v in p.nodes[leaf].vertex_ids)
+    ]
+    assert [c.vertex_id for c in capped.decomposition_checks] == complete
 
 
 def test_exact_audit_ignores_the_pair_cap(monkeypatch):
