@@ -2,7 +2,7 @@
 
 The package is organised around one experiment: take a partition of a box
 into simplices, keep every cell's regularity ratio vol(S) / h(S)^d above a
-floor eta, and check by solid-angle measurement (exact in d <= 3, Monte Carlo
+floor eta, and check by solid-angle measurement (exact in d <= 5, Monte Carlo
 beyond) that no point of space meets more than (1/eta) * (2*e*pi/d)^(d/2) of
 the cells.  `geometry` holds the simplex primitives, `cones` the tangent-cone
 measures and the bound arithmetic, `partition` the refinement machinery and
@@ -31,6 +31,7 @@ from .errors import (
     InvalidPoint,
     PointOutsideDomain,
     PointOutsideSimplex,
+    QuadratureError,
     SimpartError,
     UnsupportedDimension,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "Partition",
     "PointOutsideDomain",
     "PointOutsideSimplex",
+    "QuadratureError",
     "SimpartError",
     "Simplex",
     "TheoremReport",

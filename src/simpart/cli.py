@@ -48,9 +48,9 @@ def _mc_config(args) -> MonteCarloConfig:
 
 
 def _add_sampling_flags(sub, default_samples: int, audit: bool = False) -> None:
-    # the audit measures cones in d <= 3 exactly, so sampling only matters in d >= 4
-    note = "; d >= 4 only, cones in d <= 3 are measured exactly" if audit else ""
-    seed_note = "; d >= 4 only, where it also picks the pairs audited above the pair cap" if audit else ""
+    # the audit measures cones in d <= 5 exactly, so sampling only matters in d >= 6
+    note = "; d >= 6 only, cones in d <= 5 are measured exactly" if audit else ""
+    seed_note = "; d >= 6 only, where it also picks the pairs audited above the pair cap" if audit else ""
     sub.add_argument("--samples", type=int, default=default_samples, help="Monte-Carlo draws per cone" + note)
     sub.add_argument("--seed", type=int, default=42, help="base seed (default 42)" + seed_note)
     sub.add_argument("--shards", type=int, default=4, help="independent sampling shards" + note)
@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--full-audit",
         action="store_true",
-        help="audit every (leaf, vertex) pair regardless of the subsample cap; d >= 4 only, "
-        "d <= 3 audits always check every pair",
+        help="audit every (leaf, vertex) pair regardless of the subsample cap; d >= 6 only, "
+        "d <= 5 audits always check every pair",
     )
     p_ver.set_defaults(func=cmd_verify)
 

@@ -3,9 +3,9 @@
 The tangent cone of a simplex S at a point p collects the directions one
 can move in from p without leaving S.  Its size is measured as a
 fraction of the full sphere of directions: in closed form for cones
-with at most three facets, which covers every cone in d <= 3, and by
-Monte Carlo in general.  Two bounds tie the measure to the regularity
-ratio:
+with at most three facets, by a checked 1-D quadrature for four and
+five, so exactly for every cone in d <= 5, and by Monte Carlo in
+general (d >= 6).  Two bounds tie the measure to the regularity ratio:
 
 * at any vertex of a simplex with rho(S) >= eta, the solid-angle
   fraction is at least eta * (d / (2 e pi))^(d/2);
@@ -24,13 +24,15 @@ directions costs one matrix product.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
+from .errors import InvalidEta, PointOutsideSimplex, QuadratureError, UnsupportedDimension
 from .geometry import MEMBERSHIP_TOL, Simplex, as_point, barycentric, regular_simplex_ratio
 
 # SeedSequence entropy tag of the direction estimator's streams.
@@ -38,9 +40,11 @@ _DIRECTION_TAG = 101
 
 # Rounding allowance reported as the standard error of an exact fraction.
 # The closed forms are accurate to a few units in the last place (worst
-# interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), so
-# 4 sigma of one cone, 1e-12, is a wide margin that still lets the
-# audit's sigma-based tests apply to exact rows unchanged.
+# interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), and a
+# quadrature is only returned once two rules agree to QUADRATURE_TOL,
+# 1e-13 (worst interior sum on kuhn(4)@6: 4.2e-15), so 4 sigma of one
+# cone, 1e-12, is a wide margin that still lets the audit's sigma-based
+# tests apply to exact rows unchanged.
 EXACT_STDERR = 2.5e-13
 
 
@@ -177,8 +181,156 @@ def _angle(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
 
 
+# Plackett's integral is accepted when a coarse and a fine Gauss-Legendre
+# rule on [0, 1] agree to QUADRATURE_TOL.  The rules are tried in order:
+# one panel of 32 and 64 nodes, then 15 panels shrinking by 0.2 toward the
+# end point, where a nearly singular correlation matrix puts the integrand's
+# square-root behaviour, with 16 and 24 nodes each.
+QUADRATURE_TOL = 1e-13
+
+
+@functools.cache
+def _plackett_rules() -> list[tuple[np.ndarray, ...]]:
+    """(nodes, 1 - nodes, coarse weights, fine weights) of each rule.
+
+    Both rules' nodes sit in one array, each weight vector zero on the
+    other rule's nodes, so one pass evaluates both.  The distance to the
+    end point is kept separately because it sets 1 - t r_ij there.
+    """
+
+    def gauss(n: int, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Newton's method on the Legendre polynomial P_n from the usual
+        # cosine guesses, P_n and P_n' by the three-term recurrence, and
+        # w = 2 / ((1 - x^2) P_n'(x)^2) (numpy.polynomial's leggauss does
+        # the same but costs 1.4 MiB of imports); then panels
+        # [1 - gaps[m], 1 - gaps[m + 1]], built on the distance to 1
+        x = np.array([math.cos(math.pi * (m + 0.75) / (n + 0.5)) for m in range(n)])
+        for _ in range(100):
+            p_prev, p = np.ones(n), x
+            for m in range(2, n + 1):
+                p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+            slope = n * (x * p - p_prev) / (x * x - 1.0)
+            step = p / slope
+            x = x - step
+            if np.abs(step).max() <= 1e-16:
+                break
+        w = 2.0 / ((1.0 - x * x) * slope * slope)
+        far, near = gaps[:-1, None], gaps[1:, None]
+        return (near + (far - near) * (1.0 - x) / 2.0).ravel(), ((far - near) / 2.0 * w).ravel()
+
+    rules = []
+    for (n_coarse, n_fine), gaps in (
+        ((32, 64), np.array([1.0, 0.0])),
+        ((16, 24), np.array([0.2**m for m in range(15)] + [0.0])),
+    ):
+        (gc, wc), (gf, wf) = gauss(n_coarse, gaps), gauss(n_fine, gaps)
+        gap = np.concatenate([gc, gf])
+        rules.append((1.0 - gap, gap, np.concatenate([wc, 0.0 * wf]), np.concatenate([0.0 * wc, wf])))
+    return rules
+
+
+@functools.cache
+def _plackett_layout(k: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of the pairs (i, j) and of the remaining k - 2 variables.
+
+    For each pair: i, j, the rest, and the (a, b) entries of the rest's
+    covariance, the k - 2 diagonal ones first and then the off-diagonal
+    ones in triangular order; oa, ob point each off-diagonal entry at
+    its two diagonal ones.
+    """
+    q = k - 2
+    pairs = list(itertools.combinations(range(k), 2))
+    rest = np.array([[m for m in range(k) if m not in pair] for pair in pairs])
+    oa, ob = np.triu_indices(q, 1)
+    a = np.concatenate([np.arange(q), oa])
+    b = np.concatenate([np.arange(q), ob])
+    i, j = np.array(pairs).T
+    return i, j, rest, a, b, oa, ob
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis as elementwise sums.
+
+    The quadrature keeps its output bytes off anything that rounds
+    differently from one CPU to the next: numpy 2.4's arcsin, arctan2
+    and power do, with and without AVX-512, and BLAS kernels pick their
+    own summation order.  So it takes those functions from math and its
+    dot products from here.
+    """
+    return (x * y).sum(axis=-1)
+
+
+def _orthant_quadrature(h: np.ndarray, cone_id: str) -> float:
+    """P(H Z >= 0) for Z ~ N(0, I) and k = 4 or 5 rows, by Plackett's reduction.
+
+    With R the correlation of X = H Z, the orthant probability along
+    R(t) = I + t (R - I) starts at 2^-k and grows by
+    sum_{i<j} r_ij phi2(0, 0; t r_ij) P(rest >= 0 | X_i = X_j = 0) dt
+    (Plackett, Biometrika 41, 1954).  The conditional orthant has
+    q = k - 2 variables, so its probability is 2^-q plus the arcsines of
+    its correlations over 2^(q-1) pi.  The substitution
+    theta = asin(t r_ij) turns r_ij phi2 dt into dtheta / 2pi, which
+    removes the singularity of nearly parallel facets.
+
+    Conditioning on X_i = X_j = 0 is conditioning on X_i + X_j and
+    X_i - X_j, which are uncorrelated with variances 2 (1 +- t r_ij), so
+    the rest's covariance is
+    C_ab = (1 - t) [a = b] + t r_ab
+           - t^2 (p_a p_b / 2 (1 + t r_ij) + m_a m_b / 2 (1 - t r_ij))
+    with p_a, m_a = n_a . (n_i +- n_j) for the unit normals n.  Each
+    factor is taken from the normals and angles, not as a difference of
+    correlations, so nearly parallel or antiparallel normals keep their
+    precision.
+    """
+    k = h.shape[0]
+    q = k - 2
+    n = h / np.sqrt(_dot(h, h))[:, None]
+    i, j, rest, a, b, oa, ob = _plackett_layout(k)
+    plus, minus = n[i] + n[j], n[i] - n[j]
+    # angles between n_i and n_j and between n_i and -n_j; asin(r_ij) is half their difference
+    beta, gamma = np.array(
+        [
+            (2.0 * math.atan2(lm, lp), 2.0 * math.atan2(lp, lm))
+            for lp, lm in zip(np.sqrt(_dot(plus, plus)).tolist(), np.sqrt(_dot(minus, minus)).tolist())
+        ]
+    ).T
+    alpha = (gamma - beta) / 2.0
+    used = np.flatnonzero(alpha)  # an orthogonal pair adds nothing
+    if used.size == 0:
+        return 2.0**-k
+    rest, plus, minus, alpha, beta, gamma = (x[used] for x in (rest, plus, minus, alpha, beta, gamma))
+    p, m = _dot(n[rest], plus[:, None, :]), _dot(n[rest], minus[:, None, :])
+    on_diag = (a == b).astype(float)
+    off = np.where(on_diag, 0.0, _dot(n[rest[:, a]], n[rest[:, b]]))[:, None, :]
+    pp = (p[:, a] * p[:, b] / 2.0)[:, None, :]
+    mm = (m[:, a] * m[:, b] / 2.0)[:, None, :]
+    scale = alpha / (2.0 * math.pi)
+    for nodes, gaps, coarse, fine in _plackett_rules():
+        theta = alpha[:, None] * nodes
+        t = np.sin(theta) / np.sin(alpha)[:, None]
+        # 1 -+ sin(theta) = 2 sin^2((pi/2 -+ theta) / 2), where pi/2 - theta = beta + gap alpha
+        one_minus = 2.0 * np.sin((beta[:, None] + gaps * alpha[:, None]) / 2.0) ** 2
+        one_plus = 2.0 * np.sin((gamma[:, None] - gaps * alpha[:, None]) / 2.0) ** 2
+        t, one_minus, one_plus = t[:, :, None], one_minus[:, :, None], one_plus[:, :, None]
+        with np.errstate(invalid="ignore", divide="ignore"):  # a NaN fails the check below
+            cov = on_diag + t * off - t * t * (pp / one_plus + mm / one_minus)
+            var = cov[:, :, :q]
+            rho = cov[:, :, q:] / np.sqrt(var[:, :, oa] * var[:, :, ob])
+        clipped = np.clip(rho, -1.0, 1.0)
+        arcsines = np.fromiter(map(math.asin, clipped.ravel().tolist()), float, clipped.size)
+        orthant = 2.0**-q + arcsines.reshape(clipped.shape).sum(axis=2) / (2.0 ** (q - 1) * math.pi)
+        low = 2.0**-k + float(_dot(_dot(orthant, coarse), scale))
+        high = 2.0**-k + float(_dot(_dot(orthant, fine), scale))
+        if abs(high - low) <= QUADRATURE_TOL:
+            return high
+    raise QuadratureError(
+        f"solid angle of cone {cone_id}: quadrature rules disagree by {abs(high - low):.3e} "
+        f"(tolerance {QUADRATURE_TOL:.1e})"
+    )
+
+
 def exact_solid_angle_fraction(cone: VertexCone) -> float:
-    """Closed-form fraction of the sphere of directions in the cone.
+    """Fraction of the sphere of directions in the cone, without sampling.
 
     Works on the k inward normals of the cone's half-space matrix: k = 0
     is the full space (1), k = 1 a half-space (1/2), k = 2 a wedge whose
@@ -187,9 +339,14 @@ def exact_solid_angle_fraction(cone: VertexCone) -> float:
     of its dihedral angles pi - theta_ij (Girard), over 4pi.  A cone with
     k normals is a k-dimensional cone times a flat factor, so the formulas
     hold in any ambient dimension; every cone of a simplex in d <= 3 has
-    k <= 3.
-    Beyond three facets there is no elementary formula (Ribando,
-    "Measuring solid angles beyond dimension three", 2006).
+    k <= 3.  Beyond three facets there is no elementary formula (Ribando,
+    "Measuring solid angles beyond dimension three", 2006), but for k = 4
+    and 5, which covers every cone in d <= 5, the fraction is the normal
+    orthant probability P(H Z >= 0), a 1-D integral of closed forms
+    (_orthant_quadrature).  Its value is returned only when two
+    quadrature rules agree to QUADRATURE_TOL; QuadratureError, naming
+    the cone, is raised when no pair of rules does.  So d <= 5 is exact
+    and d >= 6 is left to Monte Carlo (solid_angle_fraction).
 
     The normals must be linearly independent, as they are for every cone
     cone_at_point builds.
@@ -205,8 +362,10 @@ def exact_solid_angle_fraction(cone: VertexCone) -> float:
     if k == 3 and cone.dimension >= 3:
         excess = 2.0 * math.pi - _angle(h[0], h[1]) - _angle(h[0], h[2]) - _angle(h[1], h[2])
         return excess / (4.0 * math.pi)
+    if k in (4, 5) and cone.dimension >= k:
+        return _orthant_quadrature(h, cone.id)
     raise UnsupportedDimension(
-        f"no closed-form solid angle for a cone with {k} facets in d={cone.dimension}"
+        f"no exact solid angle for a cone with {k} facets in d={cone.dimension}"
     )
 
 

@@ -43,3 +43,7 @@ class ArityError(SimpartError):
 
 class BudgetTooSmall(SimpartError):
     """Evaluation budget cannot cover the initial vertex sweep."""
+
+
+class QuadratureError(SimpartError):
+    """A solid-angle quadrature failed its own accuracy check."""

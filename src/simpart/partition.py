@@ -9,8 +9,8 @@ can be counted and audited against the bound
 regularity ratio.
 
 verify_theorem is the end-to-end check: it measures the solid-angle
-fraction of every (leaf, vertex) cone (exactly in d <= 3, by Monte
-Carlo beyond), compares each against the per-simplex lower bound, sums
+fraction of every (leaf, vertex) cone (exactly in d <= 5, by Monte
+Carlo in d >= 6), compares each against the per-simplex lower bound, sums
 the fractions around every registry vertex (they must tile the sphere
 of directions at interior points), and compares the observed maximum
 valence with the theoretical bound.
@@ -53,8 +53,8 @@ from .geometry import (
 _PAIR_TAG = 303
 _SUBSAMPLE_TAG = 404
 
-# Above this many (leaf, vertex) pairs a Monte Carlo audit (d >= 4) draws
-# a seeded subsample; the exact route of d <= 3 always audits every pair.
+# Above this many (leaf, vertex) pairs a Monte Carlo audit (d >= 6) draws
+# a seeded subsample; the exact route of d <= 5 always audits every pair.
 AUDIT_PAIR_CAP = 10_000
 
 
@@ -374,9 +374,11 @@ class DecompositionCheck:
 class TheoremReport:
     """Outcome of verify_theorem.
 
-    method is "exact" when every cone was measured in closed form
-    (d <= 3) and "monte-carlo" otherwise; samples_per_cone and seed
-    record the sampling budget, which the exact route does not draw on.
+    method is "exact" when every cone was measured without sampling
+    (d <= 5: closed forms up to three facets, a checked quadrature for
+    four and five) and "monte-carlo" in d >= 6; samples_per_cone and
+    seed record the sampling budget, which the exact route does not
+    draw on.
     """
 
     d: int
@@ -457,9 +459,11 @@ def verify_theorem(
     cone of each leaf the vertex hangs on (interior sums must hit 1
     within 4 combined stderr, boundary sums must not exceed 1 by more).
 
-    In d <= 3 every cone has at most three facets and is measured in
-    closed form with stderr EXACT_STDERR, every pair is audited, and mc
-    and full_audit play no part; in d >= 4 each pair draws mc.samples
+    In d <= 5 every cone is measured by exact_solid_angle_fraction with
+    stderr EXACT_STDERR (closed forms up to three facets, a checked
+    quadrature for four and five, which raises QuadratureError rather
+    than return an unchecked value), every pair is audited, and mc and
+    full_audit play no part; in d >= 6 each pair draws mc.samples
     directions from its own stream.
     """
     leaves = p.leaves
@@ -475,7 +479,7 @@ def verify_theorem(
     witness_id = int(np.argmax(valences))
     max_val = int(valences[witness_id])
 
-    exact = d <= 3
+    exact = d <= 5
     pairs = [(leaf, vid) for leaf in leaves for vid in p.nodes[leaf].vertex_ids]
     total_pairs = len(pairs)
     if not exact and total_pairs > AUDIT_PAIR_CAP and not full_audit:

@@ -11,6 +11,7 @@ validating constructor.
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from simpart.geometry import Simplex, make_simplex
@@ -200,3 +201,51 @@ def grid_minimum(fn, lo, hi, per_axis: int) -> float:
         best = min(best, float(fn(np.asarray(coords))))
     return best
 
+
+
+def orthant_fraction_mp(halfspaces, dps: int = 30) -> float:
+    """P(H Z >= 0) for Z ~ N(0, I): Plackett's integral in dps digits.
+
+    The library integrates the same reduction in doubles.  Here the
+    correlation matrix, the conditional covariance of the variables left
+    over by each pair (the Schur complement, not the library's sum and
+    difference split) and the integrand are all taken in mpmath, and
+    mpmath.quad (tanh-sinh, which is indifferent to the square-root
+    behaviour at t = 1) integrates over the original t, without the
+    arcsine substitution.  Works for k = 4 or 5 rows.
+    """
+    h = np.asarray(halfspaces, dtype=float)
+    k = h.shape[0]
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(float(x)) for x in row] for row in h]
+        gram = [[mpmath.fsum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+        r = [[gram[a][b] / mpmath.sqrt(gram[a][a] * gram[b][b]) for b in range(k)] for a in range(k)]
+        pairs = [(i, j, [m for m in range(k) if m not in (i, j)]) for i, j in itertools.combinations(range(k), 2)]
+
+        def orthant(cov):
+            q = len(cov)
+            arcsines = mpmath.fsum(
+                mpmath.asin(cov[a][b] / mpmath.sqrt(cov[a][a] * cov[b][b]))
+                for a, b in itertools.combinations(range(q), 2)
+            )
+            return mpmath.mpf(2) ** -q + arcsines / (2 ** (q - 1) * mpmath.pi)
+
+        def integrand(t):
+            total = mpmath.mpf(0)
+            for i, j, rest in pairs:
+                s = t * r[i][j]
+                det = 1 - s * s
+                inv = ((1 / det, -s / det), (-s / det, 1 / det))
+                cross = [(t * r[m][i], t * r[m][j]) for m in rest]
+                cov = [
+                    [
+                        (1 if a == b else t * r[a][b])
+                        - sum(cross[x][u] * inv[u][v] * cross[y][v] for u in (0, 1) for v in (0, 1))
+                        for y, b in enumerate(rest)
+                    ]
+                    for x, a in enumerate(rest)
+                ]
+                total += r[i][j] / (2 * mpmath.pi * mpmath.sqrt(det)) * orthant(cov)
+            return total
+
+        return float(mpmath.mpf(2) ** -k + mpmath.quad(integrand, [0, 0.5, 0.9, 1]))

@@ -200,17 +200,25 @@ def test_acceptance_2_analytic_cone_fractions(capsys, analytic_fractions):
 
 
 def test_acceptance_3_exact_route_matches_direction_route(capsys):
-    """Closed-form fractions against the direction estimator, vertex and face cones."""
+    """Exact fractions against the direction estimator, vertex and face cones.
+
+    Closed forms in d = 2, 3; in d = 4, 5 the quadrature, on audit_simplex
+    cones at the AUDIT_SAMPLES budget.
+    """
     disagreements = []
-    for d in (2, 3):
+    for d in (2, 3, 4, 5):
         rng = np.random.default_rng(np.random.SeedSequence([5512, d]))
-        mc = MonteCarloConfig(200_000, SEED, 4)
+        mc = MonteCarloConfig(max(200_000, AUDIT_SAMPLES[d]), SEED, 4)
         for k in range(10):
-            s = make_simplex(
-                jittered_regular_simplex(d, rng, jitter=0.2).vertices, id=f"pair-{d}-{k}"
-            )
+            if d <= 3:
+                s = make_simplex(
+                    jittered_regular_simplex(d, rng, jitter=0.2).vertices, id=f"pair-{d}-{k}"
+                )
+            else:
+                s = audit_simplex(d, rng, tag=f"pair-{d}-{k}")
             # a vertex, then a point whose zero barycentric coordinates
-            # span a proper face (a facet in d=2, a facet or edge in d=3)
+            # span a proper face (a facet in d=2, up to d-1 in d >= 3;
+            # four in d=5 also goes to the quadrature)
             weights = rng.uniform(0.1, 1.0, d + 1)
             weights[rng.choice(d + 1, size=int(rng.integers(1, d)), replace=False)] = 0.0
             points = (s.vertices[int(rng.integers(0, d + 1))], weights / weights.sum() @ s.vertices)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simpart
+import simpart.cones as cones_mod
 from simpart import (
     EmptyPartition,
     MonteCarloConfig,
@@ -216,6 +217,18 @@ def test_verify_report_reruns_are_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_verify_refuses_an_unchecked_quadrature(tmp_path, capsys, monkeypatch):
+    # a quadrature that fails its own check is an error on one line
+    # (exit 2), never a failed theorem check (exit 1)
+    monkeypatch.setattr(cones_mod, "QUADRATURE_TOL", 0.0)
+    p_path = tmp_path / "p.json"
+    write_partition(kuhn_triangulation(4), p_path)
+    code, out, err = run_cli(capsys, "verify", str(p_path))
+    assert code == 2 and out == ""
+    assert err.startswith("simpart: error: solid angle of cone 0:v") and "quadrature rules disagree" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_fails_on_overlapping_cells(tmp_path, capsys):
@@ -548,23 +561,27 @@ def test_cli_verify_agrees_with_library(tmp_path, capsys):
 # ------------------------------------------------------------ golden bytes
 # Outputs of seeded runs, pinned.  Acceptance 9 compares two runs of the
 # same code, so a change to the sampling streams (seed tags, shard layout,
-# draw order), to cone membership or to the closed-form fractions would
+# draw order), to cone membership or to the exact fractions would
 # still pass it; these would not.
 
 # kuhn(2)@3 is audited by the exact route: the hash pins the closed forms
 GOLDEN_KUHN2_3_REPORT_SHA256 = "955be84ba58018fb74f0e778fadd89c9a53db5792ed58a9f081a7bc5404b858f"
 
-# kuhn(4)@1 is audited by Monte Carlo: the hash pins the per-pair streams.
-# At 2000 samples three cones of fraction ~1.3e-4 draw no hit; their
-# stderr is taken at one hit, so they pass the bound and the verdict is
-# PASS (exit 0).
-GOLDEN_KUHN4_1_REPORT_SHA256 = "04148499fb3f5bdec50672356dc7ee78aff192fa9d386982525d7a8468af27d0"
+# kuhn(4)@1 is audited by the exact route too: the hash pins the
+# quadrature of the four-facet vertex cones.
+GOLDEN_KUHN4_1_REPORT_SHA256 = "edd7dd905b613dbbe807ca3864bfa4fc3e9113accf7448928d73d221ea07a04a"
+
+# kuhn(6)@0 is audited by Monte Carlo: the hash pins the per-pair streams.
+# At 2000 samples 3575 of its 5040 cones draw no hit; their stderr is
+# taken at one hit, so they pass the bound and the verdict is PASS (exit 0).
+GOLDEN_KUHN6_0_REPORT_SHA256 = "dcf67dc7477a5d1914f1986758f143f7a9fe634b1329af05b1e854c970033fe3"
 
 # Largest-leaf refinement leaves vertices hanging on the faces of leaves
 # they are not corners of, so these sums include face cones: exact in
-# kuhn(2)@40, Monte Carlo streams in kuhn(4)@30.
+# kuhn(2)@40 and kuhn(4)@30, Monte Carlo streams in kuhn(6)@4.
 GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256 = "fb5b1017b430f7449e47126ae8a046c979be98fd48a9aca1904445411412c777"
-GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "78df54b539cb57a79579b8ffcdec070c86307be4ab1a3c2f74fe8c9839637476"
+GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "404a2e71c93fe3a7d19ce4fe33795395bf4e2fc0a6421bcd3ca8adc9d365232a"
+GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "290ba0878eb391759dec035eeab4133afaf154993326bf1659453634c917f064"
 
 # point -> (cone id, direction hits) at 29999 samples, seed 7 and 3 shards
 # (sizes 10000, 10000, 9999, so the shard order shows), on the
@@ -595,12 +612,15 @@ def test_verify_report_matches_golden_bytes(tmp_path, capsys):
     assert _kuhn_report_sha256(tmp_path, capsys, 2, 3, 0) == GOLDEN_KUHN2_3_REPORT_SHA256
     got = _kuhn_report_sha256(tmp_path, capsys, 2, 40, 0, "bisect-largest-leaf")
     assert got == GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256
-
-
-def test_monte_carlo_report_matches_golden_bytes(tmp_path, capsys):
     assert _kuhn_report_sha256(tmp_path, capsys, 4, 1, 0) == GOLDEN_KUHN4_1_REPORT_SHA256
     got = _kuhn_report_sha256(tmp_path, capsys, 4, 30, 0, "bisect-largest-leaf")
     assert got == GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256
+
+
+def test_monte_carlo_report_matches_golden_bytes(tmp_path, capsys):
+    assert _kuhn_report_sha256(tmp_path, capsys, 6, 0, 0) == GOLDEN_KUHN6_0_REPORT_SHA256
+    got = _kuhn_report_sha256(tmp_path, capsys, 6, 4, 0, "bisect-largest-leaf")
+    assert got == GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256
 
 
 @pytest.mark.parametrize("point", sorted(GOLDEN_CONE_HITS))

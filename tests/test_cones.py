@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simpart.cones as cones_mod
 from simpart.cones import (
     EXACT_STDERR,
     FractionEstimate,
@@ -17,10 +18,10 @@ from simpart.cones import (
     per_simplex_angle_bound,
     solid_angle_fraction,
 )
-from simpart.errors import InvalidEta, PointOutsideSimplex, UnsupportedDimension
+from simpart.errors import InvalidEta, PointOutsideSimplex, QuadratureError, UnsupportedDimension
 from simpart.geometry import barycentric_many, canonical_simplex, make_simplex, regularity_ratio
 
-from .oracles import triangle_vertex_angle
+from .oracles import orthant_fraction_mp, triangle_vertex_angle
 from .support import jittered_regular_simplex, random_simplex
 
 FAST = MonteCarloConfig(samples=40_000, seed=42, shards=4)
@@ -220,12 +221,115 @@ def test_exact_tetrahedron_vertices_match_van_oosterom_strackee():
 
 
 def test_exact_rejects_cones_without_closed_form():
-    orthant4 = cone_at_point(unit_corner(4), np.zeros(4))
+    # six facets have neither a closed form nor the quadrature
+    orthant6 = cone_at_point(unit_corner(6), np.zeros(6))
     with pytest.raises(UnsupportedDimension):
-        exact_solid_angle_fraction(orthant4)
+        exact_solid_angle_fraction(orthant6)
     # three facets in d >= 4 still form a trihedral cone times a flat factor
     edge4 = VertexCone(np.zeros(4), halfspaces=np.eye(4)[:3])
     assert exact_solid_angle_fraction(edge4) == pytest.approx(0.125, abs=1e-16)
+
+
+# ------------------------------------------------- quadrature, d = 4 and 5
+
+
+def test_quadrature_matches_30_digit_plackett_integral():
+    # the same integral in mpmath, over t without the arcsine substitution
+    for d, expected in ((4, 0.0097846883724169), (5, 0.0019220437369844)):
+        reg = canonical_simplex("regular", d)
+        cone = cone_at_point(reg, reg.vertices[0])
+        got = exact_solid_angle_fraction(cone)
+        assert got == pytest.approx(expected, abs=1e-16)
+        assert abs(got - orthant_fraction_mp(cone.halfspaces)) <= 1e-15
+    rng = np.random.default_rng(2008)
+    for d in (4, 5):
+        for _ in range(2):
+            s = random_simplex(d, rng)
+            cone = cone_at_point(s, s.vertices[int(rng.integers(0, d + 1))])
+            assert abs(exact_solid_angle_fraction(cone) - orthant_fraction_mp(cone.halfspaces)) <= 1e-15
+
+
+def _rotated(h, rng):
+    """The cone's normals in a random orthonormal frame: same fraction."""
+    q, _ = np.linalg.qr(rng.standard_normal((h.shape[1], h.shape[1])))
+    return h @ q
+
+
+def test_quadrature_orthant_and_block_diagonal_oracles():
+    rng = np.random.default_rng(2009)
+    for k in (4, 5):
+        orthant = VertexCone(np.zeros(k), np.eye(k))
+        assert exact_solid_angle_fraction(orthant) == 2.0**-k
+        rotated = VertexCone(np.zeros(k), _rotated(np.eye(k), rng))
+        assert exact_solid_angle_fraction(rotated) == pytest.approx(2.0**-k, abs=1e-15)
+    # normals in orthogonal subspaces make independent events, so the
+    # fraction is the product of the blocks' closed forms
+    for _ in range(5):
+        wedge, wedge2, tri = (rng.standard_normal((m, m)) for m in (2, 2, 3))
+        f_wedge, f_wedge2, f_tri = (
+            exact_solid_angle_fraction(VertexCone(np.zeros(len(x)), x)) for x in (wedge, wedge2, tri)
+        )
+        for a, b, expected in (
+            (wedge, np.eye(2), f_wedge / 4),
+            (wedge, wedge2, f_wedge * f_wedge2),
+            (wedge, np.eye(3), f_wedge / 8),
+            (tri, np.eye(2), f_tri / 4),
+            (tri, wedge, f_tri * f_wedge),
+        ):
+            h = np.zeros((len(a) + len(b),) * 2)
+            h[: len(a), : len(a)] = a
+            h[len(a) :, len(a) :] = b
+            got = exact_solid_angle_fraction(VertexCone(np.zeros(len(h)), _rotated(h, rng)))
+            assert got == pytest.approx(expected, abs=1e-15)
+
+
+def test_quadrature_nearly_parallel_facets():
+    # two normals 1e-6 rad apart and two orthogonal ones: a thin wedge
+    # times a quarter, where the t integrand has a 1 / sqrt(1 - t^2 r^2) peak
+    h = np.eye(4)
+    h[1] = [1.0, 1e-6, 0.0, 0.0]
+    wedge = (math.pi - math.atan2(1e-6, 1.0)) / (2 * math.pi)
+    got = exact_solid_angle_fraction(VertexCone(np.zeros(4), h))
+    assert abs(got - wedge / 4) <= 1e-12
+
+
+def _flat_simplex():
+    """A 4-simplex whose last vertex sits 0.1 above a facet's hyperplane."""
+    v = np.vstack([np.zeros(4), np.eye(4)])
+    v[4] = [1.0, 1.0, 1.0, 0.1]
+    return make_simplex(v, id="flat")
+
+
+def test_quadrature_moves_to_graded_rule(monkeypatch):
+    # every correlation of this vertex cone is near +-1, so the integrand
+    # bends sharply near t = 1: one 64-node panel misses, the graded rule
+    # does not
+    cone = cone_at_point(_flat_simplex(), np.zeros(4))
+    got = exact_solid_angle_fraction(cone)
+    assert abs(got - orthant_fraction_mp(cone.halfspaces)) <= 1e-15
+    rules = cones_mod._plackett_rules()
+    monkeypatch.setattr(cones_mod, "_plackett_rules", lambda: rules[:1])
+    with pytest.raises(QuadratureError, match="flat:v0"):
+        exact_solid_angle_fraction(cone)
+
+
+def test_quadrature_raises_when_no_rule_passes(monkeypatch):
+    monkeypatch.setattr(cones_mod, "QUADRATURE_TOL", 0.0)
+    s = _flat_simplex()
+    with pytest.raises(QuadratureError, match="flat:v4"):
+        exact_solid_angle_fraction(cone_at_point(s, s.vertices[4]))
+
+
+def test_quadrature_measures_every_random_vertex_cone():
+    # 150 simplices per dimension down to 1% of the regular ratio: every
+    # vertex cone passes a rule's check and sits above the paper's bound
+    for d in (4, 5):
+        rng = np.random.default_rng(2010 + d)
+        for _ in range(150):
+            s = random_simplex(d, rng)
+            bound = per_simplex_angle_bound(regularity_ratio(s), d)
+            for k in range(d + 1):
+                assert exact_solid_angle_fraction(cone_at_point(s, s.vertices[k])) >= bound
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

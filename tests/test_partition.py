@@ -405,14 +405,15 @@ def test_verify_theorem_is_deterministic():
 
 
 def test_verify_theorem_subsample_cap(monkeypatch):
-    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", 10)
-    p = kuhn_triangulation(4)  # 24 leaves, 120 pairs, Monte Carlo route
+    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", 20)
+    # 8 leaves, 56 pairs, 13 vertices, Monte Carlo route
+    p = refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), 3)
     small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
     capped = verify_theorem(p, small)
     assert capped.method == "monte-carlo"
-    assert capped.total_pairs == 120 and capped.audited_pairs == 10
+    assert capped.total_pairs == 56 and capped.audited_pairs == 20
     full = verify_theorem(p, small, full_audit=True)
-    assert full.audited_pairs == 120
+    assert full.audited_pairs == 56
     # estimates are pair-seeded, so overlapping pairs agree across runs
     by_pair = {(c.leaf_id, c.vertex_id): c.fraction for c in full.per_vertex_checks}
     for c in capped.per_vertex_checks:
@@ -423,6 +424,7 @@ def test_verify_theorem_subsample_cap(monkeypatch):
         v for v in range(p.n_vertices)
         if all((leaf, v) in audited for leaf in p.leaves if v in p.nodes[leaf].vertex_ids)
     ]
+    assert complete
     assert [c.vertex_id for c in capped.decomposition_checks] == complete
 
 
@@ -450,12 +452,22 @@ def _hanging_vertices(p):
 
 @pytest.mark.parametrize(
     "d, steps, strategy",
-    [(3, 4, "bisect-all-leaves"), (2, 11, "bisect-largest-leaf"), (3, 54, "bisect-largest-leaf")],
+    [
+        (3, 4, "bisect-all-leaves"),
+        (2, 11, "bisect-largest-leaf"),
+        (3, 54, "bisect-largest-leaf"),
+        (4, 4, "bisect-all-leaves"),
+        (5, 1, "bisect-all-leaves"),
+        (4, 30, "bisect-largest-leaf"),
+        (5, 12, "bisect-largest-leaf"),
+    ],
 )
 def test_exact_interior_sums_are_one(d, steps, strategy):
-    # in d <= 3 every cone is measured in closed form, so the cones around
-    # an interior vertex tile the sphere to rounding, face cones at
-    # hanging vertices included
+    # in d <= 5 every cone is measured without sampling (closed forms, and
+    # the checked quadrature for four and five facets), so the cones
+    # around an interior vertex tile the sphere to rounding, face cones
+    # at hanging vertices included; in kuhn(5)@12 the hanging centre
+    # collects face cones with four facets
     p = refine(kuhn_triangulation(d), steps, strategy=strategy)
     report = verify_theorem(p, AUDIT)
     assert report.method == "exact" and report.passed
@@ -466,13 +478,18 @@ def test_exact_interior_sums_are_one(d, steps, strategy):
         assert abs(c.fraction_sum - 1.0) <= 1e-12, (c.vertex_id, c.fraction_sum)
     if strategy == "bisect-largest-leaf":
         hanging = set(_hanging_vertices(p))
-        assert hanging & {c.vertex_id for c in interior}
+        assert hanging & {c.vertex_id for c in report.decomposition_checks}
+        if (d, steps) != (4, 30):  # there every hanging vertex lies on the boundary
+            assert hanging & {c.vertex_id for c in interior}
 
 
 def test_verify_theorem_method_follows_dimension():
     small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
-    assert verify_theorem(kuhn_triangulation(3), small).method == "exact"
-    report = verify_theorem(kuhn_triangulation(4), small)
+    for d in (3, 4, 5):
+        report = verify_theorem(kuhn_triangulation(d), small)
+        assert report.method == "exact"
+        assert all(c.stderr == EXACT_STDERR for c in report.per_vertex_checks)
+    report = verify_theorem(partition_from_simplices([canonical_simplex("unit-corner", 6)]), small)
     assert report.method == "monte-carlo"
     assert all(c.stderr != EXACT_STDERR for c in report.per_vertex_checks)
 
