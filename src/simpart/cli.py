@@ -159,7 +159,8 @@ def cmd_optimize(args) -> int:
     print(
         f"objective={objective.name} incumbent=({point}) value={fmt_float(result.value)} "
         f"gap={fmt_float(result.gap)} evaluations={result.evaluations} "
-        f"leaves_explored={result.leaves_explored} eta_min={fmt_float(result.eta_min)}"
+        f"leaves_explored={result.leaves_explored} eta_min={fmt_float(result.eta_min)} "
+        f"stop={result.stop_reason}"
     )
     return EXIT_OK
 

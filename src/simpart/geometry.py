@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,15 +52,51 @@ def as_point(p, d: int | None = None) -> Point:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """The vertex pairs i < j in lexicographic order: index arrays i, j and (i, j) tuples."""
+    i, j = np.triu_indices(n, 1)
+    return i, j, list(zip(i.tolist(), j.tolist()))
+
+
+def _edge_matrices(verts: np.ndarray) -> np.ndarray:
+    """(m, d, d) edge matrices of an (m, d+1, d) stack, columns v_i - v_0."""
+    return (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+
+
+def _volumes(verts: np.ndarray) -> np.ndarray:
+    """(m,) volumes of an (m, d+1, d) stack: one stacked determinant."""
+    return np.abs(np.linalg.det(_edge_matrices(verts))) / math.factorial(verts.shape[2])
+
+
+def _longest_edges(verts: np.ndarray) -> list[tuple[float, tuple[int, int]]]:
+    """(length, (i, j)) of the longest edge of each simplex of an (m, d+1, d) stack.
+
+    The squared lengths are one stacked (1, d) @ (d, 1) product per edge,
+    which numpy hands to the BLAS ``ddot`` that ``np.linalg.norm`` uses;
+    a plain sum of squares would round differently where the kernel uses
+    fused multiply-adds.  The first maximal length wins, which is the
+    lexicographically smallest pair.
+    """
+    i, j, pairs = _edge_pairs(verts.shape[1])
+    diff = verts[:, i] - verts[:, j]
+    lengths = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    out = []
+    for row in lengths.tolist():
+        h = max(row)
+        out.append((h, pairs[row.index(h)]))
+    return out
+
+
 @dataclass(frozen=True)
 class Simplex:
     """Immutable simplex: d+1 vertices in R^d plus an opaque id.
 
     Construct through :func:`make_simplex`, which validates dimensions
-    and nondegeneracy.  Derived quantities (edge matrix, barycentric
-    gradients, volume, longest edge) are cached on first use; the vertex
-    and gradient arrays are marked read-only so instances are safe to
-    share between workers.
+    and nondegeneracy.  The barycentric gradients are cached on first
+    use, and the volume and longest edge come cached from the build; the
+    vertex and gradient arrays are marked read-only so instances are
+    safe to share between workers.
     """
 
     vertices: np.ndarray
@@ -69,10 +106,13 @@ class Simplex:
     def dimension(self) -> int:
         return self.vertices.shape[1]
 
-    @cached_property
+    @property
     def edge_matrix(self) -> np.ndarray:
-        """d x d matrix whose columns are v_i - v_0 for i = 1..d."""
-        return (self.vertices[1:] - self.vertices[0]).T
+        """d x d matrix whose columns are v_i - v_0 for i = 1..d.
+
+        Not cached: only the cached barycentric gradients use it.
+        """
+        return _edge_matrices(self.vertices[None])[0]
 
     @cached_property
     def barycentric_gradients(self) -> np.ndarray:
@@ -91,30 +131,19 @@ class Simplex:
     @cached_property
     def volume(self) -> float:
         """|det(edge matrix)| / d!  (LU with partial pivoting)."""
-        d = self.dimension
-        return abs(float(np.linalg.det(self.edge_matrix))) / math.factorial(d)
+        return float(_volumes(self.vertices[None])[0])
 
     @cached_property
     def longest_edge(self) -> tuple[float, tuple[int, int]]:
         """(length, (i, j)) of the longest edge.
 
         Exact ties are broken by the lexicographically smallest vertex
-        index pair so refinement is reproducible.  Lengths come from
-        per-pair ``np.linalg.norm`` calls; every other distance in the
-        package uses the same call so comparisons against h are bitwise
-        consistent.
+        index pair so refinement is reproducible.  Lengths come from one
+        stacked BLAS dot, the same ``ddot`` as ``np.linalg.norm``, so they
+        equal per-pair ``norm`` calls bitwise and comparisons against h
+        elsewhere in the package are consistent.
         """
-        verts = self.vertices
-        n = verts.shape[0]
-        best = -1.0
-        pair = (0, 1)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                length = float(np.linalg.norm(verts[i] - verts[j]))
-                if length > best:
-                    best = length
-                    pair = (i, j)
-        return best, pair
+        return _longest_edges(self.vertices[None])[0]
 
     @cached_property
     def centroid(self) -> Point:
@@ -148,6 +177,30 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
         raise DimensionMismatch(f"need d+1 vertices of dimension d, got {n} of dimension {d}")
     if d < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
+    (s,) = make_simplices(arr[None], [id])
+    if isinstance(s, DegenerateSimplex):
+        raise s
+    return s
+
+
+def make_simplices(vertices: np.ndarray, ids: Sequence[str]) -> list[Simplex | DegenerateSimplex]:
+    """Validate and build the simplices of an (m, d+1, d) vertex stack at once.
+
+    The stack must already have that shape with d >= 2 (make_simplex
+    checks it).  The coordinate checks, the edge lengths and the volumes
+    of all m simplices are computed in stacked calls and seeded into
+    each Simplex's cached ``longest_edge`` and ``volume``, with the same
+    bits a one-by-one build gives.  A degenerate member comes back as the
+    DegenerateSimplex to raise, so that it does not stop its companions
+    from being built.
+
+    Raises
+    ------
+    InvalidPoint : NaN or infinite coordinate, or one so large that h^d
+        may overflow, anywhere in the stack.
+    """
+    arr = np.array(vertices, dtype=float)
+    d = arr.shape[2]
     largest = float(np.abs(arr).max())
     if not math.isfinite(largest):
         raise InvalidPoint("vertex coordinates must be finite")
@@ -159,15 +212,20 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
             f"vertex coordinates too large: |x| = {largest:.3e} exceeds {limit:.3e}, "
             f"beyond which h^{d} may overflow"
         )
-    arr = arr.copy()
     arr.flags.writeable = False
-    s = Simplex(vertices=arr, id=id)
-    h, _ = s.longest_edge
-    if s.volume <= VOLUME_EPS_REL * h**d:
-        raise DegenerateSimplex(
-            f"volume {s.volume:.3e} is degenerate relative to h^d = {h**d:.3e}"
-        )
-    return s
+    out: list[Simplex | DegenerateSimplex] = []
+    for verts, sid, edge, volume in zip(arr, ids, _longest_edges(arr), _volumes(arr).tolist()):
+        h = edge[0]
+        if volume <= VOLUME_EPS_REL * h**d:
+            out.append(DegenerateSimplex(f"volume {volume:.3e} is degenerate relative to h^d = {h**d:.3e}"))
+            continue
+        s = Simplex(vertices=verts, id=sid)
+        # seed the cached properties; object.__setattr__ passes the frozen
+        # dataclass guard without materializing the instance __dict__
+        object.__setattr__(s, "longest_edge", edge)
+        object.__setattr__(s, "volume", volume)
+        out.append(s)
+    return out
 
 
 def regularity_ratio(s: Simplex) -> float:

@@ -72,6 +72,12 @@ class TraceRow:
 
 @dataclass
 class OptimizeResult:
+    """Outcome of optimize.
+
+    stop_reason is "tol" when the gap reached tol and "budget" when the
+    evaluation budget ran out first.
+    """
+
     point: np.ndarray
     value: float
     gap: float
@@ -79,6 +85,7 @@ class OptimizeResult:
     leaves_explored: int
     evaluations: int
     eta_min: float
+    stop_reason: str
     trace: list[TraceRow] = field(default_factory=list)
     partition: Partition | None = None
 
@@ -90,8 +97,9 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     edge, evaluates the midpoint (registry-cached, so a midpoint shared
     with an already-split neighbor costs nothing), and repeats until the
     gap incumbent - global_lower_bound drops to tol or the next
-    evaluation would exceed the budget.  The partition is refined in
-    place and returned inside the result.
+    evaluation would exceed the budget; the result's stop_reason says
+    which.  The partition is refined in place and returned inside the
+    result.
 
     budget counts objective evaluations and must cover d + 1 values per
     root; dedup across shared root vertices can leave it underused.
@@ -163,13 +171,17 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             )
         )
         if gap <= tol or evaluations >= budget:
+            stop_reason = "tol" if gap <= tol else "budget"
             break
         heapq.heappop(heap)
+        parent_vids = p.nodes[node_id].vertex_ids
         left, right = p.bisect(node_id)
         pops += 1
+        # every other child vertex is a root vertex or the midpoint of an
+        # earlier bisection, so it has been considered already
+        (mid,) = set(p.nodes[left].vertex_ids).difference(parent_vids)
+        consider(mid)
         for child in (left, right):
-            for vid in p.nodes[child].vertex_ids:
-                consider(vid)
             eta_min = min(eta_min, regularity_ratio(p.simplex(child)))
             # inherited bound: the child region is inside the parent's,
             # so the parent's bound still holds and only improves
@@ -184,6 +196,7 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         leaves_explored=pops,
         evaluations=evaluations,
         eta_min=eta_min,
+        stop_reason=stop_reason,
         trace=trace,
         partition=p,
     )

@@ -36,6 +36,7 @@ from .cones import (
     solid_angle_fraction,
 )
 from .errors import (
+    DegenerateSimplex,
     EmptyPartition,
     PointOutsideDomain,
     UnsupportedDimension,
@@ -46,6 +47,7 @@ from .geometry import (
     as_point,
     barycentric_many,
     make_simplex,
+    make_simplices,
     regularity_ratio,
 )
 
@@ -136,11 +138,29 @@ class Partition:
         return [n.id for n in self.nodes if not n.children]
 
     def simplex(self, node_id: int) -> Simplex:
+        """The node's simplex, built on first request and cached.
+
+        A root is built by make_simplex.  A child is built together with
+        its sibling, in one make_simplices call, when either is first
+        requested: the two share their parent's vertices but one.  A
+        degenerate sibling is not cached and raises DegenerateSimplex only
+        when it is requested itself.
+        """
         s = self._simplices.get(node_id)
-        if s is None:
-            node = self.nodes[node_id]
+        if s is not None:
+            return s
+        node = self.nodes[node_id]
+        if node.parent is None:
             s = make_simplex([self._coords[v] for v in node.vertex_ids], id=str(node_id))
             self._simplices[node_id] = s
+            return s
+        todo = [c for c in self.nodes[node.parent].children if c not in self._simplices]
+        verts = np.array([[self._coords[v] for v in self.nodes[c].vertex_ids] for c in todo])
+        built = dict(zip(todo, make_simplices(verts, [str(c) for c in todo])))
+        self._simplices.update((c, b) for c, b in built.items() if isinstance(b, Simplex))
+        s = built[node_id]
+        if isinstance(s, DegenerateSimplex):
+            raise s
         return s
 
     def bisect(self, node_id: int) -> tuple[int, int]:
@@ -151,6 +171,8 @@ class Partition:
         replaces w in the first child and u in the second (split_edge).
         Both children are appended at the end of nodes, so node ids are
         creation order, which is what lets read_partition replay a file.
+        The children's simplices are not built here: the first request
+        for either builds both siblings together (see simplex).
         """
         node = self.nodes[node_id]
         if node.children:

@@ -47,6 +47,27 @@ def naive_max_pairwise_distance(points) -> float:
     return best
 
 
+def simplex_metrics_one_by_one(vertices) -> tuple[float, tuple[float, tuple[int, int]]]:
+    """(volume, (h, (i, j))) of one simplex, each quantity computed alone.
+
+    The volume is one ``np.linalg.det`` of the edge matrix, and the
+    longest edge comes from a per-pair ``np.linalg.norm`` loop that keeps
+    the first strict maximum, so ties go to the lexicographically
+    smallest pair.  This is the one-by-one route that the stacked build
+    must match bitwise.
+    """
+    v = np.asarray(vertices, dtype=float)
+    d = v.shape[1]
+    volume = abs(float(np.linalg.det((v[1:] - v[0]).T))) / math.factorial(d)
+    best, pair = -1.0, (0, 1)
+    for i in range(d):
+        for j in range(i + 1, d + 1):
+            length = float(np.linalg.norm(v[i] - v[j]))
+            if length > best:
+                best, pair = length, (i, j)
+    return volume, (best, pair)
+
+
 def sample_uniform(s: Simplex, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points uniformly from the simplex.
 

@@ -520,6 +520,7 @@ def test_optimize_writes_trace_and_is_deterministic(tmp_path, capsys):
     header = traces[0].read_text().splitlines()[0]
     assert header == "iteration,node_id,lower_bound,incumbent,gap,eta_min"
     assert "value=" in outputs[0] and "gap=" in outputs[0]
+    assert outputs[0].split()[-1] == "stop=budget"
 
 
 def test_optimize_unknown_objective(capsys):
@@ -583,6 +584,12 @@ GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256 = "fb5b1017b430f7449e47126ae8a046c979be98f
 GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "404a2e71c93fe3a7d19ce4fe33795395bf4e2fc0a6421bcd3ca8adc9d365232a"
 GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "290ba0878eb391759dec035eeab4133afaf154993326bf1659453634c917f064"
 
+# Optimizer trace and refined partitions on the Kuhn cube: every vertex
+# is dyadic, so no edge length or midpoint depends on the BLAS kernel.
+GOLDEN_OPTIMIZE_D3_TRACE_SHA256 = "1234974185c3ec11784d3a33ee5a982aa540ad4038168fed344cf40f142f1fb9"
+GOLDEN_KUHN3_6_PARTITION_SHA256 = "5a012654d8111d12a1068c798e76ee5354563d91ec32f487bb640cab0e941222"
+GOLDEN_LARGEST_KUHN3_54_PARTITION_SHA256 = "e5daed8e16a844e04b887872ec68594d029ab2760b718b10b557a8f07ecc7b92"
+
 # point -> (cone id, direction hits) at 29999 samples, seed 7 and 3 shards
 # (sizes 10000, 10000, 9999, so the shard order shows), on the
 # tetrahedron of the test below
@@ -615,6 +622,34 @@ def test_verify_report_matches_golden_bytes(tmp_path, capsys):
     assert _kuhn_report_sha256(tmp_path, capsys, 4, 1, 0) == GOLDEN_KUHN4_1_REPORT_SHA256
     got = _kuhn_report_sha256(tmp_path, capsys, 4, 30, 0, "bisect-largest-leaf")
     assert got == GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256
+
+
+def test_optimize_trace_matches_golden_bytes(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "optimize", "--objective", "shifted-sphere", "--dim", "3",
+        "--budget", "3000", "--tol", "1e-3", "--trace", str(trace),
+    )
+    assert code == 0
+    assert "evaluations=3000 leaves_explored=14116" in out
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_OPTIMIZE_D3_TRACE_SHA256
+
+
+@pytest.mark.parametrize(
+    "steps, strategy, expected",
+    [
+        ("6", "bisect-all-leaves", GOLDEN_KUHN3_6_PARTITION_SHA256),
+        ("54", "bisect-largest-leaf", GOLDEN_LARGEST_KUHN3_54_PARTITION_SHA256),
+    ],
+)
+def test_refine_partition_matches_golden_bytes(tmp_path, capsys, steps, strategy, expected):
+    path = tmp_path / "p.json"
+    code, _, _ = run_cli(
+        capsys, "refine", "--dim", "3", "--steps", steps, "--strategy", strategy, "-o", str(path)
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def test_monte_carlo_report_matches_golden_bytes(tmp_path, capsys):

@@ -10,11 +10,13 @@ from simpart.errors import (
     UnsupportedDimension,
 )
 from simpart.geometry import (
+    Simplex,
     barycentric,
     barycentric_many,
     canonical_simplex,
     contains,
     make_simplex,
+    make_simplices,
     regular_simplex_ratio,
     regularity_ratio,
 )
@@ -25,6 +27,7 @@ from .oracles import (
     max_pairwise_distance,
     naive_max_pairwise_distance,
     sample_uniform,
+    simplex_metrics_one_by_one,
 )
 from .support import random_simplex
 
@@ -98,6 +101,38 @@ def test_longest_edge_tie_break_is_lexicographic():
     h, pair = s.longest_edge
     assert h == float(np.linalg.norm(np.array([0.5, 2.0])))
     assert pair == (0, 2)
+
+
+def test_make_simplices_matches_one_by_one_bitwise():
+    # the stacked dot and determinant give the bits of per-pair norm and
+    # per-matrix det calls, on non-dyadic vertices where a sum of squares
+    # would round differently; rows of odd d sit at unaligned offsets
+    rng = np.random.default_rng(1013)
+    for d in range(2, 9):
+        stack = rng.normal(size=(40, d + 1, d)) * rng.uniform(0.1, 10.0, size=(40, 1, 1))
+        built = make_simplices(stack, [str(k) for k in range(40)])
+        for k, s in enumerate(built):
+            assert isinstance(s, Simplex)
+            volume, edge = simplex_metrics_one_by_one(stack[k])
+            assert s.volume == volume
+            assert s.longest_edge == edge
+            assert s.vertices.tobytes() == stack[k].tobytes()
+            assert s.id == str(k)
+            # the seeded cache agrees with the properties computed afresh
+            fresh = Simplex(vertices=s.vertices)
+            assert (fresh.volume, fresh.longest_edge) == (volume, edge)
+
+
+def test_make_simplices_keeps_ties_and_returns_degenerate_members():
+    tall = [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]]  # edges (0,2) and (1,2) tie
+    flat = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    built = make_simplices(np.array([tall, flat, tall]), ["a", "b", "c"])
+    assert built[0].longest_edge == built[2].longest_edge == simplex_metrics_one_by_one(tall)[1]
+    assert built[0].longest_edge[1] == (0, 2)
+    assert isinstance(built[1], DegenerateSimplex)
+    assert [s.id for s in (built[0], built[2])] == ["a", "c"]
+    with pytest.raises(InvalidPoint):
+        make_simplices(np.array([tall, [[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]]]), ["a", "b"])
 
 
 def test_regularity_ratio_invariances():

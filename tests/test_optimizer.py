@@ -51,6 +51,23 @@ def test_constant_objective_stops_immediately():
     assert r.evaluations == 4  # the registry corners, each evaluated once
 
 
+@pytest.mark.parametrize(
+    "name, d, budget, tol, reason",
+    [
+        ("constant", 2, 100, 1e-9, "tol"),  # gap 0 at the start
+        ("shifted-sphere", 2, 400, 0.3, "tol"),  # after 270 evaluations
+        ("shifted-sphere", 2, 400, 1e-3, "budget"),
+        ("linear", 2, 40, 1e-6, "budget"),
+        ("sphere", 3, 200, 1e-3, "budget"),
+    ],
+)
+def test_stop_reason_is_tol_exactly_when_the_gap_reached_it(name, d, budget, tol, reason):
+    r = optimize(build_objective(name, d), kuhn_triangulation(d), budget=budget, tol=tol)
+    assert r.stop_reason == reason
+    assert (r.stop_reason == "tol") == (r.gap <= tol)
+    assert r.stop_reason == "tol" or r.evaluations >= budget
+
+
 def test_linear_objective_minimum_at_a_vertex():
     r = optimize(build_objective("linear", 2), kuhn_triangulation(2), budget=6, tol=1e-6)
     assert r.value == 0.0

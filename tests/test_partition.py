@@ -5,12 +5,13 @@ import pytest
 
 import simpart.partition as partition_mod
 from simpart.cones import EXACT_STDERR, MonteCarloConfig, max_intersection_bound
-from simpart.errors import EmptyPartition, PointOutsideDomain, UnsupportedDimension
+from simpart.errors import DegenerateSimplex, EmptyPartition, PointOutsideDomain, UnsupportedDimension
 from simpart.geometry import (
     canonical_simplex,
     make_simplex,
     regularity_ratio,
 )
+from simpart.optimizer import Objective, optimize
 from simpart.partition import (
     Partition,
     boundary_vertex_mask,
@@ -24,7 +25,7 @@ from simpart.partition import (
     vertex_valence,
 )
 
-from .oracles import bisect_longest_edge, flat_scan_count
+from .oracles import bisect_longest_edge, flat_scan_count, simplex_metrics_one_by_one
 from .support import random_simplex
 
 
@@ -119,6 +120,54 @@ def test_partition_bisect_matches_standalone_bisection():
         kids = p.bisect(0)
         for node_id, child in zip(kids, bisect_longest_edge(s)):
             assert np.array_equal(p.simplex(node_id).vertices, child.vertices)
+
+
+def assert_nodes_match_fresh_builds(p):
+    """Every node's simplex has the bits of one built alone from its vertices."""
+    for node in p.nodes:
+        s = p.simplex(node.id)
+        verts = np.array([p.vertex_coords(v) for v in node.vertex_ids])
+        fresh = make_simplex(verts)
+        assert s.vertices.tobytes() == verts.tobytes() == fresh.vertices.tobytes()
+        assert s.volume == fresh.volume
+        assert s.longest_edge == fresh.longest_edge
+        assert (s.volume, s.longest_edge) == simplex_metrics_one_by_one(verts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_optimizer_nodes_match_fresh_builds(seed):
+    # the branch and bound of the optimize-d3 benchmark workload
+    centre = np.random.default_rng(seed).uniform(0.2, 0.8, 3)
+    objective = Objective("shifted-sphere", lambda x: float(np.sum((x - centre) ** 2)), 4.0)
+    r = optimize(objective, kuhn_triangulation(3), budget=3000, tol=1e-3)
+    assert len(r.partition.nodes) > 20_000
+    assert_nodes_match_fresh_builds(r.partition)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_largest_leaf_nodes_match_fresh_builds(d):
+    # non-dyadic roots, so the midpoints round and the stacked dot is tested
+    rng = np.random.default_rng(3010 + d)
+    p = partition_from_simplices([random_simplex(d, rng)])
+    refine(p, 300, "bisect-largest-leaf")
+    assert_nodes_match_fresh_builds(p)
+
+
+def test_degenerate_sibling_raises_only_when_requested():
+    # rho 1.5e-12 at the root; bisecting the edge (0, 2) gives child 1 with
+    # rho 3e-12 and child 2 with rho 7.5e-13, below VOLUME_EPS_REL: a
+    # child's ratio can be half its parent's
+    root = [[0.0, 0.0], [3e-12, 0.0], [1.5e-12, 1.0]]
+    for first in (1, 2):
+        p = Partition(2)
+        p.add_root(root)
+        assert p.bisect(0) == (1, 2)
+        if first == 2:
+            with pytest.raises(DegenerateSimplex):
+                p.simplex(2)
+        assert regularity_ratio(p.simplex(1)) == pytest.approx(3e-12, rel=1e-9)
+        with pytest.raises(DegenerateSimplex):
+            p.simplex(2)
 
 
 def test_partition_bisect_requires_leaf():
