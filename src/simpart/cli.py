@@ -111,9 +111,10 @@ def cmd_refine(args) -> int:
         p = partition_from_simplices([read_simplex(args.root)])
     refine(p, args.steps, args.strategy)
     write_partition(p, args.output)
+    eta_min = min_regularity(p)  # builds and validates every leaf before the descent
     _, valence = max_valence(p)
     print(
-        f"leaves={len(p.leaves)} eta_min={fmt_float(min_regularity(p))} "
+        f"leaves={len(p.leaves)} eta_min={fmt_float(eta_min)} "
         f"max_valence={valence} output={args.output}"
     )
     return EXIT_OK

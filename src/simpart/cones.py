@@ -174,11 +174,27 @@ def _angle(a: np.ndarray, b: np.ndarray) -> float:
     """Angle between two nonzero vectors, accurate near 0 and pi.
 
     Kahan's form 2 atan2(|a' - b'|, |a' + b'|) on the unit vectors
-    avoids the cancellation of acos near a dot product of +-1.
+    avoids the cancellation of acos near a dot product of +-1.  The
+    arithmetic is Python's, one rounded operation at a time, so the angle
+    depends neither on the kernel OpenBLAS picks for the CPU (as
+    np.linalg.norm would) nor on numpy's SIMD level.
     """
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    return 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+    a, b = a.tolist(), b.tolist()
+    na, nb = _norm(a), _norm(b)
+    a = [x / na for x in a]
+    b = [y / nb for y in b]
+    return 2.0 * math.atan2(_norm([x - y for x, y in zip(a, b)]), _norm([x + y for x, y in zip(a, b)]))
+
+
+def _norm(v: list[float]) -> float:
+    """Euclidean norm of a short list, the squares summed left to right.
+
+    Not the builtin sum, which compensates float sums from Python 3.12.
+    """
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
 
 
 # Plackett's integral is accepted when a coarse and a fine Gauss-Legendre

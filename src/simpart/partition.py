@@ -44,6 +44,7 @@ from .errors import (
 from .geometry import (
     MEMBERSHIP_TOL,
     Simplex,
+    _edge_matrices,
     as_point,
     barycentric_many,
     make_simplex,
@@ -100,12 +101,21 @@ class Partition:
         Keyed by the coordinate tuple: -0.0 and 0.0 are one vertex, points
         one ulp apart are two, and shared midpoints agree bitwise (above).
         """
-        p = as_point(p, self.d)
+        return self._register(as_point(p, self.d).copy())
+
+    def _register(self, p: np.ndarray) -> int:
+        """vertex_id without its input checks; p must be a finite (d,) array
+        that the registry may keep.
+
+        Bisection midpoints are: the mean of two registry vertices, whose
+        coordinates make_simplices caps far below overflow.
+        """
         key = tuple(p.tolist())
-        if key not in self._ids:
-            self._ids[key] = len(self._coords)
-            self._coords.append(p.copy())
-        return self._ids[key]
+        vid = self._ids.get(key)
+        if vid is None:
+            vid = self._ids[key] = len(self._coords)
+            self._coords.append(p)
+        return vid
 
     def vertex_coords(self, vid: int) -> np.ndarray:
         return self._coords[vid]
@@ -179,7 +189,7 @@ class Partition:
             raise ValueError(f"node {node_id} is not a leaf")
         s = self.simplex(node_id)
         _, (i, j) = s.longest_edge
-        mid = self.vertex_id((s.vertices[i] + s.vertices[j]) / 2.0)
+        mid = self._register((s.vertices[i] + s.vertices[j]) / 2.0)
         ids = []
         for child_vids in split_edge(node.vertex_ids, i, j, mid):
             child = Node(
@@ -289,29 +299,46 @@ def min_regularity(p: Partition) -> float:
 def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(point index, leaf id) pairs of every leaf whose closure holds a point.
 
-    A tree descent from each root: a batch of points follows a child
-    when its barycentric coordinates in the child are all >= -tol, so a
-    hanging vertex on a leaf's face is found as well as the leaf corners.
+    A tree descent from the roots, one generation at a time: the frontier
+    is a pair of arrays (point index, node id), and a pair stays in it
+    when the point's barycentric coordinates in the node are all >= -tol,
+    so a hanging vertex on a leaf's face is found as well as the leaf
+    corners.  Per generation, the distinct frontier nodes take their
+    vertex coordinates straight from the registry and their gradients
+    from one stacked np.linalg.inv of the edge matrices (LAPACK solves
+    each matrix on its own, so these equal Simplex.barycentric_gradients
+    bitwise); one einsum gives every pair's coordinates, with lambda_0
+    what is left of 1 as in barycentric_many.  Pairs on a leaf are
+    recorded, the others move on to both children through the level's
+    (nodes, 2) child table.  Only the nodes a point reaches are read, so
+    one point costs a path, not the forest.  No Simplex is built, so the
+    leaves are not validated here; min_regularity does that.
     """
-    found: list[np.ndarray] = []
-    leaf_ids: list[int] = []
-    for root in p.roots:
-        stack = [(root, np.arange(points.shape[0]))]
-        while stack:
-            node_id, idx = stack.pop()
-            lam = barycentric_many(p.simplex(node_id), points[idx])
-            inside = idx[np.all(lam >= -tol, axis=1)]
-            if inside.size == 0:
-                continue
-            children = p.nodes[node_id].children
-            if children:
-                stack.extend((child, inside) for child in children)
-            else:
-                found.append(inside)
-                leaf_ids.append(node_id)
-    if not found:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    return np.concatenate(found), np.repeat(leaf_ids, [idx.size for idx in found])
+    nodes = p.nodes
+    coords = p.vertices
+    roots = np.array(p.roots, dtype=np.intp)
+    point = np.repeat(np.arange(points.shape[0]), roots.size)
+    node = np.tile(roots, points.shape[0])
+    found_point, found_leaf = [point[:0]], [node[:0]]
+    slot = np.empty(len(nodes), dtype=np.intp)
+    while point.size:
+        # the distinct frontier nodes and each pair's index among them (not
+        # np.unique, whose sort kernels add half a MiB of resident pages)
+        distinct = np.flatnonzero(np.bincount(node, minlength=len(nodes)))
+        slot[distinct] = np.arange(distinct.size)
+        at = slot[node]
+        level = [nodes[i] for i in distinct.tolist()]
+        verts = coords[np.array([n.vertex_ids for n in level])]
+        grads = np.linalg.inv(_edge_matrices(verts))
+        lam = np.einsum("kij,kj->ki", grads[at], points[point] - verts[at, 0])
+        inside = np.all(lam >= -tol, axis=1) & (1.0 - lam.sum(axis=1) >= -tol)
+        point, node = point[inside], node[inside]
+        kids = np.array([n.children or (-1, -1) for n in level])[at[inside]]
+        leaf = kids[:, 0] < 0
+        found_point.append(point[leaf])
+        found_leaf.append(node[leaf])
+        point, node = np.repeat(point[~leaf], 2), kids[~leaf].ravel()
+    return np.concatenate(found_point), np.concatenate(found_leaf)
 
 
 def vertex_valence(p: Partition, point, tol: float = MEMBERSHIP_TOL) -> int:

@@ -199,17 +199,30 @@ def flat_scan_count(point, leaf_simplices, tol: float = 1e-9) -> int:
     Each membership test sets up and solves its own linear system from
     scratch; no shared factorizations, no tree descent.
     """
-    p = np.asarray(point, dtype=float)
-    count = 0
-    for verts in leaf_simplices:
-        v = np.asarray(verts, dtype=float)
-        d = v.shape[1]
-        a = np.vstack([np.ones(d + 1), v.T])
-        rhs = np.concatenate([[1.0], p])
-        lam = np.linalg.solve(a, rhs)
-        if np.all(lam >= -tol):
-            count += 1
-    return count
+    return sum(_solve_inside(point, verts, tol) for verts in leaf_simplices)
+
+
+def flat_scan_pairs(points, leaves: dict, tol: float = 1e-9) -> list[tuple[int, int]]:
+    """Sorted (point index, leaf id) pairs of every point in every leaf.
+
+    Scans each (point, leaf) pair of the leaf id -> vertices mapping
+    with its own linear solve, as flat_scan_count does.
+    """
+    return [
+        (i, leaf)
+        for i, point in enumerate(points)
+        for leaf, verts in sorted(leaves.items())
+        if _solve_inside(point, verts, tol)
+    ]
+
+
+def _solve_inside(point, verts, tol: float) -> bool:
+    """Barycentric membership from scratch: solve [1; V^T] lambda = [1; p]."""
+    v = np.asarray(verts, dtype=float)
+    d = v.shape[1]
+    a = np.vstack([np.ones(d + 1), v.T])
+    rhs = np.concatenate([[1.0], np.asarray(point, dtype=float)])
+    return bool(np.all(np.linalg.solve(a, rhs) >= -tol))
 
 
 def grid_minimum(fn, lo, hi, per_axis: int) -> float:

@@ -5,8 +5,16 @@ import pytest
 
 import simpart.partition as partition_mod
 from simpart.cones import EXACT_STDERR, MonteCarloConfig, max_intersection_bound
-from simpart.errors import DegenerateSimplex, EmptyPartition, PointOutsideDomain, UnsupportedDimension
+from simpart.errors import (
+    DegenerateSimplex,
+    DimensionMismatch,
+    EmptyPartition,
+    InvalidPoint,
+    PointOutsideDomain,
+    UnsupportedDimension,
+)
 from simpart.geometry import (
+    MEMBERSHIP_TOL,
     canonical_simplex,
     make_simplex,
     regularity_ratio,
@@ -25,7 +33,7 @@ from simpart.partition import (
     vertex_valence,
 )
 
-from .oracles import bisect_longest_edge, flat_scan_count, simplex_metrics_one_by_one
+from .oracles import bisect_longest_edge, flat_scan_count, flat_scan_pairs, simplex_metrics_one_by_one
 from .support import random_simplex
 
 
@@ -198,6 +206,23 @@ def test_bisection_midpoints_merge_in_registry():
         assert len(p.leaves) == len(p.roots) * 2**steps
 
 
+def test_public_registry_entry_points_validate_points():
+    # bisection registers its midpoints without these checks; the
+    # public vertex_id and add_root keep them, and store a copy
+    p = Partition(2)
+    with pytest.raises(InvalidPoint):
+        p.vertex_id([math.nan, 0.0])
+    with pytest.raises(DimensionMismatch):
+        p.vertex_id([0.0, 0.0, 0.0])
+    with pytest.raises(InvalidPoint):
+        p.add_root([[0.0, 0.0], [math.inf, 0.0], [0.0, 1.0]])
+    q = np.array([0.5, 0.25])
+    vid = p.vertex_id(q)
+    q[0] = 9.0
+    assert p.vertex_coords(vid).tolist() == [0.5, 0.25]
+    assert p.vertex_id([0.5, 0.25]) == vid
+
+
 # ------------------------------------------------------------- refinement
 
 
@@ -325,6 +350,49 @@ def test_valence_matches_flat_scan():
         vals = registry_valences(p)
         for vid in range(p.n_vertices):
             assert vals[vid] == flat_scan_count(p.vertex_coords(vid), leaf_sets)
+
+
+@pytest.mark.parametrize("d, steps", [(2, 40), (3, 54), (4, 30)])
+def test_incidence_matches_flat_scan_of_every_pair(d, steps):
+    # largest-leaf refinement leaves hanging vertices; the queries add
+    # points on the facets of every root (the domain boundary and the
+    # facets roots share), random interior points, and points outside
+    # the unit cube, which must meet no leaf
+    rng = np.random.default_rng(3100 + d)
+    p = refine(kuhn_triangulation(d), steps, strategy="bisect-largest-leaf")
+    leaves = {i: p.simplex(i).vertices for i in p.leaves}
+    on_facets = []
+    for root in p.roots:
+        verts = p.simplex(root).vertices
+        for i in range(d + 1):
+            w = rng.dirichlet(np.ones(d + 1), size=3)
+            w[:, i] = 0.0
+            on_facets.append(w / w.sum(axis=1, keepdims=True) @ verts)
+    outside = rng.random((20, d))
+    outside[np.arange(20), rng.integers(0, d, 20)] = rng.choice([-0.25, 1.25], 20)
+    points = np.vstack([p.vertices, *on_facets, rng.random((30, d)), outside])
+
+    at_point, at_leaf = partition_mod._incidence(p, points, MEMBERSHIP_TOL)
+    got = sorted(zip(at_point.tolist(), at_leaf.tolist()))
+    expected = flat_scan_pairs(points, leaves)
+    assert got == expected
+    assert not set(at_point.tolist()) & set(range(len(points) - 20, len(points)))
+    corners = np.bincount([v for i in p.leaves for v in p.nodes[i].vertex_ids], minlength=p.n_vertices)
+    valences = np.bincount(at_point, minlength=len(points))[: p.n_vertices]
+    assert np.any(valences > corners)  # some vertex hangs on a leaf face
+
+
+def test_registry_valences_builds_no_simplex(monkeypatch):
+    # the descent reads vertex coordinates from the registry, so the
+    # leaves of a fresh refinement stay unbuilt
+    p = refine(kuhn_triangulation(3), 4)
+    expected = registry_valences(refine(kuhn_triangulation(3), 4))
+    built = []
+    monkeypatch.setattr(partition_mod, "make_simplex", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(partition_mod, "make_simplices", lambda *a, **k: built.append(a))
+    assert registry_valences(p).tolist() == expected.tolist()
+    assert built == []
+    assert not set(p.leaves) & set(p._simplices)
 
 
 def test_max_valence_witnesses():
