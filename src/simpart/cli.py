@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .cones import MonteCarloConfig, cone_at_point, solid_angle_fraction
-from .errors import SimpartError
+from .errors import BudgetTooSmall, SimpartError, UnsupportedDimension
 from .geometry import make_simplex
 from .optimizer import OBJECTIVES, build_objective, optimize
 from .partition import (
@@ -111,7 +111,7 @@ def cmd_refine(args) -> int:
         p = partition_from_simplices([read_simplex(args.root)])
     refine(p, args.steps, args.strategy)
     write_partition(p, args.output)
-    eta_min = min_regularity(p)  # builds and validates every leaf before the descent
+    eta_min = min_regularity(p)  # builds and validates every leaf, in one call, before the descent
     _, valence = max_valence(p)
     print(
         f"leaves={len(p.leaves)} eta_min={fmt_float(eta_min)} "
@@ -153,6 +153,19 @@ def cmd_cone(args) -> int:
 
 def cmd_optimize(args) -> int:
     objective = build_objective(args.objective, args.dim)
+    if args.dim < 2:
+        raise UnsupportedDimension(f"dimension must be >= 2, got {args.dim}")
+    # the d! Kuhn roots need (d + 1) d! evaluations; refuse before building
+    # them, multiplying only until the product passes the budget
+    required = args.dim + 1
+    for k in range(2, args.dim + 1):
+        if required > args.budget:
+            break
+        required *= k
+    if required > args.budget:
+        raise BudgetTooSmall(
+            f"budget {args.budget} cannot cover the (d + 1) d! root vertex evaluations of d = {args.dim}"
+        )
     result = optimize(objective, kuhn_triangulation(args.dim), args.budget, args.tol)
     if args.trace:
         write_trace_csv(result.trace, args.trace)

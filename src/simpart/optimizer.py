@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArityError, BudgetTooSmall, EmptyPartition
-from .geometry import regularity_ratio
+from .geometry import Simplex, regularity_ratio
 from .partition import Partition
 
 
@@ -141,18 +141,17 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             best_val = v
             best_vid = vid
 
-    def raw_bound(node_id: int) -> float:
-        s = p.simplex(node_id)
+    def raw_bound(node_id: int, s: Simplex) -> float:
         vals = [value_at(v) for v in p.nodes[node_id].vertex_ids]
         return simplex_lower_bound(vals, lip, s.longest_edge[0], p.d)
 
     eta_min = math.inf
     heap: list[tuple[float, int]] = []
-    for root in roots:
+    for root, s in zip(roots, p.simplices(roots)):
         for vid in p.nodes[root].vertex_ids:
             consider(vid)
-        eta_min = min(eta_min, regularity_ratio(p.simplex(root)))
-        heapq.heappush(heap, (raw_bound(root), root))
+        eta_min = min(eta_min, regularity_ratio(s))
+        heapq.heappush(heap, (raw_bound(root, s), root))
 
     trace: list[TraceRow] = []
     pops = 0
@@ -181,11 +180,11 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         # earlier bisection, so it has been considered already
         (mid,) = set(p.nodes[left].vertex_ids).difference(parent_vids)
         consider(mid)
-        for child in (left, right):
-            eta_min = min(eta_min, regularity_ratio(p.simplex(child)))
+        for child, s in zip((left, right), p.simplices((left, right))):
+            eta_min = min(eta_min, regularity_ratio(s))
             # inherited bound: the child region is inside the parent's,
             # so the parent's bound still holds and only improves
-            heapq.heappush(heap, (max(lb, raw_bound(child)), child))
+            heapq.heappush(heap, (max(lb, raw_bound(child, s)), child))
         iteration += 1
 
     return OptimizeResult(

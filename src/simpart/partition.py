@@ -37,6 +37,7 @@ from .cones import (
 )
 from .errors import (
     DegenerateSimplex,
+    DimensionMismatch,
     EmptyPartition,
     PointOutsideDomain,
     UnsupportedDimension,
@@ -132,12 +133,17 @@ class Partition:
     # ------------------------------------------------------------ structure
 
     def add_root(self, vertices) -> int:
-        """Install a generation-0 simplex; returns its node id."""
-        vids = tuple(self.vertex_id(v) for v in np.asarray(vertices, dtype=float))
-        node = Node(id=len(self.nodes), parent=None, generation=0, vertex_ids=vids)
-        self.nodes.append(node)
-        self.simplex(node.id)  # validates nondegeneracy eagerly
-        return node.id
+        """Install a generation-0 simplex; returns its node id.
+
+        The vertices are validated (make_simplex) before anything is
+        registered, so a rejected root leaves the partition as it was.
+        """
+        s = make_simplex(vertices)
+        if s.dimension != self.d:
+            raise DimensionMismatch(f"expected dimension {self.d}, got {s.dimension}")
+        vids = tuple(self._register(v.copy()) for v in s.vertices)
+        self.nodes.append(Node(id=len(self.nodes), parent=None, generation=0, vertex_ids=vids))
+        return len(self.nodes) - 1
 
     @property
     def roots(self) -> list[int]:
@@ -148,30 +154,26 @@ class Partition:
         return [n.id for n in self.nodes if not n.children]
 
     def simplex(self, node_id: int) -> Simplex:
-        """The node's simplex, built on first request and cached.
-
-        A root is built by make_simplex.  A child is built together with
-        its sibling, in one make_simplices call, when either is first
-        requested: the two share their parent's vertices but one.  A
-        degenerate sibling is not cached and raises DegenerateSimplex only
-        when it is requested itself.
-        """
+        """The node's simplex: the cached one, else simplices([node_id])[0]."""
         s = self._simplices.get(node_id)
-        if s is not None:
-            return s
-        node = self.nodes[node_id]
-        if node.parent is None:
-            s = make_simplex([self._coords[v] for v in node.vertex_ids], id=str(node_id))
-            self._simplices[node_id] = s
-            return s
-        todo = [c for c in self.nodes[node.parent].children if c not in self._simplices]
-        verts = np.array([[self._coords[v] for v in self.nodes[c].vertex_ids] for c in todo])
-        built = dict(zip(todo, make_simplices(verts, [str(c) for c in todo])))
-        self._simplices.update((c, b) for c, b in built.items() if isinstance(b, Simplex))
-        s = built[node_id]
-        if isinstance(s, DegenerateSimplex):
-            raise s
-        return s
+        return s if s is not None else self.simplices([node_id])[0]
+
+    def simplices(self, node_ids) -> list[Simplex]:
+        """The nodes' simplices, in order, the missing ones built and cached.
+
+        Every node not yet cached is built in one stacked make_simplices
+        call, so a caller that needs many nodes asks for them at once.
+        The first degenerate node raises DegenerateSimplex and is not
+        cached, nor are the nodes after it.
+        """
+        todo = [i for i in node_ids if i not in self._simplices]
+        if todo:
+            verts = np.array([[self._coords[v] for v in self.nodes[i].vertex_ids] for i in todo])
+            for i, s in zip(todo, make_simplices(verts, [str(i) for i in todo])):
+                if isinstance(s, DegenerateSimplex):
+                    raise s
+                self._simplices[i] = s
+        return [self._simplices[i] for i in node_ids]
 
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
@@ -181,8 +183,7 @@ class Partition:
         replaces w in the first child and u in the second (split_edge).
         Both children are appended at the end of nodes, so node ids are
         creation order, which is what lets read_partition replay a file.
-        The children's simplices are not built here: the first request
-        for either builds both siblings together (see simplex).
+        The children's simplices are not built here.
         """
         node = self.nodes[node_id]
         if node.children:
@@ -275,12 +276,13 @@ def refine(p: Partition, steps: int, strategy: str = "bisect-all-leaves") -> Par
     if not p.leaves:
         raise EmptyPartition("partition has no leaves")
     for _ in range(steps):
-        if strategy == "bisect-all-leaves":
-            for node_id in p.leaves:
-                p.bisect(node_id)
-        else:
-            worst = max(p.leaves, key=lambda i: (p.simplex(i).longest_edge[0], -i))
-            p.bisect(worst)
+        leaves = p.leaves
+        simplices = p.simplices(leaves)
+        if strategy == "bisect-largest-leaf":
+            h = [s.longest_edge[0] for s in simplices]
+            leaves = [leaves[h.index(max(h))]]  # leaves ascend, so ties go to the smallest id
+        for node_id in leaves:
+            p.bisect(node_id)
     return p
 
 
@@ -293,7 +295,7 @@ def min_regularity(p: Partition) -> float:
     leaves = p.leaves
     if not leaves:
         raise EmptyPartition("partition has no leaves")
-    return min(regularity_ratio(p.simplex(i)) for i in leaves)
+    return min(regularity_ratio(s) for s in p.simplices(leaves))
 
 
 def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -469,9 +471,9 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     )
     pts = p.vertices
     mask = np.zeros(p.n_vertices, dtype=bool)
-    for root in p.roots:
+    for root, s in zip(p.roots, p.simplices(p.roots)):
         vids = p.nodes[root].vertex_ids
-        lam = barycentric_many(p.simplex(root), pts)
+        lam = barycentric_many(s, pts)
         inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
         for i in range(len(vids)):
             if facets[frozenset(vids[:i] + vids[i + 1 :])] == 1:

@@ -152,9 +152,10 @@ def read_partition(path) -> Partition:
     generation, vertex_ids and children, and the vertex list must equal
     the replayed registry: the same count, and each vertex bitwise equal
     to the one the replay made.  Malformed fields and every disagreement
-    raise ValueError naming the node, field or vertex.  Only roots and
-    bisected nodes have their simplex built here; leaves are built on
-    first use.
+    raise ValueError naming the node, field or vertex.  Before a bisection
+    the nodes replayed since the last build that the file lists with
+    children are built in one Partition.simplices call, one per generation
+    for a bisect-all-leaves file; leaves are built on first use.
     """
     doc = _read_object(path, "partition")
     d = _int_field(doc, "d", "partition")
@@ -172,12 +173,16 @@ def read_partition(path) -> Partition:
     if [n.id for n in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be 0..n-1 in order")
     p = Partition(d)
+    built = 0  # the nodes below this id have been through a simplices call
     for n in nodes:
         if n.id < len(p.nodes):
             continue  # the second child of a bisection already replayed
         if n.parent is None:
             p.add_root([coords[v] for v in n.vertex_ids])
         elif n.parent < len(p.nodes) and not p.nodes[n.parent].children:
+            if n.parent >= built:
+                p.simplices([i for i in range(built, n.id) if nodes[i].children])
+                built = n.id
             p.bisect(n.parent)
         else:
             raise ValueError(f"node {n.id}: parent {n.parent} is not a leaf built before it")

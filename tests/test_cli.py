@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simpart
+import simpart.cli
 import simpart.cones as cones_mod
 from simpart import (
     EmptyPartition,
@@ -527,6 +528,17 @@ def test_optimize_unknown_objective(capsys):
     code, _, err = run_cli(capsys, "optimize", "--objective", "mystery")
     assert code == 2
     assert "mystery" in err
+
+
+def test_optimize_refuses_a_small_budget_before_building_roots(capsys, monkeypatch):
+    # kuhn(12) has 12! roots, which would take minutes to build and more to refuse
+    def unexpected(d):
+        raise AssertionError("the Kuhn roots were built")
+
+    monkeypatch.setattr(simpart.cli, "kuhn_triangulation", unexpected)
+    code, _, err = run_cli(capsys, "optimize", "--objective", "sphere", "--dim", "12")
+    assert code == 2
+    assert "budget" in err and len(err.splitlines()) == 1
 
 
 def test_usage_errors_exit_two(capsys):

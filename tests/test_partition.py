@@ -19,7 +19,7 @@ from simpart.geometry import (
     make_simplex,
     regularity_ratio,
 )
-from simpart.optimizer import Objective, optimize
+from simpart.optimizer import Objective, build_objective, optimize
 from simpart.partition import (
     Partition,
     boundary_vertex_mask,
@@ -32,6 +32,7 @@ from simpart.partition import (
     verify_theorem,
     vertex_valence,
 )
+from simpart.serialization import read_partition, write_partition
 
 from .oracles import bisect_longest_edge, flat_scan_count, flat_scan_pairs, simplex_metrics_one_by_one
 from .support import random_simplex
@@ -176,6 +177,41 @@ def test_degenerate_sibling_raises_only_when_requested():
         assert regularity_ratio(p.simplex(1)) == pytest.approx(3e-12, rel=1e-9)
         with pytest.raises(DegenerateSimplex):
             p.simplex(2)
+
+
+def test_simplices_raises_at_a_degenerate_node_and_keeps_earlier_ones():
+    # the root of the test above: child 2 is degenerate, child 1 is not
+    p = Partition(2)
+    p.add_root([[0.0, 0.0], [3e-12, 0.0], [1.5e-12, 1.0]])
+    p.bisect(0)
+    with pytest.raises(DegenerateSimplex):
+        p.simplices([1, 2])
+    assert sorted(p._simplices) == [0, 1]
+    assert p.simplices([1, 0]) == [p.simplex(1), p.simplex(0)]
+
+
+def test_rejected_root_leaves_the_partition_unchanged():
+    square = [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]]
+    rejected = [
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], DegenerateSimplex),
+        ([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]], InvalidPoint),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], DimensionMismatch),
+    ]
+    p = Partition(2)
+    for root in square:
+        before = (len(p.nodes), p.n_vertices)
+        for vertices, error in rejected:
+            with pytest.raises(error):
+                p.add_root(vertices)
+            assert (len(p.nodes), p.n_vertices) == before
+        p.add_root(root)
+    assert (len(p.nodes), p.n_vertices) == (2, 4)
+    refine(p, 3)
+    fresh = Partition(2)
+    for root in square:
+        fresh.add_root(root)
+    assert p == refine(fresh, 3)
+    assert min_regularity(p) == min_regularity(fresh)
 
 
 def test_partition_bisect_requires_leaf():
@@ -393,6 +429,33 @@ def test_registry_valences_builds_no_simplex(monkeypatch):
     assert registry_valences(p).tolist() == expected.tolist()
     assert built == []
     assert not set(p.leaves) & set(p._simplices)
+
+
+def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
+    # kuhn(3)@4: every round, eta_min and the replay of each generation
+    # ask for their nodes at once; a re-read partition's leaves stay unbuilt
+    calls = []
+    stacked = partition_mod.make_simplices
+
+    def counted(verts, ids):
+        calls.append(len(ids))
+        return stacked(verts, ids)
+
+    monkeypatch.setattr(partition_mod, "make_simplices", counted)
+    p = kuhn_triangulation(3)
+    for _ in range(4):
+        refine(p, 1)
+    min_regularity(p)
+    assert calls == [6, 12, 24, 48, 96]
+    path = tmp_path / "p.json"
+    write_partition(p, path)
+    calls.clear()
+    q = read_partition(path)
+    assert calls == [6, 12, 24, 48]
+    assert not set(q.leaves) & set(q._simplices)
+    calls.clear()
+    r = optimize(build_objective("shifted-sphere", 3), kuhn_triangulation(3), budget=300, tol=1e-3)
+    assert calls == [6] + [2] * r.leaves_explored
 
 
 def test_max_valence_witnesses():
