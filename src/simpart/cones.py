@@ -42,7 +42,7 @@ _DIRECTION_TAG = 101
 # The closed forms are accurate to a few units in the last place (worst
 # interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), and a
 # quadrature is only returned once two rules agree to QUADRATURE_TOL,
-# 1e-13 (worst interior sum on kuhn(4)@6: 4.2e-15), so 4 sigma of one
+# 1e-13 (worst interior sum on kuhn(4)@6: 5.8e-15), so 4 sigma of one
 # cone, 1e-12, is a wide margin that still lets the audit's sigma-based
 # tests apply to exact rows unchanged.
 EXACT_STDERR = 2.5e-13
@@ -126,6 +126,17 @@ def cone_at_point(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> VertexCone:
     else:
         where = "f" + ".".join(str(int(i)) for i in active)
     return VertexCone(apex=p, halfspaces=s.barycentric_gradients[active], id=f"{s.id}:{where}")
+
+
+def corner_cone(s: Simplex, k: int) -> VertexCone:
+    """Tangent cone of s at its vertex k, cut by every gradient but row k.
+
+    For a nondegenerate s this is cone_at_point(s, s.vertices[k]), bitwise
+    and in id, without the barycentric solve that finds the active set.
+    """
+    return VertexCone(
+        apex=s.vertices[k], halfspaces=np.delete(s.barycentric_gradients, k, axis=0), id=f"{s.id}:v{k}"
+    )
 
 
 def _shard_sizes(config: MonteCarloConfig) -> list[int]:
@@ -276,10 +287,31 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=-1)
 
 
-def _orthant_quadrature(h: np.ndarray, cone_id: str) -> float:
-    """P(H Z >= 0) for Z ~ N(0, I) and k = 4 or 5 rows, by Plackett's reduction.
+def _cone_class(h: np.ndarray) -> np.ndarray:
+    """Canonical unit normals of a cone, the same for its whole class.
 
-    With R the correlation of X = H Z, the orthant probability along
+    Each column's sign is flipped so that its first nonzero entry is
+    positive (adding 0.0 clears the -0.0 a flip makes of a zero), the
+    columns are sorted lexicographically (in Python's list order), and
+    each row is divided by its norm.  The first two steps are a signed
+    permutation of the coordinates, an orthogonal map, and the last
+    scales rows by positive factors, so no step changes the cone's
+    fraction.  Every step but the division is exact, and it comes last,
+    after the summation order of the norms is fixed: cones that differ
+    by a signed permutation of the columns, a power-of-two scaling of
+    rows or -0.0 for 0.0 get the same bits.
+    """
+    first = h[(h != 0.0).argmax(axis=0), np.arange(h.shape[1])]
+    h = h * np.where(first < 0.0, -1.0, 1.0) + 0.0
+    columns = h.T.tolist()
+    h = h[:, sorted(range(len(columns)), key=columns.__getitem__)]
+    return h / np.sqrt(_dot(h, h))[:, None]
+
+
+def _orthant_quadrature(n: np.ndarray, cone_id: str) -> float:
+    """P(N Z >= 0) for Z ~ N(0, I) and k = 4 or 5 unit rows, by Plackett's reduction.
+
+    With R = N N^T the correlation of X = N Z, the orthant probability along
     R(t) = I + t (R - I) starts at 2^-k and grows by
     sum_{i<j} r_ij phi2(0, 0; t r_ij) P(rest >= 0 | X_i = X_j = 0) dt
     (Plackett, Biometrika 41, 1954).  The conditional orthant has
@@ -296,11 +328,11 @@ def _orthant_quadrature(h: np.ndarray, cone_id: str) -> float:
     with p_a, m_a = n_a . (n_i +- n_j) for the unit normals n.  Each
     factor is taken from the normals and angles, not as a difference of
     correlations, so nearly parallel or antiparallel normals keep their
-    precision.
+    precision.  The value depends on nothing but the bits of N, which
+    is what lets one quadrature stand for a whole class (_cone_class).
     """
-    k = h.shape[0]
+    k = n.shape[0]
     q = k - 2
-    n = h / np.sqrt(_dot(h, h))[:, None]
     i, j, rest, a, b, oa, ob = _plackett_layout(k)
     plus, minus = n[i] + n[j], n[i] - n[j]
     # angles between n_i and n_j and between n_i and -n_j; asin(r_ij) is half their difference
@@ -345,7 +377,7 @@ def _orthant_quadrature(h: np.ndarray, cone_id: str) -> float:
     )
 
 
-def exact_solid_angle_fraction(cone: VertexCone) -> float:
+def exact_solid_angle_fraction(cone: VertexCone, classes: dict | None = None) -> float:
     """Fraction of the sphere of directions in the cone, without sampling.
 
     Works on the k inward normals of the cone's half-space matrix: k = 0
@@ -364,6 +396,13 @@ def exact_solid_angle_fraction(cone: VertexCone) -> float:
     the cone, is raised when no pair of rules does.  So d <= 5 is exact
     and d >= 6 is left to Monte Carlo (solid_angle_fraction).
 
+    The quadrature runs on the canonical unit normals of the cone's
+    class (_cone_class), so cones equal up to a signed permutation of
+    the coordinates get the same bits.  A caller measuring many cones
+    may pass a dict as classes: it maps each class measured so far to
+    its fraction, and a cone whose class is in it is not measured again.
+    The value is the same with or without it.
+
     The normals must be linearly independent, as they are for every cone
     cone_at_point builds.
     """
@@ -379,7 +418,14 @@ def exact_solid_angle_fraction(cone: VertexCone) -> float:
         excess = 2.0 * math.pi - _angle(h[0], h[1]) - _angle(h[0], h[2]) - _angle(h[1], h[2])
         return excess / (4.0 * math.pi)
     if k in (4, 5) and cone.dimension >= k:
-        return _orthant_quadrature(h, cone.id)
+        n = _cone_class(h)
+        if classes is None:
+            return _orthant_quadrature(n, cone.id)
+        key = (n.shape, n.tobytes())
+        fraction = classes.get(key)
+        if fraction is None:
+            fraction = classes[key] = _orthant_quadrature(n, cone.id)
+        return fraction
     raise UnsupportedDimension(
         f"no exact solid angle for a cone with {k} facets in d={cone.dimension}"
     )

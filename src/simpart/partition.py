@@ -30,6 +30,7 @@ from .cones import (
     MonteCarloConfig,
     VertexCone,
     cone_at_point,
+    corner_cone,
     exact_solid_angle_fraction,
     max_intersection_bound,
     per_simplex_angle_bound,
@@ -429,7 +430,9 @@ class TheoremReport:
     (d <= 5: closed forms up to three facets, a checked quadrature for
     four and five) and "monte-carlo" in d >= 6; samples_per_cone and
     seed record the sampling budget, which the exact route does not
-    draw on.
+    draw on.  cone_classes is the number of quadratures the exact route
+    ran, one per class of four- and five-facet cones (0 in d <= 3 and on
+    the Monte Carlo route); it is not written to the report.
     """
 
     d: int
@@ -445,6 +448,7 @@ class TheoremReport:
     per_vertex_checks: list[VertexCheck] = field(default_factory=list)
     decomposition_checks: list[DecompositionCheck] = field(default_factory=list)
     valence_ok: bool = True
+    cone_classes: int = 0
 
     @property
     def passed(self) -> bool:
@@ -510,12 +514,14 @@ def verify_theorem(
     cone of each leaf the vertex hangs on (interior sums must hit 1
     within 4 combined stderr, boundary sums must not exceed 1 by more).
 
+    The corner cones come from each leaf's cached gradients (corner_cone);
+    only the face cones of hanging vertices are located by cone_at_point.
     In d <= 5 every cone is measured by exact_solid_angle_fraction with
     stderr EXACT_STDERR (closed forms up to three facets, a checked
     quadrature for four and five, which raises QuadratureError rather
-    than return an unchecked value), every pair is audited, and mc and
-    full_audit play no part; in d >= 6 each pair draws mc.samples
-    directions from its own stream.
+    than return an unchecked value), each class of quadrature cones
+    once, every pair is audited, and mc and full_audit play no part; in
+    d >= 6 each pair draws mc.samples directions from its own stream.
     """
     leaves = p.leaves
     if not leaves:
@@ -538,9 +544,11 @@ def verify_theorem(
         chosen = rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False)
         pairs = [pairs[i] for i in sorted(chosen)]
 
+    classes: dict = {}  # the exact route's fraction of each cone class, local to this audit
+
     def measure(cone: VertexCone, leaf: int, vid: int) -> tuple[float, float]:
         if exact:
-            return exact_solid_angle_fraction(cone), EXACT_STDERR
+            return exact_solid_angle_fraction(cone, classes), EXACT_STDERR
         est = solid_angle_fraction(cone, _pair_config(mc, leaf, vid))
         return est.fraction, est.stderr
 
@@ -548,7 +556,7 @@ def verify_theorem(
     checks = []
     for leaf, vid in pairs:
         s = p.simplex(leaf)
-        cone = cone_at_point(s, p.vertex_coords(vid))
+        cone = corner_cone(s, p.nodes[leaf].vertex_ids.index(vid))
         fraction, stderr = measure(cone, leaf, vid)
         rho = regularity_ratio(s)
         strong = per_simplex_angle_bound(rho, d)
@@ -618,4 +626,5 @@ def verify_theorem(
         per_vertex_checks=checks,
         decomposition_checks=decomposition,
         valence_ok=max_val <= bound_n,
+        cone_classes=len(classes),
     )

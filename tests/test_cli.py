@@ -583,8 +583,9 @@ def test_cli_verify_agrees_with_library(tmp_path, capsys):
 GOLDEN_KUHN2_3_REPORT_SHA256 = "955be84ba58018fb74f0e778fadd89c9a53db5792ed58a9f081a7bc5404b858f"
 
 # kuhn(4)@1 is audited by the exact route too: the hash pins the
-# quadrature of the four-facet vertex cones.
-GOLDEN_KUHN4_1_REPORT_SHA256 = "edd7dd905b613dbbe807ca3864bfa4fc3e9113accf7448928d73d221ea07a04a"
+# quadrature of the four-facet vertex cones, run on each class's
+# canonical normals.
+GOLDEN_KUHN4_1_REPORT_SHA256 = "8aa4a2ce51c24c7eab734f4d09a1c520d68a028c2ecc1c7b91a3270316a7d0a7"
 
 # kuhn(6)@0 is audited by Monte Carlo: the hash pins the per-pair streams.
 # At 2000 samples 3575 of its 5040 cones draw no hit; their stderr is
@@ -595,7 +596,7 @@ GOLDEN_KUHN6_0_REPORT_SHA256 = "dcf67dc7477a5d1914f1986758f143f7a9fe634b1329af05
 # they are not corners of, so these sums include face cones: exact in
 # kuhn(2)@40 and kuhn(4)@30, Monte Carlo streams in kuhn(6)@4.
 GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256 = "fb5b1017b430f7449e47126ae8a046c979be98fd48a9aca1904445411412c777"
-GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "5e22eabf3c8732ce148fef7f6b6b3440e7d306abf90d6e8140430bdc930146a0"
+GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "75db11909f72d4aa83a444d156fb922f1739b3cb06bd9e097a3049f32d781d0e"
 GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "290ba0878eb391759dec035eeab4133afaf154993326bf1659453634c917f064"
 
 # Optimizer trace and refined partitions on the Kuhn cube: every vertex

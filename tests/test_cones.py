@@ -332,6 +332,36 @@ def test_quadrature_measures_every_random_vertex_cone():
                 assert exact_solid_angle_fraction(cone_at_point(s, s.vertices[k])) >= bound
 
 
+@pytest.mark.parametrize("d, k", [(4, 4), (5, 4), (5, 5)])
+def test_cone_class_key_decides_the_fraction_bitwise(d, k):
+    # the quadrature runs on the class's canonical normals, so a signed
+    # permutation of the coordinates, a power-of-two scaling of the rows
+    # and -0.0 in place of 0.0 must leave every bit of the fraction as it
+    # is; about a fifth of the entries are zeroed so that signs of zero
+    # and ties in the column sort occur
+    rng = np.random.default_rng(2200 + 10 * d + k)
+    for _ in range(12):
+        s = random_simplex(d, rng)
+        h = s.barycentric_gradients[np.sort(rng.choice(d + 1, size=k, replace=False))].copy()
+        zero = rng.random(h.shape) < 0.2
+        zero[np.arange(k), np.argmax(np.abs(h), axis=1)] = False  # no row vanishes
+        h[zero] = 0.0
+        base = exact_solid_angle_fraction(VertexCone(np.zeros(d), h)).hex()
+        signs = rng.choice([-1.0, 1.0], size=d)
+        variants = (
+            h[:, rng.permutation(d)] * signs,
+            h * 2.0 ** rng.integers(-30, 31, size=(k, 1)).astype(float),
+            np.where(h == 0.0, -0.0, h),
+        )
+        for v in variants:
+            assert exact_solid_angle_fraction(VertexCone(np.zeros(d), v)).hex() == base
+        # the class memo returns the same bits
+        classes = {}
+        for v in (h, *variants):
+            assert exact_solid_angle_fraction(VertexCone(np.zeros(d), v), classes).hex() == base
+        assert len(classes) == 1
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     d=st.integers(2, 3),

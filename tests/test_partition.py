@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import simpart.cones as cones_mod
 import simpart.partition as partition_mod
-from simpart.cones import EXACT_STDERR, MonteCarloConfig, max_intersection_bound
+from simpart.cones import (
+    EXACT_STDERR,
+    MonteCarloConfig,
+    cone_at_point,
+    corner_cone,
+    exact_solid_angle_fraction,
+    max_intersection_bound,
+)
 from simpart.errors import (
     DegenerateSimplex,
     DimensionMismatch,
@@ -663,14 +671,68 @@ def test_exact_interior_sums_are_one(d, steps, strategy):
             assert hanging & {c.vertex_id for c in interior}
 
 
+def _audit_case(name):
+    if name == "kuhn4@2":
+        return refine(kuhn_triangulation(4), 2)
+    if name == "largest-kuhn4@30":
+        return refine(kuhn_triangulation(4), 30, strategy="bisect-largest-leaf")
+    if name == "kuhn5@1":
+        return refine(kuhn_triangulation(5), 1)
+    return refine(partition_from_simplices([random_simplex(4, np.random.default_rng(2300))]), 3)
+
+
+@pytest.mark.parametrize("name", ["kuhn4@2", "largest-kuhn4@30", "kuhn5@1", "random4@3"])
+def test_audit_fractions_equal_per_cone_measurement_bitwise(name):
+    # the audit builds corner cones from the cached gradients and measures
+    # each cone class once; neither may show in a single bit of the report
+    p = _audit_case(name)
+    for leaf, s in zip(p.leaves, p.simplices(p.leaves)):
+        for k, vid in enumerate(p.nodes[leaf].vertex_ids):
+            got, expected = corner_cone(s, k), cone_at_point(s, p.vertex_coords(vid))
+            assert got.id == expected.id
+            assert got.halfspaces.shape == expected.halfspaces.shape
+            assert got.halfspaces.tobytes() == expected.halfspaces.tobytes()
+
+    def per_cone(leaf, vid):
+        return exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)))
+
+    report = verify_theorem(p, AUDIT)
+    assert report.method == "exact" and report.passed
+    for c in report.per_vertex_checks:
+        assert c.fraction.hex() == per_cone(c.leaf_id, c.vertex_id).hex()
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
+    assert len(report.decomposition_checks) == p.n_vertices
+    for c in report.decomposition_checks:
+        leaves = sorted(at_leaf[at_vertex == c.vertex_id].tolist())
+        assert c.fraction_sum.hex() == float(sum(per_cone(leaf, c.vertex_id) for leaf in leaves)).hex()
+    # the sums of the last two cases take face cones at hanging vertices
+    assert bool(_hanging_vertices(p)) == (name in ("largest-kuhn4@30", "random4@3"))
+
+
+def test_report_counts_one_quadrature_per_cone_class(monkeypatch):
+    calls = []
+    quadrature = cones_mod._orthant_quadrature
+
+    def counted(n, cone_id):
+        calls.append(cone_id)
+        return quadrature(n, cone_id)
+
+    monkeypatch.setattr(cones_mod, "_orthant_quadrature", counted)
+    report = verify_theorem(refine(kuhn_triangulation(4), 3), AUDIT)
+    assert report.total_pairs == 960
+    assert report.cone_classes == len(calls)
+    assert 0 < report.cone_classes < report.total_pairs / 5
+
+
 def test_verify_theorem_method_follows_dimension():
     small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
     for d in (3, 4, 5):
         report = verify_theorem(kuhn_triangulation(d), small)
         assert report.method == "exact"
         assert all(c.stderr == EXACT_STDERR for c in report.per_vertex_checks)
+        assert (report.cone_classes > 0) == (d > 3)
     report = verify_theorem(partition_from_simplices([canonical_simplex("unit-corner", 6)]), small)
-    assert report.method == "monte-carlo"
+    assert report.method == "monte-carlo" and report.cone_classes == 0
     assert all(c.stderr != EXACT_STDERR for c in report.per_vertex_checks)
 
 
