@@ -110,9 +110,11 @@ def cmd_refine(args) -> int:
     else:
         p = partition_from_simplices([read_simplex(args.root)])
     refine(p, args.steps, args.strategy)
-    write_partition(p, args.output)
-    eta_min = min_regularity(p)  # builds and validates every leaf, in one call, before the descent
+    # builds and validates every leaf, in one call, before the descent; a
+    # degenerate leaf stops the command before any file is written
+    eta_min = min_regularity(p)
     _, valence = max_valence(p)
+    write_partition(p, args.output)
     print(
         f"leaves={len(p.leaves)} eta_min={fmt_float(eta_min)} "
         f"max_valence={valence} output={args.output}"

@@ -142,13 +142,13 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             best_vid = vid
 
     def raw_bound(node_id: int, s: Simplex) -> float:
-        vals = [value_at(v) for v in p.nodes[node_id].vertex_ids]
+        vals = [value_at(v) for v in p._vertex_ids[node_id].tolist()]
         return simplex_lower_bound(vals, lip, s.longest_edge[0], p.d)
 
     eta_min = math.inf
     heap: list[tuple[float, int]] = []
     for root, s in zip(roots, p.simplices(roots)):
-        for vid in p.nodes[root].vertex_ids:
+        for vid in p._vertex_ids[root].tolist():
             consider(vid)
         eta_min = min(eta_min, regularity_ratio(s))
         heapq.heappush(heap, (raw_bound(root, s), root))
@@ -173,12 +173,12 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             stop_reason = "tol" if gap <= tol else "budget"
             break
         heapq.heappop(heap)
-        parent_vids = p.nodes[node_id].vertex_ids
+        parent_vids = p._vertex_ids[node_id].tolist()
         left, right = p.bisect(node_id)
         pops += 1
         # every other child vertex is a root vertex or the midpoint of an
         # earlier bisection, so it has been considered already
-        (mid,) = set(p.nodes[left].vertex_ids).difference(parent_vids)
+        (mid,) = set(p._vertex_ids[left].tolist()).difference(parent_vids)
         consider(mid)
         for child, s in zip((left, right), p.simplices((left, right))):
             eta_min = min(eta_min, regularity_ratio(s))

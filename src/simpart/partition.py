@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,9 +64,9 @@ _SUBSAMPLE_TAG = 404
 AUDIT_PAIR_CAP = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """One simplex in the forest; children = () marks a leaf."""
+    """One node of the forest as Partition.nodes shows it; children = () marks a leaf."""
 
     id: int
     parent: int | None
@@ -74,8 +75,59 @@ class Node:
     children: tuple[int, ...] = ()
 
 
+class NodeView(Sequence):
+    """Read-only sequence of a partition's nodes, each a Node made on access.
+
+    For readers outside the package; the package reads the arrays.
+    """
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: Partition):
+        self._p = p
+
+    def __len__(self) -> int:
+        return self._p._n_nodes
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]  # the index checks of a list
+        p = self._p
+        parent = int(p._parent[i])
+        kids = p._children[i].tolist()
+        return Node(
+            id=i,
+            parent=None if parent < 0 else parent,
+            generation=int(p._generation[i]),
+            vertex_ids=tuple(p._vertex_ids[i].tolist()),
+            children=tuple(kids) if kids[0] >= 0 else (),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, NodeView):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
+    """a if it has room for size rows, else a copy with at least twice the rows, the new ones set to fill."""
+    if size <= a.shape[0]:
+        return a
+    out = np.full((max(size, 2 * a.shape[0], 8),) + a.shape[1:], fill, dtype=a.dtype)
+    out[: a.shape[0]] = a
+    return out
+
+
 class Partition:
     """Refinement forest with a deduplicated vertex registry.
+
+    The forest is a node table of arrays, in node id order: parent (-1 for
+    a root), generation, (n, 2) children (-1 for a leaf) and (n, d+1)
+    vertex ids.  The registry is an (n_vertices, d) coordinate array.
+    Each array grows by doubling, so its rows past the node or vertex
+    count are unused; an unused children row is (-1, -1), so a new node
+    is a leaf.  Partition.nodes shows the table as Node records.
 
     Two vertices are the same exactly when their coordinates are equal.
     That is enough for shared midpoints: both cells on an edge compute
@@ -90,8 +142,13 @@ class Partition:
         if d < 2:
             raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
         self.d = d
-        self.nodes: list[Node] = []
-        self._coords: list[np.ndarray] = []
+        self._n_nodes = 0
+        self._parent = np.empty(0, dtype=np.intp)
+        self._generation = np.empty(0, dtype=np.intp)
+        self._children = np.empty((0, 2), dtype=np.intp)
+        self._vertex_ids = np.empty((0, d + 1), dtype=np.intp)
+        self._n_vertices = 0
+        self._coords = np.empty((0, d))
         self._ids: dict[tuple, int] = {}
         self._simplices: dict[int, Simplex] = {}
 
@@ -103,11 +160,10 @@ class Partition:
         Keyed by the coordinate tuple: -0.0 and 0.0 are one vertex, points
         one ulp apart are two, and shared midpoints agree bitwise (above).
         """
-        return self._register(as_point(p, self.d).copy())
+        return self._register(as_point(p, self.d))
 
     def _register(self, p: np.ndarray) -> int:
-        """vertex_id without its input checks; p must be a finite (d,) array
-        that the registry may keep.
+        """vertex_id without its input checks; p must be a finite (d,) array.
 
         Bisection midpoints are: the mean of two registry vertices, whose
         coordinates make_simplices caps far below overflow.
@@ -115,23 +171,64 @@ class Partition:
         key = tuple(p.tolist())
         vid = self._ids.get(key)
         if vid is None:
-            vid = self._ids[key] = len(self._coords)
-            self._coords.append(p)
+            vid = self._ids[key] = self._n_vertices
+            self._coords = _grown(self._coords, vid + 1)
+            self._coords[vid] = p
+            self._n_vertices = vid + 1
         return vid
 
+    def _register_rows(self, points: np.ndarray) -> list[int]:
+        """_register of each row of an (m, d) array, in row order, with one copy of the new rows."""
+        ids, start, new = self._ids, self._n_vertices, []
+        out = []
+        for row, key in enumerate(map(tuple, points.tolist())):
+            vid = ids.get(key)
+            if vid is None:
+                vid = ids[key] = start + len(new)
+                new.append(row)
+            out.append(vid)
+        if new:
+            self._n_vertices = start + len(new)
+            self._coords = _grown(self._coords, self._n_vertices)
+            self._coords[start : self._n_vertices] = points[new]
+        return out
+
     def vertex_coords(self, vid: int) -> np.ndarray:
-        return self._coords[vid]
+        return self._coords[: self._n_vertices][vid]
 
     @property
     def vertices(self) -> np.ndarray:
         """(n_vertices, d) registry snapshot."""
-        return np.array(self._coords)
+        return self._coords[: self._n_vertices].copy()
 
     @property
     def n_vertices(self) -> int:
-        return len(self._coords)
+        return self._n_vertices
 
     # ------------------------------------------------------------ structure
+
+    def _new_nodes(self, k: int) -> int:
+        """Room for k more leaves in the node table; returns the first new id.
+
+        The caller fills their parent, generation and vertex_ids.
+        """
+        first = self._n_nodes
+        self._n_nodes = first + k
+        if self._n_nodes > self._parent.shape[0]:
+            self._parent = _grown(self._parent, self._n_nodes)
+            self._generation = _grown(self._generation, self._n_nodes)
+            self._children = _grown(self._children, self._n_nodes, fill=-1)
+            self._vertex_ids = _grown(self._vertex_ids, self._n_nodes)
+        return first
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The node table's parent, generation, children and vertex_ids rows in use."""
+        n = self._n_nodes
+        return self._parent[:n], self._generation[:n], self._children[:n], self._vertex_ids[:n]
+
+    @property
+    def nodes(self) -> NodeView:
+        return NodeView(self)
 
     def add_root(self, vertices) -> int:
         """Install a generation-0 simplex; returns its node id.
@@ -142,17 +239,20 @@ class Partition:
         s = make_simplex(vertices)
         if s.dimension != self.d:
             raise DimensionMismatch(f"expected dimension {self.d}, got {s.dimension}")
-        vids = tuple(self._register(v.copy()) for v in s.vertices)
-        self.nodes.append(Node(id=len(self.nodes), parent=None, generation=0, vertex_ids=vids))
-        return len(self.nodes) - 1
+        vids = self._register_rows(s.vertices)
+        node = self._new_nodes(1)
+        self._parent[node] = -1
+        self._generation[node] = 0
+        self._vertex_ids[node] = vids
+        return node
 
     @property
     def roots(self) -> list[int]:
-        return [n.id for n in self.nodes if n.parent is None]
+        return np.flatnonzero(self._parent[: self._n_nodes] < 0).tolist()
 
     @property
     def leaves(self) -> list[int]:
-        return [n.id for n in self.nodes if not n.children]
+        return np.flatnonzero(self._children[: self._n_nodes, 0] < 0).tolist()
 
     def simplex(self, node_id: int) -> Simplex:
         """The node's simplex: the cached one, else simplices([node_id])[0]."""
@@ -169,7 +269,7 @@ class Partition:
         """
         todo = [i for i in node_ids if i not in self._simplices]
         if todo:
-            verts = np.array([[self._coords[v] for v in self.nodes[i].vertex_ids] for i in todo])
+            verts = self._coords.take(self._vertex_ids[: self._n_nodes].take(todo, axis=0), axis=0)
             for i, s in zip(todo, make_simplices(verts, [str(i) for i in todo])):
                 if isinstance(s, DegenerateSimplex):
                     raise s
@@ -181,50 +281,72 @@ class Partition:
 
         The midpoint of the canonical longest edge (u, w) goes through
         the registry, so one a neighbour already made keeps its id; it
-        replaces w in the first child and u in the second (split_edge).
-        Both children are appended at the end of nodes, so node ids are
-        creation order, which is what lets read_partition replay a file.
-        The children's simplices are not built here.
+        replaces w in the first child and u in the second, so each child
+        keeps one endpoint of the split edge and the parent's vertex order.
+        Both children are appended at the end of the node table, so node
+        ids are creation order, which is what lets read_partition replay a
+        file.  The children's simplices are not built here.
         """
-        node = self.nodes[node_id]
-        if node.children:
+        if not 0 <= node_id < self._n_nodes:
+            raise IndexError(f"node {node_id} is not in the partition")
+        if self._children[node_id, 0] >= 0:
             raise ValueError(f"node {node_id} is not a leaf")
         s = self.simplex(node_id)
         _, (i, j) = s.longest_edge
         mid = self._register((s.vertices[i] + s.vertices[j]) / 2.0)
-        ids = []
-        for child_vids in split_edge(node.vertex_ids, i, j, mid):
-            child = Node(
-                id=len(self.nodes),
-                parent=node_id,
-                generation=node.generation + 1,
-                vertex_ids=child_vids,
-            )
-            self.nodes.append(child)
-            ids.append(child.id)
-        node.children = tuple(ids)
-        return ids[0], ids[1]
+        first = self._new_nodes(2)
+        kids = self._vertex_ids[first : first + 2]
+        kids[:] = self._vertex_ids[node_id]
+        kids[0, j] = kids[1, i] = mid
+        self._parent[first] = self._parent[first + 1] = node_id
+        self._generation[first] = self._generation[first + 1] = self._generation[node_id] + 1
+        self._children[node_id, 0], self._children[node_id, 1] = first, first + 1
+        return first, first + 1
+
+    def bisect_leaves(self, node_ids) -> None:
+        """Bisect distinct leaves as bisect on each of them in turn would.
+
+        One leaf takes bisect.  More are split in one stacked pass: the
+        longest edges come from one simplices call, every midpoint is
+        (v_i + v_j) / 2 in one elementwise operation (the bits bisect
+        gets), the midpoints are registered in the given order, and the
+        children of the k-th leaf get the next ids 2k and 2k + 1, laid out
+        as bisect lays them out.  A partition refined either way has the
+        same node table and registry, bit for bit.
+        """
+        node_ids = list(node_ids)
+        if len(node_ids) <= 1:
+            for node_id in node_ids:
+                self.bisect(node_id)
+            return
+        leaves = np.array(node_ids, dtype=np.intp)
+        if leaves.min() < 0 or leaves.max() >= self._n_nodes:
+            raise IndexError(f"node ids {node_ids} are not all in the partition")
+        if np.any(self._children[leaves, 0] >= 0) or len(set(node_ids)) < len(node_ids):
+            raise ValueError("bisect_leaves needs distinct leaves")
+        i, j = np.array([s.longest_edge[1] for s in self.simplices(node_ids)], dtype=np.intp).T
+        rows = np.arange(leaves.size)
+        verts = self._coords[self._vertex_ids[leaves]]
+        mid = self._register_rows((verts[rows, i] + verts[rows, j]) / 2.0)
+        kids = np.repeat(self._vertex_ids[leaves], 2, axis=0)  # each leaf's first, then second child
+        kids[2 * rows, j] = kids[2 * rows + 1, i] = mid
+        first = self._new_nodes(kids.shape[0])
+        new = slice(first, self._n_nodes)
+        self._vertex_ids[new] = kids
+        self._parent[new] = np.repeat(leaves, 2)
+        self._generation[new] = np.repeat(self._generation[leaves] + 1, 2)
+        self._children[leaves] = np.arange(first, self._n_nodes).reshape(-1, 2)
 
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
         return (
             self.d == other.d
-            and self.nodes == other.nodes
-            and self.n_vertices == other.n_vertices
-            and all(np.array_equal(a, b) for a, b in zip(self._coords, other._coords))
+            and self._n_nodes == other._n_nodes
+            and self._n_vertices == other._n_vertices
+            and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+            and np.array_equal(self._coords[: self._n_vertices], other._coords[: other._n_vertices])
         )
-
-
-def split_edge(vertices, i: int, j: int, mid) -> tuple[tuple, tuple]:
-    """The two children of a simplex bisected on its edge (i, j).
-
-    The midpoint replaces vertex j in the first child and vertex i in
-    the second, so each child keeps one endpoint of the split edge and
-    the vertex order of the parent.
-    """
-    vertices = tuple(vertices)
-    return vertices[:j] + (mid,) + vertices[j + 1 :], vertices[:i] + (mid,) + vertices[i + 1 :]
 
 
 def kuhn_triangulation(d: int) -> Partition:
@@ -278,12 +400,11 @@ def refine(p: Partition, steps: int, strategy: str = "bisect-all-leaves") -> Par
         raise EmptyPartition("partition has no leaves")
     for _ in range(steps):
         leaves = p.leaves
-        simplices = p.simplices(leaves)
         if strategy == "bisect-largest-leaf":
-            h = [s.longest_edge[0] for s in simplices]
-            leaves = [leaves[h.index(max(h))]]  # leaves ascend, so ties go to the smallest id
-        for node_id in leaves:
-            p.bisect(node_id)
+            h = [s.longest_edge[0] for s in p.simplices(leaves)]
+            p.bisect(leaves[h.index(max(h))])  # leaves ascend, so ties go to the smallest id
+        else:
+            p.bisect_leaves(leaves)
     return p
 
 
@@ -312,31 +433,30 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
     each matrix on its own, so these equal Simplex.barycentric_gradients
     bitwise); one einsum gives every pair's coordinates, with lambda_0
     what is left of 1 as in barycentric_many.  Pairs on a leaf are
-    recorded, the others move on to both children through the level's
-    (nodes, 2) child table.  Only the nodes a point reaches are read, so
+    recorded, the others move on to both children through the node
+    table's children column.  Only the nodes a point reaches are read, so
     one point costs a path, not the forest.  No Simplex is built, so the
     leaves are not validated here; min_regularity does that.
     """
-    nodes = p.nodes
+    _, _, children, vertex_ids = p._columns()
     coords = p.vertices
     roots = np.array(p.roots, dtype=np.intp)
     point = np.repeat(np.arange(points.shape[0]), roots.size)
     node = np.tile(roots, points.shape[0])
     found_point, found_leaf = [point[:0]], [node[:0]]
-    slot = np.empty(len(nodes), dtype=np.intp)
+    slot = np.empty(len(children), dtype=np.intp)
     while point.size:
         # the distinct frontier nodes and each pair's index among them (not
         # np.unique, whose sort kernels add half a MiB of resident pages)
-        distinct = np.flatnonzero(np.bincount(node, minlength=len(nodes)))
+        distinct = np.flatnonzero(np.bincount(node, minlength=len(children)))
         slot[distinct] = np.arange(distinct.size)
         at = slot[node]
-        level = [nodes[i] for i in distinct.tolist()]
-        verts = coords[np.array([n.vertex_ids for n in level])]
+        verts = coords[vertex_ids[distinct]]
         grads = np.linalg.inv(_edge_matrices(verts))
         lam = np.einsum("kij,kj->ki", grads[at], points[point] - verts[at, 0])
         inside = np.all(lam >= -tol, axis=1) & (1.0 - lam.sum(axis=1) >= -tol)
         point, node = point[inside], node[inside]
-        kids = np.array([n.children or (-1, -1) for n in level])[at[inside]]
+        kids = children[distinct][at[inside]]
         leaf = kids[:, 0] < 0
         found_point.append(point[leaf])
         found_leaf.append(node[leaf])
@@ -468,15 +588,12 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     coordinate i is <= MEMBERSHIP_TOL: the membership test of the
     valence descent, applied to the facet.
     """
-    facets = Counter(
-        frozenset(vids[:i] + vids[i + 1 :])
-        for vids in (p.nodes[r].vertex_ids for r in p.roots)
-        for i in range(len(vids))
-    )
+    roots = p.roots
+    root_vids = [tuple(vids) for vids in p._vertex_ids[roots].tolist()]
+    facets = Counter(frozenset(vids[:i] + vids[i + 1 :]) for vids in root_vids for i in range(len(vids)))
     pts = p.vertices
     mask = np.zeros(p.n_vertices, dtype=bool)
-    for root, s in zip(p.roots, p.simplices(p.roots)):
-        vids = p.nodes[root].vertex_ids
+    for vids, s in zip(root_vids, p.simplices(roots)):
         lam = barycentric_many(s, pts)
         inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
         for i in range(len(vids)):
@@ -537,7 +654,8 @@ def verify_theorem(
     max_val = int(valences[witness_id])
 
     exact = d <= 5
-    pairs = [(leaf, vid) for leaf in leaves for vid in p.nodes[leaf].vertex_ids]
+    corners = p._vertex_ids[leaves].tolist()
+    pairs = [(leaf, vid) for leaf, vids in zip(leaves, corners) for vid in vids]
     total_pairs = len(pairs)
     if not exact and total_pairs > AUDIT_PAIR_CAP and not full_audit:
         rng = np.random.default_rng(np.random.SeedSequence([mc.seed, _SUBSAMPLE_TAG]))
@@ -556,7 +674,7 @@ def verify_theorem(
     checks = []
     for leaf, vid in pairs:
         s = p.simplex(leaf)
-        cone = corner_cone(s, p.nodes[leaf].vertex_ids.index(vid))
+        cone = corner_cone(s, p._vertex_ids[leaf].tolist().index(vid))
         fraction, stderr = measure(cone, leaf, vid)
         rho = regularity_ratio(s)
         strong = per_simplex_angle_bound(rho, d)
@@ -584,7 +702,7 @@ def verify_theorem(
     decomposition = []
     for vid, leaves_at in enumerate(incident):
         leaves_at = leaves_at.tolist()
-        if any((leaf, vid) not in estimates and vid in p.nodes[leaf].vertex_ids for leaf in leaves_at):
+        if any((leaf, vid) not in estimates and vid in p._vertex_ids[leaf] for leaf in leaves_at):
             continue  # a corner pair was subsampled away; the sum would be meaningless
         fracs = []
         errs = []

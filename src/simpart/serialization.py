@@ -9,6 +9,7 @@ files on every platform.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -18,7 +19,7 @@ from .cones import FractionEstimate
 from .errors import EmptyPartition
 from .geometry import Simplex, make_simplex
 from .optimizer import TraceRow
-from .partition import Node, Partition, TheoremReport
+from .partition import Partition, TheoremReport
 
 
 def fmt_float(x: float) -> str:
@@ -73,17 +74,22 @@ def read_simplex(path) -> Simplex:
 
 
 def partition_to_json(p: Partition) -> str:
+    """The partition as JSON text, written from its node table and registry.
+
+    The bytes are those of dumps on the document {"d", "nodes",
+    "vertices"}, with each node {"id", "parent", "generation",
+    "vertex_ids", "children"}: every node and vertex is formatted in one
+    pass over the arrays' lists, then joined once.
+    """
+    parent, generation, children, vertex_ids = (column.tolist() for column in p._columns())
     nodes = [
-        {
-            "id": n.id,
-            "parent": n.parent,
-            "generation": n.generation,
-            "vertex_ids": list(n.vertex_ids),
-            "children": list(n.children),
-        }
-        for n in p.nodes
+        f'{{"id": {i}, "parent": {"null" if up < 0 else up}, "generation": {gen}, '
+        f'"vertex_ids": [{", ".join(map(str, vids))}], '
+        f'"children": [{"" if kids[0] < 0 else f"{kids[0]}, {kids[1]}"}]}}'
+        for i, (up, gen, kids, vids) in enumerate(zip(parent, generation, children, vertex_ids))
     ]
-    return dumps({"d": p.d, "nodes": nodes, "vertices": [list(v) for v in p.vertices]})
+    vertices = ["[" + ", ".join([fmt_float(x) for x in v]) + "]" for v in p.vertices.tolist()]
+    return f'{{"d": {p.d}, "nodes": [{", ".join(nodes)}], "vertices": [{", ".join(vertices)}]}}\n'
 
 
 def write_partition(p: Partition, path) -> None:
@@ -112,18 +118,45 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _id_list(obj: dict, key: str, where: str, limit: int) -> tuple[int, ...]:
-    """Integer ids in [0, limit) from a list field."""
+def _check_id_list(obj: dict, key: str, where: str, limit: int) -> None:
+    """Raise ValueError unless the field is a list of integer ids in [0, limit)."""
     values = _field(obj, key, where)
     if not isinstance(values, list):
         raise ValueError(f"{where}: {key} must be a list, got {values!r}")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < limit:
             raise ValueError(f"{where}: {key} entry {v!r} is not an id in [0, {limit})")
-    return tuple(values)
 
 
-def _read_node(raw, index: int, n_nodes: int, n_vertices: int) -> Node:
+def _vertex_coords(raw_vertices: list):
+    """The file's vertices as one float array, or as one array per vertex when the list is ragged."""
+    try:
+        return np.array(raw_vertices, dtype=float)
+    except (TypeError, ValueError):
+        pass
+    try:
+        return [np.asarray(v, dtype=float) for v in raw_vertices]
+    except (TypeError, ValueError):
+        raise ValueError("partition: vertices must be lists of numbers") from None
+
+
+_NODE_FIELDS = ("parent", "id", "generation", "vertex_ids", "children")
+
+
+def _plain_ints(values, limit: int | None = None) -> bool:
+    """Whether every value is an int and not a bool, in [0, limit) when a limit is given."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        return False
+    return limit is None or not values or (min(values) >= 0 and max(values) < limit)
+
+
+def _id_lists(values, limit: int) -> bool:
+    return set(map(type, values)) <= {list} and _plain_ints(itertools.chain.from_iterable(values), limit)
+
+
+def _check_node(raw, index: int, n_nodes: int, n_vertices: int) -> None:
+    """Raise ValueError naming the node's first malformed field, if it has one."""
     where = f"node {index}"
     if not isinstance(raw, dict):
         raise ValueError(f"{where}: expected an object, got {type(raw).__name__}")
@@ -132,30 +165,66 @@ def _read_node(raw, index: int, n_nodes: int, n_vertices: int) -> Node:
         parent = _int_field(raw, "parent", where)
         if not 0 <= parent < n_nodes:
             raise ValueError(f"{where}: parent {parent} is not a node id in [0, {n_nodes})")
-    return Node(
-        id=_int_field(raw, "id", where),
-        parent=parent,
-        generation=_int_field(raw, "generation", where),
-        vertex_ids=_id_list(raw, "vertex_ids", where, n_vertices),
-        children=_id_list(raw, "children", where, n_nodes),
-    )
+    _int_field(raw, "id", where)
+    _int_field(raw, "generation", where)
+    _check_id_list(raw, "vertex_ids", where, n_vertices)
+    _check_id_list(raw, "children", where, n_nodes)
+
+
+def _node_columns(raw_nodes: list, n_vertices: int) -> tuple[list, ...]:
+    """The nodes' parent, id, generation, vertex_ids and children columns.
+
+    Each column is checked whole, for types and id ranges.  A column that
+    fails sends every node through _check_node in order, so the error
+    names the first malformed node and field.
+    """
+    n_nodes = len(raw_nodes)
+    try:
+        columns = tuple([raw[key] for raw in raw_nodes] for key in _NODE_FIELDS)
+    except (TypeError, KeyError):
+        columns = None
+    if columns is not None:
+        parent, ids, generation, vertex_ids, children = columns
+        if (
+            _plain_ints([up for up in parent if up is not None], n_nodes)
+            and _plain_ints(ids)
+            and _plain_ints(generation)
+            and _id_lists(vertex_ids, n_vertices)
+            and _id_lists(children, n_nodes)
+        ):
+            return columns
+    for index, raw in enumerate(raw_nodes):
+        _check_node(raw, index, n_nodes, n_vertices)
+    return tuple([raw[key] for raw in raw_nodes] for key in _NODE_FIELDS)
+
+
+def _table_equals(columns, table) -> bool:
+    """Whether the file's node columns equal the first rows of the replayed table."""
+    try:
+        return all(
+            np.array_equal(np.array(got, dtype=np.intp), want[: len(got)]) for got, want in zip(columns, table)
+        )
+    except (ValueError, OverflowError):  # a ragged id list or an int beyond intp
+        return False
 
 
 def read_partition(path) -> Partition:
     """Rebuild a partition by replaying its refinement.
 
-    Node ids are creation order (Partition.bisect appends both children
-    at the end), so the nodes are walked in id order: a root goes in
-    through add_root, and any other node not yet built is made by
-    bisecting its parent, which must be a leaf built before it.  Every
-    node of the file must then equal the replayed one in parent,
-    generation, vertex_ids and children, and the vertex list must equal
-    the replayed registry: the same count, and each vertex bitwise equal
-    to the one the replay made.  Malformed fields and every disagreement
-    raise ValueError naming the node, field or vertex.  Before a bisection
-    the nodes replayed since the last build that the file lists with
-    children are built in one Partition.simplices call, one per generation
-    for a bisect-all-leaves file; leaves are built on first use.
+    The node fields are checked first, column by column (_node_columns);
+    a malformed one raises ValueError naming the node and field.  Node
+    ids are creation order (bisection appends both children at the end),
+    so the replay walks the ids: a root goes in through add_root, and any
+    other node not yet built is made by bisecting its parent, which must
+    be a leaf built before it.  Each maximal run of such nodes whose parents are
+    distinct leaves built before the run is replayed by one
+    Partition.bisect_leaves call, which gives the ids and registry of one
+    bisection after another; a bisect-all-leaves file replays one round
+    per generation.  The file's parent, generation, vertex_ids and
+    children columns must then equal the replayed table, compared as
+    arrays; a per-node scan names the first node and field that differ.
+    The vertex list must equal the replayed registry: the same count, and
+    each vertex bitwise equal to the one the replay made.
     """
     doc = _read_object(path, "partition")
     d = _int_field(doc, "d", "partition")
@@ -163,40 +232,57 @@ def read_partition(path) -> Partition:
     raw_nodes = _field(doc, "nodes", "partition")
     if not isinstance(raw_vertices, list) or not isinstance(raw_nodes, list):
         raise ValueError("partition: vertices and nodes must be lists")
-    try:
-        coords = [np.asarray(v, dtype=float) for v in raw_vertices]
-    except (TypeError, ValueError):
-        raise ValueError("partition: vertices must be lists of numbers") from None
-    nodes = [_read_node(n, i, len(raw_nodes), len(coords)) for i, n in enumerate(raw_nodes)]
-    if not nodes:
+    coords = _vertex_coords(raw_vertices)
+    n_nodes, n_vertices = len(raw_nodes), len(coords)
+    parent, ids, generation, vertex_ids, children = _node_columns(raw_nodes, n_vertices)
+    if not raw_nodes:
         raise EmptyPartition("partition file contains no nodes")
-    if [n.id for n in nodes] != list(range(len(nodes))):
+    if ids != list(range(n_nodes)):
         raise ValueError("node ids must be 0..n-1 in order")
+
     p = Partition(d)
-    built = 0  # the nodes below this id have been through a simplices call
-    for n in nodes:
-        if n.id < len(p.nodes):
-            continue  # the second child of a bisection already replayed
-        if n.parent is None:
-            p.add_root([coords[v] for v in n.vertex_ids])
-        elif n.parent < len(p.nodes) and not p.nodes[n.parent].children:
-            if n.parent >= built:
-                p.simplices([i for i in range(built, n.id) if nodes[i].children])
-                built = n.id
-            p.bisect(n.parent)
-        else:
-            raise ValueError(f"node {n.id}: parent {n.parent} is not a leaf built before it")
-    for n, built in zip(nodes, p.nodes):
-        for key in ("parent", "generation", "vertex_ids", "children"):
-            got, want = getattr(n, key), getattr(built, key)
-            if got != want:
-                raise ValueError(f"node {n.id}: {key} is {got}, the replayed refinement gives {want}")
-    if len(coords) != p.n_vertices:
-        raise ValueError(f"partition: {len(coords)} vertices listed, the replayed refinement gives {p.n_vertices}")
-    for vid, got in enumerate(coords):
-        want = p.vertex_coords(vid)
-        if not np.array_equal(got, want):
-            raise ValueError(f"vertex {vid}: stored as {got.tolist()}, the replayed refinement gives {want.tolist()}")
+    built = 0  # the nodes below this id have been replayed
+    while built < n_nodes:
+        if parent[built] is None:
+            p.add_root([coords[v] for v in vertex_ids[built]])
+            built += 1
+            continue
+        run: dict[int, None] = {}  # the parents of nodes built, built + 2, ..., in order
+        while built + 2 * len(run) < n_nodes:
+            up = parent[built + 2 * len(run)]
+            if up is None or up >= built or up in run or p._children[up, 0] >= 0:
+                break
+            run[up] = None
+        if not run:
+            raise ValueError(f"node {built}: parent {parent[built]} is not a leaf built before it")
+        p.bisect_leaves(run)
+        built += 2 * len(run)
+
+    columns = (
+        [-1 if up is None else up for up in parent],
+        generation,
+        [kids or (-1, -1) for kids in children],
+        vertex_ids,
+    )
+    if not _table_equals(columns, p._columns()):
+        replayed = p.nodes
+        for i, got_node in enumerate(zip(parent, generation, vertex_ids, children)):
+            want_node = replayed[i]
+            for key, got in zip(("parent", "generation", "vertex_ids", "children"), got_node):
+                got = tuple(got) if isinstance(got, list) else got
+                want = getattr(want_node, key)
+                if got != want:
+                    raise ValueError(f"node {i}: {key} is {got}, the replayed refinement gives {want}")
+    if n_vertices != p.n_vertices:
+        raise ValueError(f"partition: {n_vertices} vertices listed, the replayed refinement gives {p.n_vertices}")
+    registry = p.vertices
+    if not (isinstance(coords, np.ndarray) and np.array_equal(coords, registry)):
+        for vid, want in enumerate(registry):
+            got = np.asarray(coords[vid])
+            if not np.array_equal(got, want):
+                raise ValueError(
+                    f"vertex {vid}: stored as {got.tolist()}, the replayed refinement gives {want.tolist()}"
+                )
     return p
 
 

@@ -167,6 +167,19 @@ def test_refine_from_simplex_file(tmp_path, capsys):
     assert "leaves=2" in out
 
 
+def test_refine_writes_no_file_when_a_leaf_is_degenerate(tmp_path, capsys):
+    # the root of test_degenerate_sibling_raises_only_when_requested: its
+    # bisection leaves a child below the degeneracy threshold
+    root = tmp_path / "thin.json"
+    root.write_text('{"id": "thin", "vertices": [[0, 0], [3e-12, 0], [1.5e-12, 1]]}\n')
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "refine", "--root", str(root), "--steps", "1", "-o", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("simpart: error: ") and "degenerate" in err
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_refine_kuhn_requires_dim(tmp_path, capsys):
     code, _, err = run_cli(capsys, "refine", "-o", str(tmp_path / "p.json"))
     assert code == 2

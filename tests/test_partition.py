@@ -40,7 +40,7 @@ from simpart.partition import (
     verify_theorem,
     vertex_valence,
 )
-from simpart.serialization import read_partition, write_partition
+from simpart.serialization import partition_to_json, read_partition, write_partition
 
 from .oracles import bisect_longest_edge, flat_scan_count, flat_scan_pairs, simplex_metrics_one_by_one
 from .support import random_simplex
@@ -227,6 +227,81 @@ def test_partition_bisect_requires_leaf():
     p.bisect(0)
     with pytest.raises(ValueError):
         p.bisect(0)
+
+
+def test_bisect_leaves_requires_distinct_leaves():
+    p = kuhn_triangulation(2)
+    p.bisect(0)
+    for node_ids in ([0, 1], [1, 1]):
+        with pytest.raises(ValueError):
+            p.bisect_leaves(node_ids)
+    with pytest.raises(IndexError):
+        p.bisect_leaves([1, 4])
+    assert len(p.nodes) == 4 and p.leaves == [1, 2, 3]
+
+
+def bisected_one_at_a_time(p, steps):
+    """refine's bisect-all-leaves rounds, as one Partition.bisect per leaf."""
+    for _ in range(steps):
+        for leaf in p.leaves:
+            p.bisect(leaf)
+    return p
+
+
+@pytest.mark.parametrize(
+    "root, d, steps",
+    [
+        ("kuhn", 2, 8), ("kuhn", 3, 6), ("kuhn", 4, 4), ("kuhn", 5, 2),
+        ("random", 2, 8), ("random", 3, 7), ("random", 4, 6),
+    ],
+)
+def test_stacked_round_equals_single_bisections_bitwise(root, d, steps):
+    # random roots are not dyadic, so their midpoints round
+    def fresh():
+        if root == "kuhn":
+            return kuhn_triangulation(d)
+        return partition_from_simplices([random_simplex(d, np.random.default_rng(4100 + d))])
+
+    stacked = refine(fresh(), steps)
+    single = bisected_one_at_a_time(fresh(), steps)
+    for got, want in zip(stacked._columns(), single._columns()):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert stacked.vertices.tobytes() == single.vertices.tobytes()
+    assert partition_to_json(stacked) == partition_to_json(single)
+    assert stacked == single
+
+
+def test_nodes_is_a_read_only_sequence_of_node_records(tmp_path):
+    p = refine(kuhn_triangulation(2), 2)
+    p.bisect(p.leaves[0])
+    nodes = p.nodes
+    assert len(nodes) == 2 + 4 + 8 + 2
+    records = list(nodes)
+    assert [n.id for n in records] == list(range(len(nodes)))
+    for n in records:
+        assert type(n.id) is int and type(n.generation) is int
+        assert n.parent is None or type(n.parent) is int
+        assert type(n.vertex_ids) is tuple and len(n.vertex_ids) == 3
+        assert all(type(v) is int for v in n.vertex_ids)
+        assert type(n.children) is tuple and len(n.children) in (0, 2)
+        assert all(type(c) is int for c in n.children)
+    assert records[0].parent is None and records[0].children == (2, 3)
+    assert records[2].parent == 0 and records[2].generation == 1
+    assert [n.id for n in records if n.parent is None] == p.roots
+    assert [n.id for n in records if not n.children] == p.leaves
+    assert nodes[-1] == records[-1] and nodes[1:3] == records[1:3]
+    with pytest.raises(IndexError):
+        nodes[len(nodes)]
+    with pytest.raises(AttributeError):
+        nodes[0].children = ()
+    with pytest.raises(TypeError):
+        nodes[0] = records[1]
+    path = tmp_path / "p.json"
+    write_partition(p, path)
+    q = read_partition(path)
+    assert q.nodes == p.nodes and list(q.nodes) == records
+    q.bisect(q.leaves[0])
+    assert q.nodes != p.nodes
 
 
 def test_bisection_midpoints_merge_in_registry():
