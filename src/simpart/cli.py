@@ -110,8 +110,8 @@ def cmd_refine(args) -> int:
     else:
         p = partition_from_simplices([read_simplex(args.root)])
     refine(p, args.steps, args.strategy)
-    # builds and validates every leaf, in one call, before the descent; a
-    # degenerate leaf stops the command before any file is written
+    # measures and validates every leaf in stacked passes before the
+    # descent; a degenerate leaf stops the command before any file is written
     eta_min = min_regularity(p)
     _, valence = max_valence(p)
     write_partition(p, args.output)

@@ -53,10 +53,10 @@ def as_point(p, d: int | None = None) -> Point:
 
 
 @lru_cache(maxsize=None)
-def _edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
-    """The vertex pairs i < j in lexicographic order: index arrays i, j and (i, j) tuples."""
+def _edge_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex pairs i < j in lexicographic order: index arrays i, j and their (E, 2) stack."""
     i, j = np.triu_indices(n, 1)
-    return i, j, list(zip(i.tolist(), j.tolist()))
+    return i, j, np.column_stack([i, j])
 
 
 def _edge_matrices(verts: np.ndarray) -> np.ndarray:
@@ -69,23 +69,26 @@ def _volumes(verts: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(_edge_matrices(verts))) / math.factorial(verts.shape[2])
 
 
-def _longest_edges(verts: np.ndarray) -> list[tuple[float, tuple[int, int]]]:
-    """(length, (i, j)) of the longest edge of each simplex of an (m, d+1, d) stack.
+def _longest_edges(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Longest edges of an (m, d+1, d) stack: (m,) lengths and the (m, 2) vertex pairs (i, j).
 
     The squared lengths are one stacked (1, d) @ (d, 1) product per edge,
     which numpy hands to the BLAS ``ddot`` that ``np.linalg.norm`` uses;
     a plain sum of squares would round differently where the kernel uses
-    fused multiply-adds.  The first maximal length wins, which is the
-    lexicographically smallest pair.
+    fused multiply-adds.  The first maximal length wins (argmax), which
+    is the lexicographically smallest pair.
     """
     i, j, pairs = _edge_pairs(verts.shape[1])
-    diff = verts[:, i] - verts[:, j]
+    diff = verts.take(i, axis=1) - verts.take(j, axis=1)
     lengths = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
-    out = []
-    for row in lengths.tolist():
-        h = max(row)
-        out.append((h, pairs[row.index(h)]))
-    return out
+    return lengths.max(axis=1), pairs[lengths.argmax(axis=1)]
+
+
+def _degenerate(volume: float, h: float, d: int) -> DegenerateSimplex | None:
+    """The error to raise when vol <= VOLUME_EPS_REL * h^d, else None."""
+    if volume <= VOLUME_EPS_REL * h**d:
+        return DegenerateSimplex(f"volume {volume:.3e} is degenerate relative to h^d = {h**d:.3e}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,8 @@ class Simplex:
         equal per-pair ``norm`` calls bitwise and comparisons against h
         elsewhere in the package are consistent.
         """
-        return _longest_edges(self.vertices[None])[0]
+        h, pair = _longest_edges(self.vertices[None])
+        return h.item(), tuple(pair[0].tolist())
 
     @cached_property
     def centroid(self) -> Point:
@@ -213,16 +217,17 @@ def make_simplices(vertices: np.ndarray, ids: Sequence[str]) -> list[Simplex | D
             f"beyond which h^{d} may overflow"
         )
     arr.flags.writeable = False
+    h, pairs = _longest_edges(arr)
     out: list[Simplex | DegenerateSimplex] = []
-    for verts, sid, edge, volume in zip(arr, ids, _longest_edges(arr), _volumes(arr).tolist()):
-        h = edge[0]
-        if volume <= VOLUME_EPS_REL * h**d:
-            out.append(DegenerateSimplex(f"volume {volume:.3e} is degenerate relative to h^d = {h**d:.3e}"))
+    for verts, sid, hk, pair, volume in zip(arr, ids, h.tolist(), pairs.tolist(), _volumes(arr).tolist()):
+        flat = _degenerate(volume, hk, d)
+        if flat is not None:
+            out.append(flat)
             continue
         s = Simplex(vertices=verts, id=sid)
         # seed the cached properties; object.__setattr__ passes the frozen
         # dataclass guard without materializing the instance __dict__
-        object.__setattr__(s, "longest_edge", edge)
+        object.__setattr__(s, "longest_edge", (hk, tuple(pair)))
         object.__setattr__(s, "volume", volume)
         out.append(s)
     return out

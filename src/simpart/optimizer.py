@@ -15,14 +15,15 @@ id, heap ties break on node id, and no randomness is involved.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ArityError, BudgetTooSmall, EmptyPartition
-from .geometry import Simplex, regularity_ratio
+from .errors import ArityError, BudgetTooSmall, DegenerateSimplex, EmptyPartition
+from .geometry import regularity_ratio
 from .partition import Partition
 
 
@@ -102,8 +103,19 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     result.
 
     budget counts objective evaluations and must cover d + 1 values per
-    root; dedup across shared root vertices can leave it underused.
+    root; dedup across shared root vertices can leave it underused.  The
+    Lipschitz constant must be finite and >= 0, or the bounds order
+    nothing.
+
+    A step builds no Simplex: the children's longest edges come from one
+    Partition.longest_edges call.  Their volumes are measured once, after
+    the loop, in one Partition.volumes call, which raises DegenerateSimplex
+    at the first degenerate child; the trace's eta_min column is filled
+    from them then.
     """
+    lip = objective.lipschitz_constant
+    if not (0 <= lip < math.inf):
+        raise ValueError(f"Lipschitz constant must be finite and >= 0, got {lip}")
     roots = p.roots
     if not roots:
         raise EmptyPartition("partition has no roots")
@@ -116,7 +128,6 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         raise ValueError(f"tol must be positive, got {tol}")
 
     f = objective.evaluate
-    lip = objective.lipschitz_constant
     values: dict[int, float] = {}
     evaluations = 0
 
@@ -141,60 +152,58 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             best_val = v
             best_vid = vid
 
-    def raw_bound(node_id: int, s: Simplex) -> float:
+    def raw_bound(node_id: int, h: float) -> float:
         vals = [value_at(v) for v in p._vertex_ids[node_id].tolist()]
-        return simplex_lower_bound(vals, lip, s.longest_edge[0], p.d)
+        return simplex_lower_bound(vals, lip, h, p.d)
 
     eta_min = math.inf
     heap: list[tuple[float, int]] = []
-    for root, s in zip(roots, p.simplices(roots)):
+    for root, s, h in zip(roots, p.simplices(roots), p.longest_edges(roots)[0].tolist()):
         for vid in p._vertex_ids[root].tolist():
             consider(vid)
         eta_min = min(eta_min, regularity_ratio(s))
-        heapq.heappush(heap, (raw_bound(root, s), root))
+        heapq.heappush(heap, (raw_bound(root, h), root))
 
-    trace: list[TraceRow] = []
-    pops = 0
-    iteration = 0
+    rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
     while True:
         lb, node_id = heap[0]
         gap = best_val - lb
-        trace.append(
-            TraceRow(
-                iteration=iteration,
-                node_id=node_id,
-                lower_bound=lb,
-                incumbent=best_val,
-                gap=gap,
-                eta_min=eta_min,
-            )
-        )
+        rows.append((len(rows), node_id, lb, best_val, gap))
         if gap <= tol or evaluations >= budget:
             stop_reason = "tol" if gap <= tol else "budget"
             break
         heapq.heappop(heap)
-        parent_vids = p._vertex_ids[node_id].tolist()
         left, right = p.bisect(node_id)
-        pops += 1
+        i, j = p._edge[node_id].tolist()
+        mid = int(p._vertex_ids[left, j])
+        if mid in p._vertex_ids[node_id].tolist():
+            # the midpoint rounded onto a vertex, so a child repeats one;
+            # stop here rather than split a copy of the parent forever
+            p.volumes(range(len(roots), p._n_nodes))
+            raise DegenerateSimplex(f"node {node_id}: its longest edge {i}-{j} is too short to bisect")
         # every other child vertex is a root vertex or the midpoint of an
         # earlier bisection, so it has been considered already
-        (mid,) = set(p._vertex_ids[left].tolist()).difference(parent_vids)
         consider(mid)
-        for child, s in zip((left, right), p.simplices((left, right))):
-            eta_min = min(eta_min, regularity_ratio(s))
+        h = p.longest_edges((left, right))[0].tolist()
+        for child, hc in zip((left, right), h):
             # inherited bound: the child region is inside the parent's,
             # so the parent's bound still holds and only improves
-            heapq.heappush(heap, (max(lb, raw_bound(child, s)), child))
-        iteration += 1
+            heapq.heappush(heap, (max(lb, raw_bound(child, hc)), child))
 
+    # row k saw the roots and the 2k children of the k bisections before it
+    children = range(len(roots), p._n_nodes)
+    vol = p.volumes(children).tolist()
+    h = p.longest_edges(children)[0].tolist()
+    etas = list(itertools.accumulate((v / hc**p.d for v, hc in zip(vol, h)), min, initial=eta_min))
+    trace = [TraceRow(*row, eta_min=etas[2 * row[0]]) for row in rows]
     return OptimizeResult(
         point=p.vertex_coords(best_vid).copy(),
         value=best_val,
         gap=trace[-1].gap,
         lower_bound=trace[-1].lower_bound,
-        leaves_explored=pops,
+        leaves_explored=len(rows) - 1,
         evaluations=evaluations,
-        eta_min=eta_min,
+        eta_min=etas[-1],
         stop_reason=stop_reason,
         trace=trace,
         partition=p,

@@ -47,7 +47,10 @@ from .errors import (
 from .geometry import (
     MEMBERSHIP_TOL,
     Simplex,
+    _degenerate,
     _edge_matrices,
+    _longest_edges,
+    _volumes,
     as_point,
     barycentric_many,
     make_simplex,
@@ -127,7 +130,10 @@ class Partition:
     vertex ids.  The registry is an (n_vertices, d) coordinate array.
     Each array grows by doubling, so its rows past the node or vertex
     count are unused; an unused children row is (-1, -1), so a new node
-    is a leaf.  Partition.nodes shows the table as Node records.
+    is a leaf.  Partition.nodes shows the table as Node records.  Three
+    more columns hold what longest_edges and volumes measure: the
+    longest edge's length h and its (i, j), and the volume, NaN until
+    measured.
 
     Two vertices are the same exactly when their coordinates are equal.
     That is enough for shared midpoints: both cells on an edge compute
@@ -147,6 +153,9 @@ class Partition:
         self._generation = np.empty(0, dtype=np.intp)
         self._children = np.empty((0, 2), dtype=np.intp)
         self._vertex_ids = np.empty((0, d + 1), dtype=np.intp)
+        self._h = np.empty(0)
+        self._edge = np.empty((0, 2), dtype=np.intp)
+        self._vol = np.empty(0)
         self._n_vertices = 0
         self._coords = np.empty((0, d))
         self._ids: dict[tuple, int] = {}
@@ -219,12 +228,19 @@ class Partition:
             self._generation = _grown(self._generation, self._n_nodes)
             self._children = _grown(self._children, self._n_nodes, fill=-1)
             self._vertex_ids = _grown(self._vertex_ids, self._n_nodes)
+            self._h = _grown(self._h, self._n_nodes, fill=np.nan)
+            self._edge = _grown(self._edge, self._n_nodes)
+            self._vol = _grown(self._vol, self._n_nodes, fill=np.nan)
         return first
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The node table's parent, generation, children and vertex_ids rows in use."""
         n = self._n_nodes
         return self._parent[:n], self._generation[:n], self._children[:n], self._vertex_ids[:n]
+
+    def _corners(self, node_ids: np.ndarray) -> np.ndarray:
+        """(m, d+1, d) vertex coordinates of the nodes, read from the registry."""
+        return self._coords.take(self._vertex_ids[: self._n_nodes].take(node_ids, axis=0), axis=0)
 
     @property
     def nodes(self) -> NodeView:
@@ -269,12 +285,45 @@ class Partition:
         """
         todo = [i for i in node_ids if i not in self._simplices]
         if todo:
-            verts = self._coords.take(self._vertex_ids[: self._n_nodes].take(todo, axis=0), axis=0)
-            for i, s in zip(todo, make_simplices(verts, [str(i) for i in todo])):
+            for i, s in zip(todo, make_simplices(self._corners(todo), [str(i) for i in todo])):
                 if isinstance(s, DegenerateSimplex):
                     raise s
                 self._simplices[i] = s
         return [self._simplices[i] for i in node_ids]
+
+    def longest_edges(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes' longest edges: an (m,) array of lengths h and an (m, 2) array of (i, j).
+
+        The nodes not yet measured are measured in one stacked
+        _longest_edges pass over their registry coordinates, the bits
+        Simplex.longest_edge gets, and kept in the node table.
+        """
+        ids = np.asarray(node_ids, dtype=np.intp)
+        todo = ids[np.isnan(self._h[ids])]
+        if todo.size:
+            self._h[todo], self._edge[todo] = _longest_edges(self._corners(todo))
+        return self._h[ids], self._edge[ids]
+
+    def volumes(self, node_ids) -> np.ndarray:
+        """The nodes' volumes, the ones not yet measured in one stacked _volumes pass.
+
+        A newly measured node is checked as make_simplices checks it: the
+        first degenerate one raises DegenerateSimplex with its message, and
+        neither it nor the nodes after it are kept, so asking again raises
+        again.
+        """
+        ids = np.asarray(node_ids, dtype=np.intp)
+        todo = ids[np.isnan(self._vol[ids])]
+        if todo.size:
+            h = self.longest_edges(todo)[0].tolist()
+            vol = _volumes(self._corners(todo))
+            for k, (v, hk) in enumerate(zip(vol.tolist(), h)):
+                flat = _degenerate(v, hk, self.d)
+                if flat is not None:
+                    self._vol[todo[:k]] = vol[:k]
+                    raise flat
+            self._vol[todo] = vol
+        return self._vol[ids]
 
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
@@ -285,15 +334,18 @@ class Partition:
         keeps one endpoint of the split edge and the parent's vertex order.
         Both children are appended at the end of the node table, so node
         ids are creation order, which is what lets read_partition replay a
-        file.  The children's simplices are not built here.
+        file.  The edge comes from longest_edges; nothing is built or
+        checked here, so a caller that needs its leaves valid asks volumes.
         """
         if not 0 <= node_id < self._n_nodes:
             raise IndexError(f"node {node_id} is not in the partition")
         if self._children[node_id, 0] >= 0:
             raise ValueError(f"node {node_id} is not a leaf")
-        s = self.simplex(node_id)
-        _, (i, j) = s.longest_edge
-        mid = self._register((s.vertices[i] + s.vertices[j]) / 2.0)
+        if math.isnan(self._h[node_id]):
+            self.longest_edges((node_id,))
+        i, j = self._edge[node_id].tolist()
+        vids = self._vertex_ids[node_id].tolist()
+        mid = self._register((self._coords[vids[i]] + self._coords[vids[j]]) / 2.0)
         first = self._new_nodes(2)
         kids = self._vertex_ids[first : first + 2]
         kids[:] = self._vertex_ids[node_id]
@@ -307,7 +359,7 @@ class Partition:
         """Bisect distinct leaves as bisect on each of them in turn would.
 
         One leaf takes bisect.  More are split in one stacked pass: the
-        longest edges come from one simplices call, every midpoint is
+        longest edges come from one longest_edges call, every midpoint is
         (v_i + v_j) / 2 in one elementwise operation (the bits bisect
         gets), the midpoints are registered in the given order, and the
         children of the k-th leaf get the next ids 2k and 2k + 1, laid out
@@ -324,9 +376,9 @@ class Partition:
             raise IndexError(f"node ids {node_ids} are not all in the partition")
         if np.any(self._children[leaves, 0] >= 0) or len(set(node_ids)) < len(node_ids):
             raise ValueError("bisect_leaves needs distinct leaves")
-        i, j = np.array([s.longest_edge[1] for s in self.simplices(node_ids)], dtype=np.intp).T
+        i, j = self.longest_edges(leaves)[1].T
         rows = np.arange(leaves.size)
-        verts = self._coords[self._vertex_ids[leaves]]
+        verts = self._corners(leaves)
         mid = self._register_rows((verts[rows, i] + verts[rows, j]) / 2.0)
         kids = np.repeat(self._vertex_ids[leaves], 2, axis=0)  # each leaf's first, then second child
         kids[2 * rows, j] = kids[2 * rows + 1, i] = mid
@@ -390,7 +442,9 @@ def refine(p: Partition, steps: int, strategy: str = "bisect-all-leaves") -> Par
     bisect-all-leaves: one round bisects every current leaf, advancing
     the whole partition one generation.  bisect-largest-leaf: one round
     bisects the single leaf with the longest edge (ties to the smallest
-    node id), which generally leaves the forest non-conforming.
+    node id), which generally leaves the forest non-conforming.  Each
+    round first measures the volumes of its leaves, so a degenerate leaf
+    raises DegenerateSimplex before it is bisected.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -400,9 +454,10 @@ def refine(p: Partition, steps: int, strategy: str = "bisect-all-leaves") -> Par
         raise EmptyPartition("partition has no leaves")
     for _ in range(steps):
         leaves = p.leaves
+        p.volumes(leaves)
         if strategy == "bisect-largest-leaf":
-            h = [s.longest_edge[0] for s in p.simplices(leaves)]
-            p.bisect(leaves[h.index(max(h))])  # leaves ascend, so ties go to the smallest id
+            h = p.longest_edges(leaves)[0]
+            p.bisect(leaves[int(np.argmax(h))])  # leaves ascend, so ties go to the smallest id
         else:
             p.bisect_leaves(leaves)
     return p
@@ -412,12 +467,16 @@ def min_regularity(p: Partition) -> float:
     """eta_min: the smallest leaf regularity ratio.
 
     This is the largest eta for which every current leaf S satisfies
-    vol(S) >= eta * h(S)^d.
+    vol(S) >= eta * h(S)^d.  The volumes and edges come from the node
+    table's stacked passes, and each ratio is vol / h**d in Python floats,
+    the bits regularity_ratio gives; a degenerate leaf raises.
     """
     leaves = p.leaves
     if not leaves:
         raise EmptyPartition("partition has no leaves")
-    return min(regularity_ratio(s) for s in p.simplices(leaves))
+    vol = p.volumes(leaves).tolist()
+    h = p.longest_edges(leaves)[0].tolist()
+    return min(v / hk**p.d for v, hk in zip(vol, h))
 
 
 def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +494,7 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
     what is left of 1 as in barycentric_many.  Pairs on a leaf are
     recorded, the others move on to both children through the node
     table's children column.  Only the nodes a point reaches are read, so
-    one point costs a path, not the forest.  No Simplex is built, so the
+    one point costs a path, not the forest.  No volume is measured, so the
     leaves are not validated here; min_regularity does that.
     """
     _, _, children, vertex_ids = p._columns()
@@ -672,6 +731,7 @@ def verify_theorem(
 
     estimates: dict[tuple[int, int], tuple[float, float]] = {}
     checks = []
+    p.simplices(leaves)  # one stacked build; p.simplex below is a cache hit
     for leaf, vid in pairs:
         s = p.simplex(leaf)
         cone = corner_cone(s, p._vertex_ids[leaf].tolist().index(vid))

@@ -255,6 +255,7 @@ def read_partition(path) -> Partition:
             run[up] = None
         if not run:
             raise ValueError(f"node {built}: parent {parent[built]} is not a leaf built before it")
+        p.volumes(list(run))  # a degenerate node stops the replay, as it stops refine
         p.bisect_leaves(run)
         built += 2 * len(run)
 

@@ -4,17 +4,18 @@ Every routine here recomputes a quantity the library produces, using a
 different algorithm (and usually worse asymptotics), so agreement is
 meaningful: the sampled diameter checks the longest edge, and the
 standalone bisection checks Partition.bisect.  Nothing in this module
-imports library internals beyond the Simplex container and its
-validating constructor.
+imports library internals beyond the Simplex container, its validating
+constructor and regularity_ratio.
 """
 
+import heapq
 import itertools
 import math
 
 import mpmath
 import numpy as np
 
-from simpart.geometry import Simplex, make_simplex
+from simpart.geometry import Simplex, make_simplex, regularity_ratio
 
 
 def cayley_menger_volume(vertices) -> float:
@@ -283,3 +284,47 @@ def orthant_fraction_mp(halfspaces, dps: int = 30) -> float:
             return total
 
         return float(mpmath.mpf(2) ** -k + mpmath.quad(integrand, [0, 0.5, 0.9, 1]))
+
+
+def branch_and_bound_per_node(evaluate, lipschitz: float, roots: list[Simplex], budget: int, tol: float):
+    """The search of simpart.optimize with every node built alone by make_simplex.
+
+    Vertex values are cached by exact coordinates and numbered in the
+    order first seen, the incumbent is the smallest (value, number), the
+    queue is a heap of (lower bound, node id) with bounds min f - L * h,
+    a popped leaf is split by bisect_longest_edge and its children
+    inherit its bound, and eta_min is the running minimum of
+    regularity_ratio over every node built.  Returns the trace rows as
+    (iteration, node id, lower bound, incumbent, gap, eta_min) tuples and
+    the nodes' simplices in id order.
+    """
+    number: dict[tuple, int] = {}
+    values: list[float] = []
+    best = [math.inf, -1]
+
+    def bound(s: Simplex) -> float:
+        vals = []
+        for x in s.vertices:
+            vid = number.setdefault(tuple(x.tolist()), len(number))
+            if vid == len(values):
+                values.append(float(evaluate(x)))
+            if (values[vid], vid) < tuple(best):
+                best[:] = [values[vid], vid]
+            vals.append(values[vid])
+        return min(vals) - lipschitz * s.longest_edge[0]
+
+    nodes = list(roots)
+    heap = [(bound(s), k) for k, s in enumerate(nodes)]
+    heapq.heapify(heap)
+    eta = min(regularity_ratio(s) for s in nodes)
+    rows = []
+    while True:
+        lb, k = heap[0]
+        rows.append((len(rows), k, lb, best[0], best[0] - lb, eta))
+        if best[0] - lb <= tol or len(values) >= budget:
+            return rows, nodes
+        heapq.heappop(heap)
+        for child in bisect_longest_edge(nodes[k]):
+            eta = min(eta, regularity_ratio(child))
+            heapq.heappush(heap, (max(lb, bound(child)), len(nodes)))
+            nodes.append(child)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import dataclasses
+
 from simpart.cones import max_intersection_bound
-from simpart.errors import ArityError, BudgetTooSmall
-from simpart.geometry import barycentric_many
+from simpart.errors import ArityError, BudgetTooSmall, DegenerateSimplex
+from simpart.geometry import barycentric_many, make_simplex
 from simpart.optimizer import (
     OBJECTIVES,
     Objective,
@@ -13,9 +15,10 @@ from simpart.optimizer import (
     optimize,
     simplex_lower_bound,
 )
-from simpart.partition import kuhn_triangulation, refine
+from simpart.partition import Partition, kuhn_triangulation, partition_from_simplices, refine
 
-from .oracles import grid_minimum
+from .oracles import branch_and_bound_per_node, grid_minimum
+from .support import random_simplex
 
 
 def test_simplex_lower_bound_arithmetic():
@@ -129,6 +132,68 @@ def test_non_finite_objective_is_rejected():
     bad = Objective("bad", lambda x: math.nan, 1.0)
     with pytest.raises(ValueError):
         optimize(bad, kuhn_triangulation(2), budget=100, tol=1e-3)
+
+
+@pytest.mark.parametrize("lipschitz", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_lipschitz_constant_is_rejected(lipschitz):
+    # a NaN or infinite L makes every bound NaN or -inf, so the heap order
+    # means nothing and the search would run out its budget certifying nothing
+    objective = Objective("x", lambda x: float(x @ x), lipschitz)
+    with pytest.raises(ValueError, match="Lipschitz constant"):
+        optimize(objective, kuhn_triangulation(2), budget=200, tol=1e-3)
+
+
+def test_degenerate_child_raises_with_the_message_of_its_build():
+    # the thin root of test_degenerate_sibling_raises_only_when_requested:
+    # child 2 is degenerate; the children's volumes are measured after the
+    # search, which raises the error building that child raises
+    thin = [[0.0, 0.0], [3e-12, 0.0], [1.5e-12, 1.0]]
+    p = Partition(2)
+    p.add_root(thin)
+    p.bisect(0)
+    with pytest.raises(DegenerateSimplex) as built:
+        p.simplex(2)
+    assert str(built.value) == "volume 7.500e-13 is degenerate relative to h^d = 1.000e+00"
+    q = Partition(2)
+    q.add_root(thin)
+    with pytest.raises(DegenerateSimplex) as searched:
+        optimize(build_objective("sphere", 2), q, budget=200, tol=1e-3)
+    assert str(searched.value) == str(built.value)
+
+
+def test_search_stops_where_a_midpoint_rounds_onto_a_vertex():
+    # edges of one ulp: the third bisection's midpoint is a vertex already,
+    # so a child repeats a vertex and the other would copy its parent; the
+    # search raises there instead of splitting that copy for ever
+    p = Partition(2)
+    p.add_root([[1.0, 0.0], [1.0 + 2**-52, 0.0], [1.0, 2**-52]])
+    with pytest.raises(DegenerateSimplex, match="volume 0.000e"):
+        optimize(build_objective("sphere", 2), p, budget=10_000, tol=1e-300)
+    assert len(p.nodes) < 10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_optimizer_trace_equals_per_node_builds_bitwise(d):
+    # random roots are not dyadic, so midpoints, edges and volumes all round;
+    # the search does not need its roots to tile anything
+    rng = np.random.default_rng(5200 + d)
+    roots = [random_simplex(d, rng) for _ in range(2)]
+    centre = roots[0].vertices.mean(axis=0)
+    objective = Objective("shifted", lambda x: float(np.sum((x - centre) ** 2)), 6.0)
+    r = optimize(objective, partition_from_simplices(roots), budget=400, tol=1e-6)
+    rows, nodes = branch_and_bound_per_node(objective.evaluate, 6.0, roots, 400, 1e-6)
+    assert [dataclasses.astuple(row) for row in r.trace] == rows
+    assert r.eta_min == rows[-1][-1]
+    p = r.partition
+    assert len(p.nodes) == len(nodes)
+    everything = range(len(nodes))
+    h, edge = p.longest_edges(everything)
+    volume = p.volumes(everything)
+    for k, s in enumerate(nodes):
+        fresh = make_simplex(p.vertices[p._vertex_ids[k]])
+        assert fresh.vertices.tobytes() == s.vertices.tobytes()
+        assert (h[k], tuple(edge[k].tolist())) == s.longest_edge == fresh.longest_edge
+        assert volume[k] == s.volume == fresh.volume
 
 
 def test_every_generation_respects_the_valence_bound():

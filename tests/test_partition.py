@@ -29,6 +29,7 @@ from simpart.geometry import (
 )
 from simpart.optimizer import Objective, build_objective, optimize
 from simpart.partition import (
+    STRATEGIES,
     Partition,
     boundary_vertex_mask,
     kuhn_triangulation,
@@ -188,14 +189,40 @@ def test_degenerate_sibling_raises_only_when_requested():
 
 
 def test_simplices_raises_at_a_degenerate_node_and_keeps_earlier_ones():
-    # the root of the test above: child 2 is degenerate, child 1 is not
+    # the root of the test above: child 2 is degenerate, child 1 is not;
+    # bisect reads the root's edge from the node table and builds nothing
     p = Partition(2)
     p.add_root([[0.0, 0.0], [3e-12, 0.0], [1.5e-12, 1.0]])
     p.bisect(0)
     with pytest.raises(DegenerateSimplex):
         p.simplices([1, 2])
-    assert sorted(p._simplices) == [0, 1]
+    assert sorted(p._simplices) == [1]
     assert p.simplices([1, 0]) == [p.simplex(1), p.simplex(0)]
+
+
+def test_volumes_raise_at_a_degenerate_node_and_keep_earlier_ones():
+    # the same root: volumes checks what it measures as make_simplices
+    # does, keeps the nodes before the first degenerate one, and raises
+    # again when asked again; refine checks its leaves before bisecting
+    thin = [[0.0, 0.0], [3e-12, 0.0], [1.5e-12, 1.0]]
+    p = Partition(2)
+    p.add_root(thin)
+    p.bisect(0)
+    with pytest.raises(DegenerateSimplex) as built:
+        p.simplex(2)
+    for _ in range(2):
+        with pytest.raises(DegenerateSimplex) as measured:
+            p.volumes([1, 2])
+        assert str(measured.value) == str(built.value)
+    assert p._vol[1] == p.simplex(1).volume and math.isnan(p._vol[2])
+    assert p._simplices.keys() == {1}
+    for strategy in STRATEGIES:
+        q = Partition(2)
+        q.add_root(thin)
+        refine(q, 1, strategy)
+        with pytest.raises(DegenerateSimplex):
+            refine(q, 1, strategy)
+        assert len(q.nodes) == 3
 
 
 def test_rejected_root_leaves_the_partition_unchanged():
@@ -516,29 +543,43 @@ def test_registry_valences_builds_no_simplex(monkeypatch):
 
 def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     # kuhn(3)@4: every round, eta_min and the replay of each generation
-    # ask for their nodes at once; a re-read partition's leaves stay unbuilt
+    # measure their nodes at once, one _longest_edges and one _volumes
+    # call each, and build no Simplex; the optimizer measures its roots'
+    # and each step's children's edges, and every child's volume at the end
     calls = []
-    stacked = partition_mod.make_simplices
 
-    def counted(verts, ids):
-        calls.append(len(ids))
-        return stacked(verts, ids)
+    def counted(name):
+        kernel = getattr(partition_mod, name)
 
-    monkeypatch.setattr(partition_mod, "make_simplices", counted)
+        def wrapper(verts, *args):
+            calls.append((name, len(verts)))
+            return kernel(verts, *args)
+
+        monkeypatch.setattr(partition_mod, name, wrapper)
+
+    for name in ("_longest_edges", "_volumes", "make_simplices"):
+        counted(name)
     p = kuhn_triangulation(3)
     for _ in range(4):
         refine(p, 1)
     min_regularity(p)
-    assert calls == [6, 12, 24, 48, 96]
+    rounds = [6, 12, 24, 48, 96]
+    assert calls == [(name, n) for n in rounds for name in ("_longest_edges", "_volumes")]
+    assert p._simplices == {}
     path = tmp_path / "p.json"
     write_partition(p, path)
     calls.clear()
     q = read_partition(path)
-    assert calls == [6, 12, 24, 48]
-    assert not set(q.leaves) & set(q._simplices)
+    assert calls == [(name, n) for n in rounds[:-1] for name in ("_longest_edges", "_volumes")]
+    assert q._simplices == {}
     calls.clear()
     r = optimize(build_objective("shifted-sphere", 3), kuhn_triangulation(3), budget=300, tol=1e-3)
-    assert calls == [6] + [2] * r.leaves_explored
+    children = 2 * r.leaves_explored
+    assert calls == (
+        [("make_simplices", 6), ("_longest_edges", 6)]
+        + [("_longest_edges", 2)] * r.leaves_explored
+        + [("_volumes", children)]
+    )
 
 
 def test_max_valence_witnesses():
