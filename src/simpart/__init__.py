@@ -16,7 +16,6 @@ from .cones import (
     MonteCarloConfig,
     VertexCone,
     cone_at_point,
-    corner_cone,
     exact_solid_angle_fraction,
     max_intersection_bound,
     per_simplex_angle_bound,
@@ -115,7 +114,6 @@ __all__ = [
     "canonical_simplex",
     "cone_at_point",
     "contains",
-    "corner_cone",
     "exact_solid_angle_fraction",
     "kuhn_triangulation",
     "make_simplex",

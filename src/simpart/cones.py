@@ -19,7 +19,8 @@ A cone is one (k, d) matrix H of inward half-space normals: a direction
 u lies in the cone exactly when H u >= 0.  The rows are the gradients of
 the barycentric coordinates that vanish at p, so an interior point has
 none, a point on a facet one, and a vertex d; testing a batch of
-directions costs one matrix product.
+directions costs one matrix product.  The exact measure takes a whole
+stack of such matrices at once (exact_solid_angle_fractions).
 """
 
 from __future__ import annotations
@@ -128,17 +129,6 @@ def cone_at_point(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> VertexCone:
     return VertexCone(apex=p, halfspaces=s.barycentric_gradients[active], id=f"{s.id}:{where}")
 
 
-def corner_cone(s: Simplex, k: int) -> VertexCone:
-    """Tangent cone of s at its vertex k, cut by every gradient but row k.
-
-    For a nondegenerate s this is cone_at_point(s, s.vertices[k]), bitwise
-    and in id, without the barycentric solve that finds the active set.
-    """
-    return VertexCone(
-        apex=s.vertices[k], halfspaces=np.delete(s.barycentric_gradients, k, axis=0), id=f"{s.id}:v{k}"
-    )
-
-
 def _shard_sizes(config: MonteCarloConfig) -> list[int]:
     base, extra = divmod(config.samples, config.shards)
     return [base + (1 if i < extra else 0) for i in range(config.shards)]
@@ -181,31 +171,22 @@ def solid_angle_fraction(cone: VertexCone, config: MonteCarloConfig = MonteCarlo
     )
 
 
-def _angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle between two nonzero vectors, accurate near 0 and pi.
+def _norms(h: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, the squares summed left to right, not as numpy's sum pairs them."""
+    total = h[..., 0] * h[..., 0]
+    for c in range(1, h.shape[-1]):
+        total = total + h[..., c] * h[..., c]
+    return np.sqrt(total)
 
-    Kahan's form 2 atan2(|a' - b'|, |a' + b'|) on the unit vectors
-    avoids the cancellation of acos near a dot product of +-1.  The
-    arithmetic is Python's, one rounded operation at a time, so the angle
-    depends neither on the kernel OpenBLAS picks for the CPU (as
-    np.linalg.norm would) nor on numpy's SIMD level.
+
+def _angles(u: np.ndarray, v: np.ndarray) -> list[float]:
+    """Angles between paired unit rows of two stacks, accurate near 0 and pi.
+
+    Kahan's form 2 atan2(|u - v|, |u + v|) avoids the cancellation of acos
+    near a dot product of +-1.  It is exact elementwise numpy and then
+    math.atan2, since numpy's arctan2 rounds differently by SIMD level.
     """
-    a, b = a.tolist(), b.tolist()
-    na, nb = _norm(a), _norm(b)
-    a = [x / na for x in a]
-    b = [y / nb for y in b]
-    return 2.0 * math.atan2(_norm([x - y for x, y in zip(a, b)]), _norm([x + y for x, y in zip(a, b)]))
-
-
-def _norm(v: list[float]) -> float:
-    """Euclidean norm of a short list, the squares summed left to right.
-
-    Not the builtin sum, which compensates float sums from Python 3.12.
-    """
-    total = 0.0
-    for x in v:
-        total += x * x
-    return math.sqrt(total)
+    return [2.0 * math.atan2(y, x) for y, x in zip(_norms(u - v).tolist(), _norms(u + v).tolist())]
 
 
 # Plackett's integral is accepted when a coarse and a fine Gauss-Legendre
@@ -287,25 +268,28 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y).sum(axis=-1)
 
 
-def _cone_class(h: np.ndarray) -> np.ndarray:
-    """Canonical unit normals of a cone, the same for its whole class.
+def _cone_classes(h: np.ndarray) -> np.ndarray:
+    """Canonical unit normals of each cone of an (m, k, d) stack, the same for its whole class.
 
     Each column's sign is flipped so that its first nonzero entry is
-    positive (adding 0.0 clears the -0.0 a flip makes of a zero), the
-    columns are sorted lexicographically (in Python's list order), and
+    positive (adding 0.0 clears the -0.0 a flip makes of a zero), each
+    cone's columns are sorted lexicographically (one stable np.lexsort
+    over every column of the stack, the cone index as primary key), and
     each row is divided by its norm.  The first two steps are a signed
     permutation of the coordinates, an orthogonal map, and the last
     scales rows by positive factors, so no step changes the cone's
     fraction.  Every step but the division is exact, and it comes last,
     after the summation order of the norms is fixed: cones that differ
     by a signed permutation of the columns, a power-of-two scaling of
-    rows or -0.0 for 0.0 get the same bits.
+    rows or -0.0 for 0.0 get the same bits, in a stack of any size.
     """
-    first = h[(h != 0.0).argmax(axis=0), np.arange(h.shape[1])]
+    m, k, d = h.shape
+    first = np.take_along_axis(h, (h != 0.0).argmax(axis=1)[:, None, :], axis=1)
     h = h * np.where(first < 0.0, -1.0, 1.0) + 0.0
-    columns = h.T.tolist()
-    h = h[:, sorted(range(len(columns)), key=columns.__getitem__)]
-    return h / np.sqrt(_dot(h, h))[:, None]
+    columns = h.transpose(0, 2, 1).reshape(m * d, k)
+    order = np.lexsort((*columns.T[::-1], np.repeat(np.arange(m), d))).reshape(m, d) % d
+    h = np.take_along_axis(h, order[:, None, :], axis=2)
+    return h / np.sqrt(_dot(h, h))[..., None]
 
 
 def _orthant_quadrature(n: np.ndarray, cone_id: str) -> float:
@@ -329,7 +313,7 @@ def _orthant_quadrature(n: np.ndarray, cone_id: str) -> float:
     factor is taken from the normals and angles, not as a difference of
     correlations, so nearly parallel or antiparallel normals keep their
     precision.  The value depends on nothing but the bits of N, which
-    is what lets one quadrature stand for a whole class (_cone_class).
+    is what lets one quadrature stand for a whole class (_cone_classes).
     """
     k = n.shape[0]
     q = k - 2
@@ -377,15 +361,16 @@ def _orthant_quadrature(n: np.ndarray, cone_id: str) -> float:
     )
 
 
-def exact_solid_angle_fraction(cone: VertexCone, classes: dict | None = None) -> float:
-    """Fraction of the sphere of directions in the cone, without sampling.
+def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | None = None) -> list[float]:
+    """Fraction of the sphere of directions in each cone of a stack, without sampling.
 
-    Works on the k inward normals of the cone's half-space matrix: k = 0
-    is the full space (1), k = 1 a half-space (1/2), k = 2 a wedge whose
-    opening is pi minus the angle between the normals, (pi - theta) / 2pi,
-    and k = 3 a trihedral cone, whose solid angle is the spherical excess
-    of its dihedral angles pi - theta_ij (Girard), over 4pi.  A cone with
-    k normals is a k-dimensional cone times a flat factor, so the formulas
+    halfspaces is an (m, k, d) stack: the k inward normals of m cones, all
+    with the same number of facets, and ids names each cone.  k = 0 is the
+    full space (1), k = 1 a half-space (1/2), k = 2 a wedge whose opening
+    is pi minus the angle between the normals, (pi - theta) / 2pi, and
+    k = 3 a trihedral cone, whose solid angle is the spherical excess of
+    its dihedral angles pi - theta_ij (Girard), over 4pi.  A cone with k
+    normals is a k-dimensional cone times a flat factor, so the formulas
     hold in any ambient dimension; every cone of a simplex in d <= 3 has
     k <= 3.  Beyond three facets there is no elementary formula (Ribando,
     "Measuring solid angles beyond dimension three", 2006), but for k = 4
@@ -396,39 +381,43 @@ def exact_solid_angle_fraction(cone: VertexCone, classes: dict | None = None) ->
     the cone, is raised when no pair of rules does.  So d <= 5 is exact
     and d >= 6 is left to Monte Carlo (solid_angle_fraction).
 
-    The quadrature runs on the canonical unit normals of the cone's
-    class (_cone_class), so cones equal up to a signed permutation of
-    the coordinates get the same bits.  A caller measuring many cones
-    may pass a dict as classes: it maps each class measured so far to
-    its fraction, and a cone whose class is in it is not measured again.
-    The value is the same with or without it.
+    The quadrature runs once per distinct class key (_cone_classes), on
+    the first cone with it, so cones equal up to a signed permutation of
+    the coordinates get the same bits.  A caller may pass a dict as
+    classes, mapping each class measured so far to its fraction, to carry
+    them from one call to the next.  No value depends on the dict, on the
+    stack's size or on a cone's place in it.
 
     The normals must be linearly independent, as they are for every cone
     cone_at_point builds.
     """
-    h = cone.halfspaces
-    k = h.shape[0]
+    m, k, d = halfspaces.shape
     if k == 0:
-        return 1.0
+        return [1.0] * m
     if k == 1:
-        return 0.5
-    if k == 2:
-        return (math.pi - _angle(h[0], h[1])) / (2.0 * math.pi)
-    if k == 3 and cone.dimension >= 3:
-        excess = 2.0 * math.pi - _angle(h[0], h[1]) - _angle(h[0], h[2]) - _angle(h[1], h[2])
-        return excess / (4.0 * math.pi)
-    if k in (4, 5) and cone.dimension >= k:
-        n = _cone_class(h)
-        if classes is None:
-            return _orthant_quadrature(n, cone.id)
-        key = (n.shape, n.tobytes())
-        fraction = classes.get(key)
-        if fraction is None:
-            fraction = classes[key] = _orthant_quadrature(n, cone.id)
-        return fraction
-    raise UnsupportedDimension(
-        f"no exact solid angle for a cone with {k} facets in d={cone.dimension}"
-    )
+        return [0.5] * m
+    if k == 2 or (k == 3 and d >= 3):
+        unit = halfspaces / _norms(halfspaces)[..., None]
+        angles = [_angles(unit[:, i], unit[:, j]) for i, j in itertools.combinations(range(k), 2)]
+        if k == 2:
+            return [(math.pi - a) / (2.0 * math.pi) for a in angles[0]]
+        return [(2.0 * math.pi - a01 - a02 - a12) / (4.0 * math.pi) for a01, a02, a12 in zip(*angles)]
+    if k in (4, 5) and d >= k:
+        classes = {} if classes is None else classes
+        out = []
+        for n, cone_id in zip(_cone_classes(halfspaces), ids):
+            key = ((k, d), n.tobytes())
+            fraction = classes.get(key)
+            if fraction is None:
+                fraction = classes[key] = _orthant_quadrature(n, cone_id)
+            out.append(fraction)
+        return out
+    raise UnsupportedDimension(f"no exact solid angle for a cone with {k} facets in d={d}")
+
+
+def exact_solid_angle_fraction(cone: VertexCone, classes: dict | None = None) -> float:
+    """exact_solid_angle_fractions of the one cone."""
+    return exact_solid_angle_fractions(cone.halfspaces[None], [cone.id], classes)[0]
 
 
 def _bound_base(d: int) -> float:

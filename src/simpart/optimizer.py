@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArityError, BudgetTooSmall, DegenerateSimplex, EmptyPartition
-from .geometry import regularity_ratio
+from .geometry import regularity_ratio  # not called here; bound for perfbench/tracing.py's span of it
 from .partition import Partition
 
 
@@ -107,11 +107,12 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     Lipschitz constant must be finite and >= 0, or the bounds order
     nothing.
 
-    A step builds no Simplex: the children's longest edges come from one
-    Partition.longest_edges call.  Their volumes are measured once, after
-    the loop, in one Partition.volumes call, which raises DegenerateSimplex
-    at the first degenerate child; the trace's eta_min column is filled
-    from them then.
+    No Simplex is built: the roots' ratios come from one
+    Partition.volumes and one Partition.longest_edges call, and each
+    step's children's longest edges from one longest_edges call.  The
+    children's volumes are measured once, after the loop, in one
+    Partition.volumes call, which raises DegenerateSimplex at the first
+    degenerate child; the trace's eta_min column is filled from them then.
     """
     lip = objective.lipschitz_constant
     if not (0 <= lip < math.inf):
@@ -156,13 +157,13 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         vals = [value_at(v) for v in p._vertex_ids[node_id].tolist()]
         return simplex_lower_bound(vals, lip, h, p.d)
 
-    eta_min = math.inf
     heap: list[tuple[float, int]] = []
-    for root, s, h in zip(roots, p.simplices(roots), p.longest_edges(roots)[0].tolist()):
+    h = p.longest_edges(roots)[0].tolist()
+    for root, hr in zip(roots, h):
         for vid in p._vertex_ids[root].tolist():
             consider(vid)
-        eta_min = min(eta_min, regularity_ratio(s))
-        heapq.heappush(heap, (raw_bound(root, h), root))
+        heapq.heappush(heap, (raw_bound(root, hr), root))
+    eta_min = min(v / hr**p.d for v, hr in zip(p.volumes(roots).tolist(), h))
 
     rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
     while True:

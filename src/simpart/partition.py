@@ -13,7 +13,7 @@ fraction of every (leaf, vertex) cone (exactly in d <= 5, by Monte
 Carlo in d >= 6), compares each against the per-simplex lower bound, sums
 the fractions around every registry vertex (they must tile the sphere
 of directions at interior points), and compares the observed maximum
-valence with the theoretical bound.
+valence with the theoretical bound, in stacked passes over the leaf ids.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from .cones import (
     MonteCarloConfig,
     VertexCone,
     cone_at_point,
-    corner_cone,
     exact_solid_angle_fraction,
+    exact_solid_angle_fractions,
     max_intersection_bound,
     per_simplex_angle_bound,
     solid_angle_fraction,
 )
 from .errors import (
-    DegenerateSimplex,
     DimensionMismatch,
     EmptyPartition,
     PointOutsideDomain,
@@ -52,10 +51,9 @@ from .geometry import (
     _longest_edges,
     _volumes,
     as_point,
-    barycentric_many,
+    barycentric_many,  # not called here; bound for perfbench/tracing.py's span of it
     make_simplex,
-    make_simplices,
-    regularity_ratio,
+    regularity_ratio,  # not called here; bound for perfbench/tracing.py's span of it
 )
 
 # Entropy tags for audit streams, disjoint from the cone-measure tags.
@@ -159,7 +157,6 @@ class Partition:
         self._n_vertices = 0
         self._coords = np.empty((0, d))
         self._ids: dict[tuple, int] = {}
-        self._simplices: dict[int, Simplex] = {}
 
     # ------------------------------------------------------------ registry
 
@@ -271,38 +268,25 @@ class Partition:
         return np.flatnonzero(self._children[: self._n_nodes, 0] < 0).tolist()
 
     def simplex(self, node_id: int) -> Simplex:
-        """The node's simplex: the cached one, else simplices([node_id])[0]."""
-        s = self._simplices.get(node_id)
-        return s if s is not None else self.simplices([node_id])[0]
-
-    def simplices(self, node_ids) -> list[Simplex]:
-        """The nodes' simplices, in order, the missing ones built and cached.
-
-        Every node not yet cached is built in one stacked make_simplices
-        call, so a caller that needs many nodes asks for them at once.
-        The first degenerate node raises DegenerateSimplex and is not
-        cached, nor are the nodes after it.
-        """
-        todo = [i for i in node_ids if i not in self._simplices]
-        if todo:
-            for i, s in zip(todo, make_simplices(self._corners(todo), [str(i) for i in todo])):
-                if isinstance(s, DegenerateSimplex):
-                    raise s
-                self._simplices[i] = s
-        return [self._simplices[i] for i in node_ids]
+        """The node's simplex with id str(node_id), built afresh by make_simplex; nothing is cached."""
+        if not 0 <= node_id < self._n_nodes:
+            raise IndexError(f"node {node_id} is not in the partition")
+        return make_simplex(self._corners([node_id])[0], id=str(node_id))
 
     def longest_edges(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
         """The nodes' longest edges: an (m,) array of lengths h and an (m, 2) array of (i, j).
 
         The nodes not yet measured are measured in one stacked
         _longest_edges pass over their registry coordinates, the bits
-        Simplex.longest_edge gets, and kept in the node table.
+        Simplex.longest_edge gets, and kept in the node table.  Ids index
+        the nodes in use as a list does (-1 is the last node).
         """
         ids = np.asarray(node_ids, dtype=np.intp)
-        todo = ids[np.isnan(self._h[ids])]
+        h, edge = self._h[: self._n_nodes], self._edge[: self._n_nodes]
+        todo = ids[np.isnan(h[ids])]
         if todo.size:
-            self._h[todo], self._edge[todo] = _longest_edges(self._corners(todo))
-        return self._h[ids], self._edge[ids]
+            h[todo], edge[todo] = _longest_edges(self._corners(todo))
+        return h[ids], edge[ids]
 
     def volumes(self, node_ids) -> np.ndarray:
         """The nodes' volumes, the ones not yet measured in one stacked _volumes pass.
@@ -310,20 +294,21 @@ class Partition:
         A newly measured node is checked as make_simplices checks it: the
         first degenerate one raises DegenerateSimplex with its message, and
         neither it nor the nodes after it are kept, so asking again raises
-        again.
+        again.  Ids index the nodes in use as in longest_edges.
         """
         ids = np.asarray(node_ids, dtype=np.intp)
-        todo = ids[np.isnan(self._vol[ids])]
+        vols = self._vol[: self._n_nodes]
+        todo = ids[np.isnan(vols[ids])]
         if todo.size:
             h = self.longest_edges(todo)[0].tolist()
             vol = _volumes(self._corners(todo))
             for k, (v, hk) in enumerate(zip(vol.tolist(), h)):
                 flat = _degenerate(v, hk, self.d)
                 if flat is not None:
-                    self._vol[todo[:k]] = vol[:k]
+                    vols[todo[:k]] = vol[:k]
                     raise flat
-            self._vol[todo] = vol
-        return self._vol[ids]
+            vols[todo] = vol
+        return vols[ids]
 
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
@@ -610,8 +595,8 @@ class TheoremReport:
     four and five) and "monte-carlo" in d >= 6; samples_per_cone and
     seed record the sampling budget, which the exact route does not
     draw on.  cone_classes is the number of quadratures the exact route
-    ran, one per class of four- and five-facet cones (0 in d <= 3 and on
-    the Monte Carlo route); it is not written to the report.
+    ran, one per class key of four- and five-facet cones, corner or face
+    (0 in d <= 3 and on the Monte Carlo route); it is not in the report.
     """
 
     d: int
@@ -645,15 +630,18 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     A vertex lies on the facet of root r opposite corner i when its
     barycentric coordinates in r are all >= -MEMBERSHIP_TOL and
     coordinate i is <= MEMBERSHIP_TOL: the membership test of the
-    valence descent, applied to the facet.
+    valence descent, applied to the facet, with every root's gradients
+    from one stacked inverse and its coordinates as barycentric_many's.
     """
     roots = p.roots
     root_vids = [tuple(vids) for vids in p._vertex_ids[roots].tolist()]
     facets = Counter(frozenset(vids[:i] + vids[i + 1 :]) for vids in root_vids for i in range(len(vids)))
     pts = p.vertices
+    verts = p._corners(roots)
     mask = np.zeros(p.n_vertices, dtype=bool)
-    for vids, s in zip(root_vids, p.simplices(roots)):
-        lam = barycentric_many(s, pts)
+    for vids, origin, grads in zip(root_vids, verts[:, 0], np.linalg.inv(_edge_matrices(verts))):
+        lam = (pts - origin) @ grads.T
+        lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
         inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
         for i in range(len(vids)):
             if facets[frozenset(vids[:i] + vids[i + 1 :])] == 1:
@@ -669,6 +657,20 @@ def _pair_config(mc: MonteCarloConfig, leaf_id: int, vertex_id: int) -> MonteCar
     """
     derived = int(np.random.SeedSequence([mc.seed, _PAIR_TAG, leaf_id, vertex_id]).generate_state(1)[0])
     return MonteCarloConfig(samples=mc.samples, seed=derived, shards=mc.shards)
+
+
+def _corner_normals(p: Partition, leaves) -> np.ndarray:
+    """(m, d+1, d, d) half-space matrices of the leaves' corner cones, [i, k] at vertex k of leaf i.
+
+    The gradients come from one np.linalg.inv of the edge matrices, row 0
+    minus the column sum; LAPACK inverts each matrix on its own, so these
+    are the bits of Simplex.barycentric_gradients.  Each cone keeps every
+    row but its vertex's, in order, as cone_at_point cuts it.
+    """
+    d = p.d
+    inv = np.linalg.inv(_edge_matrices(p._corners(leaves)))
+    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+    return grads[:, [[r for r in range(d + 1) if r != k] for k in range(d + 1)]]
 
 
 def verify_theorem(
@@ -690,14 +692,15 @@ def verify_theorem(
     cone of each leaf the vertex hangs on (interior sums must hit 1
     within 4 combined stderr, boundary sums must not exceed 1 by more).
 
-    The corner cones come from each leaf's cached gradients (corner_cone);
-    only the face cones of hanging vertices are located by cone_at_point.
-    In d <= 5 every cone is measured by exact_solid_angle_fraction with
-    stderr EXACT_STDERR (closed forms up to three facets, a checked
-    quadrature for four and five, which raises QuadratureError rather
-    than return an unchecked value), each class of quadrature cones
-    once, every pair is audited, and mc and full_audit play no part; in
-    d >= 6 each pair draws mc.samples directions from its own stream.
+    The corner cones are one stack (_corner_normals), and each leaf's
+    rho, vol / h**d from the node table as in min_regularity, and bound
+    are computed once.  In d <= 5 one exact_solid_angle_fractions call
+    measures the stack with stderr EXACT_STDERR (closed forms up to three
+    facets, one checked quadrature per cone class for four and five,
+    which raises QuadratureError naming the cone), every pair is audited,
+    and mc and full_audit play no part; in d >= 6 each pair draws
+    mc.samples directions from its own stream.  Only the face cones of
+    hanging vertices are cut by cone_at_point, from Partition.simplex.
     """
     leaves = p.leaves
     if not leaves:
@@ -714,12 +717,14 @@ def verify_theorem(
 
     exact = d <= 5
     corners = p._vertex_ids[leaves].tolist()
-    pairs = [(leaf, vid) for leaf, vids in zip(leaves, corners) for vid in vids]
+    pairs = list(itertools.product(range(len(leaves)), range(d + 1)))  # (i, k): corner k of the i-th leaf
     total_pairs = len(pairs)
     if not exact and total_pairs > AUDIT_PAIR_CAP and not full_audit:
         rng = np.random.default_rng(np.random.SeedSequence([mc.seed, _SUBSAMPLE_TAG]))
         chosen = rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False)
-        pairs = [pairs[i] for i in sorted(chosen)]
+        pairs = [pairs[c] for c in sorted(chosen)]
+    cone_ids = [f"{leaves[i]}:v{k}" for i, k in pairs]
+    normals = _corner_normals(p, leaves)
 
     classes: dict = {}  # the exact route's fraction of each cone class, local to this audit
 
@@ -729,30 +734,38 @@ def verify_theorem(
         est = solid_angle_fraction(cone, _pair_config(mc, leaf, vid))
         return est.fraction, est.stderr
 
+    if exact:
+        fractions = exact_solid_angle_fractions(normals.reshape(total_pairs, d, d), cone_ids, classes)
+        measured = [(f, EXACT_STDERR) for f in fractions]
+    else:
+        measured = [
+            measure(VertexCone(p.vertex_coords(corners[i][k]), normals[i, k], cone_id), leaves[i], corners[i][k])
+            for (i, k), cone_id in zip(pairs, cone_ids)
+        ]
+
+    rho = [v / hk**d for v, hk in zip(p.volumes(leaves).tolist(), p.longest_edges(leaves)[0].tolist())]
+    strong = [per_simplex_angle_bound(r, d) for r in rho]
     estimates: dict[tuple[int, int], tuple[float, float]] = {}
     checks = []
-    p.simplices(leaves)  # one stacked build; p.simplex below is a cache hit
-    for leaf, vid in pairs:
-        s = p.simplex(leaf)
-        cone = corner_cone(s, p._vertex_ids[leaf].tolist().index(vid))
-        fraction, stderr = measure(cone, leaf, vid)
-        rho = regularity_ratio(s)
-        strong = per_simplex_angle_bound(rho, d)
+    for (i, k), cone_id, (fraction, stderr) in zip(pairs, cone_ids, measured):
+        leaf, vid = leaves[i], corners[i][k]
         checks.append(
             VertexCheck(
                 leaf_id=leaf,
                 vertex_id=vid,
-                cone_id=cone.id,
+                cone_id=cone_id,
                 fraction=fraction,
                 stderr=stderr,
-                rho=rho,
-                strong_bound=strong,
+                rho=rho[i],
+                strong_bound=strong[i],
                 uniform_bound=uniform_bound,
-                passed_strong=fraction >= strong - 3.0 * stderr,
+                passed_strong=fraction >= strong[i] - 3.0 * stderr,
                 passed_uniform=fraction >= uniform_bound - 3.0 * stderr,
             )
         )
         estimates[(leaf, vid)] = (fraction, stderr)
+    # the corner pairs a Monte Carlo subsample left out
+    skipped = {(leaf, vid) for leaf, vids in zip(leaves, corners) for vid in vids} - estimates.keys()
 
     # each vertex's incident leaves in ascending id order, the order of the sums
     order = np.lexsort((at_leaf, at_vertex))
@@ -762,10 +775,9 @@ def verify_theorem(
     decomposition = []
     for vid, leaves_at in enumerate(incident):
         leaves_at = leaves_at.tolist()
-        if any((leaf, vid) not in estimates and vid in p._vertex_ids[leaf] for leaf in leaves_at):
+        if skipped and any((leaf, vid) in skipped for leaf in leaves_at):
             continue  # a corner pair was subsampled away; the sum would be meaningless
-        fracs = []
-        errs = []
+        fracs, errs = [], []
         for leaf in leaves_at:
             got = estimates.get((leaf, vid))
             if got is None:  # the vertex hangs on a face of this leaf
@@ -775,10 +787,7 @@ def verify_theorem(
         total = float(sum(fracs))
         sigma = math.sqrt(sum(e * e for e in errs))
         interior = not bool(boundary[vid])
-        if interior:
-            ok = abs(total - 1.0) <= 4.0 * sigma
-        else:
-            ok = total <= 1.0 + 4.0 * sigma
+        ok = abs(total - 1.0) <= 4.0 * sigma if interior else total <= 1.0 + 4.0 * sigma
         decomposition.append(
             DecompositionCheck(
                 vertex_id=vid,

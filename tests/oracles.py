@@ -179,6 +179,47 @@ def triangle_vertex_angle(vertices, k: int) -> float:
     return math.acos(min(1.0, max(-1.0, cosang)))
 
 
+def closed_form_fraction(halfspaces) -> float:
+    """Solid-angle fraction of a cone with two or three facets, in Python floats.
+
+    The wedge (pi - theta) / 2pi and Girard's excess over 4pi, with each
+    angle in Kahan's form 2 atan2(|a - b|, |a + b|) on unit rows, every
+    sum taken left to right one rounded operation at a time: the bits the
+    library's stacked closed forms must reproduce on any CPU.
+    """
+
+    def norm(v):
+        total = 0.0
+        for x in v:
+            total += x * x
+        return math.sqrt(total)
+
+    rows = [[x / norm(r) for x in r] for r in np.asarray(halfspaces, dtype=float).tolist()]
+
+    def angle(a, b):
+        return 2.0 * math.atan2(norm([x - y for x, y in zip(a, b)]), norm([x + y for x, y in zip(a, b)]))
+
+    if len(rows) == 2:
+        return (math.pi - angle(*rows)) / (2.0 * math.pi)
+    a, b, c = rows
+    return (2.0 * math.pi - angle(a, b) - angle(a, c) - angle(b, c)) / (4.0 * math.pi)
+
+
+def cone_class_one_by_one(h) -> np.ndarray:
+    """Canonical unit normals of one (k, d) cone, its columns sorted in Python.
+
+    Columns flipped to a positive first nonzero entry (+ 0.0 clears -0.0),
+    sorted as Python lists compare, then rows divided by their norms: the
+    class key the library builds for a whole stack with one lexsort.
+    """
+    h = np.asarray(h, dtype=float)
+    first = h[(h != 0.0).argmax(axis=0), np.arange(h.shape[1])]
+    h = h * np.where(first < 0.0, -1.0, 1.0) + 0.0
+    columns = h.T.tolist()
+    h = h[:, sorted(range(len(columns)), key=columns.__getitem__)]
+    return h / np.sqrt((h * h).sum(axis=-1))[:, None]
+
+
 def polygon_interior_angle(apex, vertices) -> float:
     """Angle subtended at ``apex`` by a union of triangles sharing it.
 

@@ -21,7 +21,7 @@ from simpart.cones import (
 from simpart.errors import InvalidEta, PointOutsideSimplex, QuadratureError, UnsupportedDimension
 from simpart.geometry import barycentric_many, canonical_simplex, make_simplex, regularity_ratio
 
-from .oracles import orthant_fraction_mp, triangle_vertex_angle
+from .oracles import cone_class_one_by_one, orthant_fraction_mp, triangle_vertex_angle
 from .support import jittered_regular_simplex, random_simplex
 
 FAST = MonteCarloConfig(samples=40_000, seed=42, shards=4)
@@ -360,6 +360,22 @@ def test_cone_class_key_decides_the_fraction_bitwise(d, k):
         for v in (h, *variants):
             assert exact_solid_angle_fraction(VertexCone(np.zeros(d), v), classes).hex() == base
         assert len(classes) == 1
+
+
+@pytest.mark.parametrize("d, k", [(4, 4), (5, 4), (5, 5)])
+def test_stacked_cone_class_keys_equal_per_cone_sort_bitwise(d, k):
+    # one lexsort over every column of a stack must give each cone the key
+    # of a per-cone Python sort; zeroed entries make signs of zero and ties
+    # in the sort, and the stack repeats cones so that classes collapse
+    rng = np.random.default_rng(2500 + 10 * d + k)
+    h = np.array([random_simplex(d, rng).barycentric_gradients[:k] for _ in range(60)])
+    h[rng.random(h.shape) < 0.2] = 0.0
+    h[np.arange(60)[:, None], np.arange(k), np.argmax(np.abs(h), axis=2)] = 1.0  # no row vanishes
+    h = np.concatenate([h, h[:, :, ::-1], -h])
+    keys = cones_mod._cone_classes(h)
+    for key, cone in zip(keys, h):
+        assert key.tobytes() == cone_class_one_by_one(cone).tobytes()
+    assert len({key.tobytes() for key in keys}) == 60
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -9,7 +9,6 @@ from simpart.cones import (
     EXACT_STDERR,
     MonteCarloConfig,
     cone_at_point,
-    corner_cone,
     exact_solid_angle_fraction,
     max_intersection_bound,
 )
@@ -43,7 +42,13 @@ from simpart.partition import (
 )
 from simpart.serialization import partition_to_json, read_partition, write_partition
 
-from .oracles import bisect_longest_edge, flat_scan_count, flat_scan_pairs, simplex_metrics_one_by_one
+from .oracles import (
+    bisect_longest_edge,
+    closed_form_fraction,
+    flat_scan_count,
+    flat_scan_pairs,
+    simplex_metrics_one_by_one,
+)
 from .support import random_simplex
 
 
@@ -195,9 +200,8 @@ def test_simplices_raises_at_a_degenerate_node_and_keeps_earlier_ones():
     p.add_root([[0.0, 0.0], [3e-12, 0.0], [1.5e-12, 1.0]])
     p.bisect(0)
     with pytest.raises(DegenerateSimplex):
-        p.simplices([1, 2])
-    assert sorted(p._simplices) == [1]
-    assert p.simplices([1, 0]) == [p.simplex(1), p.simplex(0)]
+        p.simplex(2)
+    assert [p.simplex(i).id for i in (1, 0)] == ["1", "0"]
 
 
 def test_volumes_raise_at_a_degenerate_node_and_keep_earlier_ones():
@@ -215,7 +219,6 @@ def test_volumes_raise_at_a_degenerate_node_and_keep_earlier_ones():
             p.volumes([1, 2])
         assert str(measured.value) == str(built.value)
     assert p._vol[1] == p.simplex(1).volume and math.isnan(p._vol[2])
-    assert p._simplices.keys() == {1}
     for strategy in STRATEGIES:
         q = Partition(2)
         q.add_root(thin)
@@ -528,6 +531,26 @@ def test_incidence_matches_flat_scan_of_every_pair(d, steps):
     assert np.any(valences > corners)  # some vertex hangs on a leaf face
 
 
+def test_negative_ids_name_nodes_in_use_and_leave_spare_rows_alone():
+    # the columns are read through their rows in use, so -1 is the last
+    # node, as in a list, and no value lands in a spare buffer row that a
+    # later node would inherit; kuhn(2)@1 has 6 nodes in an 8-row table
+    p, q = refine(kuhn_triangulation(2), 1), refine(kuhn_triangulation(2), 1)
+    assert p.longest_edges([-1])[0].tolist() == q.longest_edges([5])[0].tolist()
+    assert p.volumes([-1]).tolist() == q.volumes([5]).tolist()
+    assert p.bisect(2) == q.bisect(2) == (6, 7)
+    assert math.isnan(p._vol[7]) and math.isnan(p._h[7])
+    assert p.longest_edges([6, 7])[0].tolist() == q.longest_edges([6, 7])[0].tolist() == [math.sqrt(0.5)] * 2
+    for bad in (8, -9):
+        with pytest.raises(IndexError):
+            p.longest_edges([bad])
+        with pytest.raises(IndexError):
+            p.volumes([bad])
+    for bad in (8, -1):
+        with pytest.raises(IndexError):
+            p.simplex(bad)
+
+
 def test_registry_valences_builds_no_simplex(monkeypatch):
     # the descent reads vertex coordinates from the registry, so the
     # leaves of a fresh refinement stay unbuilt
@@ -535,10 +558,8 @@ def test_registry_valences_builds_no_simplex(monkeypatch):
     expected = registry_valences(refine(kuhn_triangulation(3), 4))
     built = []
     monkeypatch.setattr(partition_mod, "make_simplex", lambda *a, **k: built.append(a))
-    monkeypatch.setattr(partition_mod, "make_simplices", lambda *a, **k: built.append(a))
     assert registry_valences(p).tolist() == expected.tolist()
     assert built == []
-    assert not set(p.leaves) & set(p._simplices)
 
 
 def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
@@ -557,7 +578,7 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
 
         monkeypatch.setattr(partition_mod, name, wrapper)
 
-    for name in ("_longest_edges", "_volumes", "make_simplices"):
+    for name in ("_longest_edges", "_volumes"):
         counted(name)
     p = kuhn_triangulation(3)
     for _ in range(4):
@@ -565,18 +586,16 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     min_regularity(p)
     rounds = [6, 12, 24, 48, 96]
     assert calls == [(name, n) for n in rounds for name in ("_longest_edges", "_volumes")]
-    assert p._simplices == {}
     path = tmp_path / "p.json"
     write_partition(p, path)
     calls.clear()
     q = read_partition(path)
     assert calls == [(name, n) for n in rounds[:-1] for name in ("_longest_edges", "_volumes")]
-    assert q._simplices == {}
     calls.clear()
     r = optimize(build_objective("shifted-sphere", 3), kuhn_triangulation(3), budget=300, tol=1e-3)
     children = 2 * r.leaves_explored
     assert calls == (
-        [("make_simplices", 6), ("_longest_edges", 6)]
+        [("_longest_edges", 6), ("_volumes", 6)]
         + [("_longest_edges", 2)] * r.leaves_explored
         + [("_volumes", children)]
     )
@@ -799,15 +818,15 @@ def _audit_case(name):
 
 @pytest.mark.parametrize("name", ["kuhn4@2", "largest-kuhn4@30", "kuhn5@1", "random4@3"])
 def test_audit_fractions_equal_per_cone_measurement_bitwise(name):
-    # the audit builds corner cones from the cached gradients and measures
+    # the audit cuts corner cones from one stacked inverse and measures
     # each cone class once; neither may show in a single bit of the report
     p = _audit_case(name)
-    for leaf, s in zip(p.leaves, p.simplices(p.leaves)):
+    for leaf, normals in zip(p.leaves, partition_mod._corner_normals(p, p.leaves)):
         for k, vid in enumerate(p.nodes[leaf].vertex_ids):
-            got, expected = corner_cone(s, k), cone_at_point(s, p.vertex_coords(vid))
-            assert got.id == expected.id
-            assert got.halfspaces.shape == expected.halfspaces.shape
-            assert got.halfspaces.tobytes() == expected.halfspaces.tobytes()
+            got, expected = normals[k], cone_at_point(p.simplex(leaf), p.vertex_coords(vid))
+            assert expected.id == f"{leaf}:v{k}"
+            assert got.shape == expected.halfspaces.shape
+            assert got.tobytes() == expected.halfspaces.tobytes()
 
     def per_cone(leaf, vid):
         return exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)))
@@ -823,6 +842,38 @@ def test_audit_fractions_equal_per_cone_measurement_bitwise(name):
         assert c.fraction_sum.hex() == float(sum(per_cone(leaf, c.vertex_id) for leaf in leaves)).hex()
     # the sums of the last two cases take face cones at hanging vertices
     assert bool(_hanging_vertices(p)) == (name in ("largest-kuhn4@30", "random4@3"))
+
+
+@pytest.mark.parametrize(
+    "d, steps, strategy",
+    [(2, 6, "bisect-all-leaves"), (3, 5, "bisect-all-leaves"), (3, 30, "bisect-largest-leaf")],
+)
+def test_stacked_closed_form_cones_equal_per_cone_build_bitwise(d, steps, strategy):
+    # in d = 2, 3 the audit cuts every corner cone from one stacked
+    # inverse and takes the closed forms over the whole stack; on a random
+    # root the normals must keep the bits of cone_at_point on the leaf's
+    # own Simplex, and the fractions those of one-cone measurement and of
+    # the Python-float formulas; the largest-leaf case adds face cones
+    p = refine(partition_from_simplices([random_simplex(d, np.random.default_rng(2400 + d))]), steps, strategy)
+    for leaf, normals in zip(p.leaves, partition_mod._corner_normals(p, p.leaves)):
+        for k, vid in enumerate(p.nodes[leaf].vertex_ids):
+            expected = cone_at_point(p.simplex(leaf), p.vertex_coords(vid)).halfspaces
+            assert normals[k].shape == expected.shape
+            assert normals[k].tobytes() == expected.tobytes()
+
+    def per_cone(leaf, vid):
+        return exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)))
+
+    report = verify_theorem(p, AUDIT)
+    assert report.method == "exact" and report.passed
+    for c in report.per_vertex_checks:
+        normals = cone_at_point(p.simplex(c.leaf_id), p.vertex_coords(c.vertex_id)).halfspaces
+        assert c.fraction.hex() == per_cone(c.leaf_id, c.vertex_id).hex() == closed_form_fraction(normals).hex()
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
+    for c in report.decomposition_checks:
+        leaves = sorted(at_leaf[at_vertex == c.vertex_id].tolist())
+        assert c.fraction_sum.hex() == float(sum(per_cone(leaf, c.vertex_id) for leaf in leaves)).hex()
+    assert _hanging_vertices(p) or strategy == "bisect-all-leaves"
 
 
 def test_report_counts_one_quadrature_per_cone_class(monkeypatch):
