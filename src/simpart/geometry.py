@@ -2,7 +2,10 @@
 
 A simplex in dimension d >= 2 is stored as a (d+1, d) array of vertex
 coordinates.  The module provides the exact quantities (volume, longest
-edge, regularity ratio, barycentric coordinates).
+edge, regularity ratio, barycentric coordinates).  Each formula has one
+kernel over (m, d+1, d) stacks (_volumes, _longest_edges, _gradients,
+_barycentric); a Simplex calls it on a stack of one, and the partition
+module on its node table, so both get the same bits.
 
 The regularity ratio rho(S) = vol(S) / h(S)^d, with h(S) the longest
 edge length, is the shape measure everything downstream is built on:
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -84,6 +86,36 @@ def _longest_edges(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lengths.max(axis=1), pairs[lengths.argmax(axis=1)]
 
 
+def _gradients(verts: np.ndarray) -> np.ndarray:
+    """(m, d+1, d) barycentric gradients of an (m, d+1, d) stack, row i the gradient of lambda_i.
+
+    Rows 1..d are one stacked inverse of the edge matrices; LAPACK
+    inverts each matrix on its own, so a member's rows do not depend on
+    the rest of the stack.  Row 0 is minus their column sum, since the
+    coordinates add up to 1.
+    """
+    inv = np.linalg.inv(_edge_matrices(verts))
+    return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+
+
+def _barycentric(grads: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(..., d+1) barycentric coordinates of points p from their offsets p - v_0, (..., d).
+
+    grads holds gradient rows 1..d, (d, d) or one such matrix per offset,
+    (..., d, d).  lambda_i for i >= 1 is one einsum of row i with the offset,
+    which unlike a matrix product does not go through BLAS, so the bits do
+    not depend on the kernel OpenBLAS picks; lambda_0 is what is left of 1.
+    Both are written in place into the output, the kernel's only
+    allocation, so a caller that gathers rows per point (the valence
+    descent) holds no more than the rows, the offsets and the output.
+    """
+    lam = np.empty(offsets.shape[:-1] + (offsets.shape[-1] + 1,))
+    np.einsum("...ij,...j->...i", grads, offsets, out=lam[..., 1:])
+    lam[..., 1:].sum(axis=-1, out=lam[..., 0])
+    np.subtract(1.0, lam[..., 0], out=lam[..., 0])
+    return lam
+
+
 def _degenerate(volume: float, h: float, d: int) -> DegenerateSimplex | None:
     """The error to raise when vol <= VOLUME_EPS_REL * h^d, else None."""
     if volume <= VOLUME_EPS_REL * h**d:
@@ -96,10 +128,10 @@ class Simplex:
     """Immutable simplex: d+1 vertices in R^d plus an opaque id.
 
     Construct through :func:`make_simplex`, which validates dimensions
-    and nondegeneracy.  The barycentric gradients are cached on first
-    use, and the volume and longest edge come cached from the build; the
-    vertex and gradient arrays are marked read-only so instances are
-    safe to share between workers.
+    and nondegeneracy.  The barycentric gradients, the volume and the
+    longest edge are computed on first use and cached; the vertex and
+    gradient arrays are marked read-only so instances are safe to share
+    between workers.
     """
 
     vertices: np.ndarray
@@ -111,23 +143,18 @@ class Simplex:
 
     @property
     def edge_matrix(self) -> np.ndarray:
-        """d x d matrix whose columns are v_i - v_0 for i = 1..d.
-
-        Not cached: only the cached barycentric gradients use it.
-        """
+        """d x d matrix whose columns are v_i - v_0 for i = 1..d."""
         return _edge_matrices(self.vertices[None])[0]
 
     @cached_property
     def barycentric_gradients(self) -> np.ndarray:
         """(d+1, d) rows of grad lambda_i, the barycentric coordinates' gradients.
 
-        Rows 1..d are the inverse of the edge matrix; row 0 is minus
-        their sum, since the coordinates add up to 1.  Row i is also the
-        inward normal of the facet opposite vertex i, so the tangent
-        cones of the simplex are cut from these rows.
+        _gradients on a stack of one.  Row i is also the inward normal of
+        the facet opposite vertex i, so the tangent cones of the simplex
+        are cut from these rows.
         """
-        grads = np.linalg.inv(self.edge_matrix)
-        grads = np.vstack([-grads.sum(axis=0), grads])
+        grads = _gradients(self.vertices[None])[0]
         grads.flags.writeable = False
         return grads
 
@@ -171,7 +198,7 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
     DegenerateSimplex : volume at or below the relative threshold.
     """
     try:
-        arr = np.asarray(vertices, dtype=float)
+        arr = np.array(vertices, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DimensionMismatch("vertex dimensions disagree") from exc
     if arr.ndim != 2:
@@ -181,30 +208,6 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
         raise DimensionMismatch(f"need d+1 vertices of dimension d, got {n} of dimension {d}")
     if d < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
-    (s,) = make_simplices(arr[None], [id])
-    if isinstance(s, DegenerateSimplex):
-        raise s
-    return s
-
-
-def make_simplices(vertices: np.ndarray, ids: Sequence[str]) -> list[Simplex | DegenerateSimplex]:
-    """Validate and build the simplices of an (m, d+1, d) vertex stack at once.
-
-    The stack must already have that shape with d >= 2 (make_simplex
-    checks it).  The coordinate checks, the edge lengths and the volumes
-    of all m simplices are computed in stacked calls and seeded into
-    each Simplex's cached ``longest_edge`` and ``volume``, with the same
-    bits a one-by-one build gives.  A degenerate member comes back as the
-    DegenerateSimplex to raise, so that it does not stop its companions
-    from being built.
-
-    Raises
-    ------
-    InvalidPoint : NaN or infinite coordinate, or one so large that h^d
-        may overflow, anywhere in the stack.
-    """
-    arr = np.array(vertices, dtype=float)
-    d = arr.shape[2]
     largest = float(np.abs(arr).max())
     if not math.isfinite(largest):
         raise InvalidPoint("vertex coordinates must be finite")
@@ -217,20 +220,11 @@ def make_simplices(vertices: np.ndarray, ids: Sequence[str]) -> list[Simplex | D
             f"beyond which h^{d} may overflow"
         )
     arr.flags.writeable = False
-    h, pairs = _longest_edges(arr)
-    out: list[Simplex | DegenerateSimplex] = []
-    for verts, sid, hk, pair, volume in zip(arr, ids, h.tolist(), pairs.tolist(), _volumes(arr).tolist()):
-        flat = _degenerate(volume, hk, d)
-        if flat is not None:
-            out.append(flat)
-            continue
-        s = Simplex(vertices=verts, id=sid)
-        # seed the cached properties; object.__setattr__ passes the frozen
-        # dataclass guard without materializing the instance __dict__
-        object.__setattr__(s, "longest_edge", (hk, tuple(pair)))
-        object.__setattr__(s, "volume", volume)
-        out.append(s)
-    return out
+    s = Simplex(vertices=arr, id=id)
+    flat = _degenerate(s.volume, s.longest_edge[0], d)
+    if flat is not None:
+        raise flat
+    return s
 
 
 def regularity_ratio(s: Simplex) -> float:
@@ -268,11 +262,8 @@ def barycentric(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> tuple[Barycentric
 
 
 def barycentric_many(s: Simplex, points: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates for a (k, d) batch of points, shape (k, d+1)."""
-    pts = np.asarray(points, dtype=float)
-    lam_rest = (pts - s.vertices[0]) @ s.barycentric_gradients[1:].T
-    lam0 = 1.0 - lam_rest.sum(axis=1)
-    return np.column_stack([lam0, lam_rest])
+    """Barycentric coordinates for a (k, d) batch of points, shape (k, d+1): _barycentric on s."""
+    return _barycentric(s.barycentric_gradients[1:], np.asarray(points, dtype=float) - s.vertices[0])
 
 
 def contains(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> bool:

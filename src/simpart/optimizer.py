@@ -107,12 +107,13 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     Lipschitz constant must be finite and >= 0, or the bounds order
     nothing.
 
-    No Simplex is built: the roots' ratios come from one
-    Partition.volumes and one Partition.longest_edges call, and each
-    step's children's longest edges from one longest_edges call.  The
-    children's volumes are measured once, after the loop, in one
-    Partition.volumes call, which raises DegenerateSimplex at the first
-    degenerate child; the trace's eta_min column is filled from them then.
+    No Simplex is built: the roots' edges come from one
+    Partition.longest_edges call and their ratios from one
+    Partition.regularity call, and each step's children's longest edges
+    from one longest_edges call.  The children's ratios are taken once,
+    after the loop, in one Partition.regularity call, which raises
+    DegenerateSimplex at the first degenerate child; the trace's eta_min
+    column is filled from them then.
     """
     lip = objective.lipschitz_constant
     if not (0 <= lip < math.inf):
@@ -163,7 +164,7 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         for vid in p._vertex_ids[root].tolist():
             consider(vid)
         heapq.heappush(heap, (raw_bound(root, hr), root))
-    eta_min = min(v / hr**p.d for v, hr in zip(p.volumes(roots).tolist(), h))
+    eta_min = min(p.regularity(roots))
 
     rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
     while True:
@@ -192,10 +193,7 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             heapq.heappush(heap, (max(lb, raw_bound(child, hc)), child))
 
     # row k saw the roots and the 2k children of the k bisections before it
-    children = range(len(roots), p._n_nodes)
-    vol = p.volumes(children).tolist()
-    h = p.longest_edges(children)[0].tolist()
-    etas = list(itertools.accumulate((v / hc**p.d for v, hc in zip(vol, h)), min, initial=eta_min))
+    etas = list(itertools.accumulate(p.regularity(range(len(roots), p._n_nodes)), min, initial=eta_min))
     trace = [TraceRow(*row, eta_min=etas[2 * row[0]]) for row in rows]
     return OptimizeResult(
         point=p.vertex_coords(best_vid).copy(),

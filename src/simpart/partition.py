@@ -46,8 +46,9 @@ from .errors import (
 from .geometry import (
     MEMBERSHIP_TOL,
     Simplex,
+    _barycentric,
     _degenerate,
-    _edge_matrices,
+    _gradients,
     _longest_edges,
     _volumes,
     as_point,
@@ -172,7 +173,7 @@ class Partition:
         """vertex_id without its input checks; p must be a finite (d,) array.
 
         Bisection midpoints are: the mean of two registry vertices, whose
-        coordinates make_simplices caps far below overflow.
+        coordinates make_simplex caps far below overflow.
         """
         key = tuple(p.tolist())
         vid = self._ids.get(key)
@@ -291,7 +292,7 @@ class Partition:
     def volumes(self, node_ids) -> np.ndarray:
         """The nodes' volumes, the ones not yet measured in one stacked _volumes pass.
 
-        A newly measured node is checked as make_simplices checks it: the
+        A newly measured node is checked as make_simplex checks it: the
         first degenerate one raises DegenerateSimplex with its message, and
         neither it nor the nodes after it are kept, so asking again raises
         again.  Ids index the nodes in use as in longest_edges.
@@ -309,6 +310,16 @@ class Partition:
                     raise flat
             vols[todo] = vol
         return vols[ids]
+
+    def regularity(self, node_ids) -> list[float]:
+        """The nodes' regularity ratios rho = vol / h**d in Python floats, the bits regularity_ratio gives.
+
+        Volumes and longest edges come from the node table (volumes, then
+        longest_edges), so a degenerate node raises DegenerateSimplex.
+        """
+        vol = self.volumes(node_ids).tolist()
+        h = self.longest_edges(node_ids)[0].tolist()
+        return [v / hk**self.d for v, hk in zip(vol, h)]
 
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
@@ -452,16 +463,13 @@ def min_regularity(p: Partition) -> float:
     """eta_min: the smallest leaf regularity ratio.
 
     This is the largest eta for which every current leaf S satisfies
-    vol(S) >= eta * h(S)^d.  The volumes and edges come from the node
-    table's stacked passes, and each ratio is vol / h**d in Python floats,
-    the bits regularity_ratio gives; a degenerate leaf raises.
+    vol(S) >= eta * h(S)^d, the minimum of Partition.regularity over the
+    leaves; a degenerate leaf raises.
     """
     leaves = p.leaves
     if not leaves:
         raise EmptyPartition("partition has no leaves")
-    vol = p.volumes(leaves).tolist()
-    h = p.longest_edges(leaves)[0].tolist()
-    return min(v / hk**p.d for v, hk in zip(vol, h))
+    return min(p.regularity(leaves))
 
 
 def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -473,10 +481,9 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
     so a hanging vertex on a leaf's face is found as well as the leaf
     corners.  Per generation, the distinct frontier nodes take their
     vertex coordinates straight from the registry and their gradients
-    from one stacked np.linalg.inv of the edge matrices (LAPACK solves
-    each matrix on its own, so these equal Simplex.barycentric_gradients
-    bitwise); one einsum gives every pair's coordinates, with lambda_0
-    what is left of 1 as in barycentric_many.  Pairs on a leaf are
+    from one _gradients call, and one _barycentric call on each pair's
+    gradient rows 1..d gives every pair's coordinates, the bits
+    barycentric_many gives on the node's Simplex.  Pairs on a leaf are
     recorded, the others move on to both children through the node
     table's children column.  Only the nodes a point reaches are read, so
     one point costs a path, not the forest.  No volume is measured, so the
@@ -496,9 +503,8 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
         slot[distinct] = np.arange(distinct.size)
         at = slot[node]
         verts = coords[vertex_ids[distinct]]
-        grads = np.linalg.inv(_edge_matrices(verts))
-        lam = np.einsum("kij,kj->ki", grads[at], points[point] - verts[at, 0])
-        inside = np.all(lam >= -tol, axis=1) & (1.0 - lam.sum(axis=1) >= -tol)
+        lam = _barycentric(_gradients(verts)[at, 1:], points[point] - verts[at, 0])
+        inside = np.all(lam >= -tol, axis=1)
         point, node = point[inside], node[inside]
         kids = children[distinct][at[inside]]
         leaf = kids[:, 0] < 0
@@ -631,7 +637,7 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     barycentric coordinates in r are all >= -MEMBERSHIP_TOL and
     coordinate i is <= MEMBERSHIP_TOL: the membership test of the
     valence descent, applied to the facet, with every root's gradients
-    from one stacked inverse and its coordinates as barycentric_many's.
+    from one _gradients call and its coordinates from _barycentric.
     """
     roots = p.roots
     root_vids = [tuple(vids) for vids in p._vertex_ids[roots].tolist()]
@@ -639,9 +645,8 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     pts = p.vertices
     verts = p._corners(roots)
     mask = np.zeros(p.n_vertices, dtype=bool)
-    for vids, origin, grads in zip(root_vids, verts[:, 0], np.linalg.inv(_edge_matrices(verts))):
-        lam = (pts - origin) @ grads.T
-        lam = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    for vids, origin, grads in zip(root_vids, verts[:, 0], _gradients(verts)):
+        lam = _barycentric(grads[1:], pts - origin)
         inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
         for i in range(len(vids)):
             if facets[frozenset(vids[:i] + vids[i + 1 :])] == 1:
@@ -662,15 +667,12 @@ def _pair_config(mc: MonteCarloConfig, leaf_id: int, vertex_id: int) -> MonteCar
 def _corner_normals(p: Partition, leaves) -> np.ndarray:
     """(m, d+1, d, d) half-space matrices of the leaves' corner cones, [i, k] at vertex k of leaf i.
 
-    The gradients come from one np.linalg.inv of the edge matrices, row 0
-    minus the column sum; LAPACK inverts each matrix on its own, so these
-    are the bits of Simplex.barycentric_gradients.  Each cone keeps every
-    row but its vertex's, in order, as cone_at_point cuts it.
+    The gradients come from one _gradients call, the bits of
+    Simplex.barycentric_gradients.  Each cone keeps every row but its
+    vertex's, in order, as cone_at_point cuts it.
     """
     d = p.d
-    inv = np.linalg.inv(_edge_matrices(p._corners(leaves)))
-    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
-    return grads[:, [[r for r in range(d + 1) if r != k] for k in range(d + 1)]]
+    return _gradients(p._corners(leaves))[:, [[r for r in range(d + 1) if r != k] for k in range(d + 1)]]
 
 
 def verify_theorem(
@@ -693,14 +695,15 @@ def verify_theorem(
     within 4 combined stderr, boundary sums must not exceed 1 by more).
 
     The corner cones are one stack (_corner_normals), and each leaf's
-    rho, vol / h**d from the node table as in min_regularity, and bound
-    are computed once.  In d <= 5 one exact_solid_angle_fractions call
-    measures the stack with stderr EXACT_STDERR (closed forms up to three
-    facets, one checked quadrature per cone class for four and five,
-    which raises QuadratureError naming the cone), every pair is audited,
-    and mc and full_audit play no part; in d >= 6 each pair draws
-    mc.samples directions from its own stream.  Only the face cones of
-    hanging vertices are cut by cone_at_point, from Partition.simplex.
+    rho (Partition.regularity) and bound are computed once.  In d <= 5
+    one exact_solid_angle_fractions call measures the stack with stderr
+    EXACT_STDERR (closed forms up to three facets, one checked quadrature
+    per cone class for four and five, which raises QuadratureError naming
+    the cone), every pair is audited, and mc and full_audit play no part;
+    in d >= 6 each pair draws mc.samples directions from its own stream.
+    Only the face cones of hanging vertices are cut by cone_at_point, from
+    Partition.simplex.  Each decomposition sum and its stderr are summed
+    left to right, in ascending leaf id.
     """
     leaves = p.leaves
     if not leaves:
@@ -743,7 +746,7 @@ def verify_theorem(
             for (i, k), cone_id in zip(pairs, cone_ids)
         ]
 
-    rho = [v / hk**d for v, hk in zip(p.volumes(leaves).tolist(), p.longest_edges(leaves)[0].tolist())]
+    rho = p.regularity(leaves)
     strong = [per_simplex_angle_bound(r, d) for r in rho]
     estimates: dict[tuple[int, int], tuple[float, float]] = {}
     checks = []
@@ -777,15 +780,16 @@ def verify_theorem(
         leaves_at = leaves_at.tolist()
         if skipped and any((leaf, vid) in skipped for leaf in leaves_at):
             continue  # a corner pair was subsampled away; the sum would be meaningless
-        fracs, errs = [], []
+        # summed left to right: from Python 3.12 the builtin sum compensates,
+        # which would make the report's bytes depend on the Python version
+        total = variance = 0.0
         for leaf in leaves_at:
             got = estimates.get((leaf, vid))
             if got is None:  # the vertex hangs on a face of this leaf
                 got = measure(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), leaf, vid)
-            fracs.append(got[0])
-            errs.append(got[1])
-        total = float(sum(fracs))
-        sigma = math.sqrt(sum(e * e for e in errs))
+            total += got[0]
+            variance += got[1] * got[1]
+        sigma = math.sqrt(variance)
         interior = not bool(boundary[vid])
         ok = abs(total - 1.0) <= 4.0 * sigma if interior else total <= 1.0 + 4.0 * sigma
         decomposition.append(

@@ -10,13 +10,13 @@ from simpart.errors import (
     UnsupportedDimension,
 )
 from simpart.geometry import (
-    Simplex,
+    _longest_edges,
+    _volumes,
     barycentric,
     barycentric_many,
     canonical_simplex,
     contains,
     make_simplex,
-    make_simplices,
     regular_simplex_ratio,
     regularity_ratio,
 )
@@ -103,36 +103,34 @@ def test_longest_edge_tie_break_is_lexicographic():
     assert pair == (0, 2)
 
 
-def test_make_simplices_matches_one_by_one_bitwise():
+def test_stacked_metrics_match_one_by_one_bitwise():
     # the stacked dot and determinant give the bits of per-pair norm and
     # per-matrix det calls, on non-dyadic vertices where a sum of squares
-    # would round differently; rows of odd d sit at unaligned offsets
+    # would round differently; rows of odd d sit at unaligned offsets.  A
+    # built Simplex takes its volume and longest edge on first use from
+    # the same kernels on a stack of one, so it gets those bits too
     rng = np.random.default_rng(1013)
     for d in range(2, 9):
         stack = rng.normal(size=(40, d + 1, d)) * rng.uniform(0.1, 10.0, size=(40, 1, 1))
-        built = make_simplices(stack, [str(k) for k in range(40)])
-        for k, s in enumerate(built):
-            assert isinstance(s, Simplex)
+        h, pairs = _longest_edges(stack)
+        volumes = _volumes(stack)
+        for k in range(40):
             volume, edge = simplex_metrics_one_by_one(stack[k])
-            assert s.volume == volume
-            assert s.longest_edge == edge
+            assert volumes[k] == volume
+            assert (h[k], tuple(pairs[k].tolist())) == edge
+            s = make_simplex(stack[k], id=str(k))
+            assert (s.volume, s.longest_edge) == (volume, edge)
             assert s.vertices.tobytes() == stack[k].tobytes()
             assert s.id == str(k)
-            # the seeded cache agrees with the properties computed afresh
-            fresh = Simplex(vertices=s.vertices)
-            assert (fresh.volume, fresh.longest_edge) == (volume, edge)
 
 
-def test_make_simplices_keeps_ties_and_returns_degenerate_members():
+def test_stacked_longest_edges_keep_ties():
     tall = [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0]]  # edges (0,2) and (1,2) tie
     flat = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
-    built = make_simplices(np.array([tall, flat, tall]), ["a", "b", "c"])
-    assert built[0].longest_edge == built[2].longest_edge == simplex_metrics_one_by_one(tall)[1]
-    assert built[0].longest_edge[1] == (0, 2)
-    assert isinstance(built[1], DegenerateSimplex)
-    assert [s.id for s in (built[0], built[2])] == ["a", "c"]
-    with pytest.raises(InvalidPoint):
-        make_simplices(np.array([tall, [[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]]]), ["a", "b"])
+    h, pairs = _longest_edges(np.array([tall, flat, tall]))
+    expected = simplex_metrics_one_by_one(tall)[1]
+    assert (h[0], tuple(pairs[0].tolist())) == (h[2], tuple(pairs[2].tolist())) == expected
+    assert expected[1] == (0, 2)
 
 
 def test_regularity_ratio_invariances():

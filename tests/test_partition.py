@@ -22,6 +22,9 @@ from simpart.errors import (
 )
 from simpart.geometry import (
     MEMBERSHIP_TOL,
+    _barycentric,
+    _gradients,
+    barycentric_many,
     canonical_simplex,
     make_simplex,
     regularity_ratio,
@@ -531,6 +534,26 @@ def test_incidence_matches_flat_scan_of_every_pair(d, steps):
     assert np.any(valences > corners)  # some vertex hangs on a leaf face
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_barycentric_many_equals_the_descent_kernel_bitwise(d):
+    # the descent gathers each pair's gradient rows 1..d and vertex 0 from
+    # one _gradients stack of mixed nodes; on a random, non-dyadic root
+    # every coordinate must keep the bits barycentric_many gives on the
+    # node's own Simplex, on registry vertices and on random points
+    rng = np.random.default_rng(3200 + d)
+    p = refine(partition_from_simplices([random_simplex(d, rng)]), 2)
+    points = np.vstack([p.vertices, rng.normal(size=(20, d))])
+    nodes = np.arange(len(p.nodes))
+    at = rng.permutation(np.repeat(nodes, len(points)))
+    point = rng.integers(0, len(points), size=at.size)
+    verts = p._corners(nodes)
+    lam = _barycentric(_gradients(verts)[at, 1:], points[point] - verts[at, 0])
+    for node in nodes.tolist():
+        rows = at == node
+        expected = barycentric_many(p.simplex(node), points[point[rows]])
+        assert lam[rows].tobytes() == expected.tobytes()
+
+
 def test_negative_ids_name_nodes_in_use_and_leave_spare_rows_alone():
     # the columns are read through their rows in use, so -1 is the last
     # node, as in a list, and no value lands in a spare buffer row that a
@@ -763,6 +786,14 @@ def test_exact_audit_ignores_the_pair_cap(monkeypatch):
         assert len(report.decomposition_checks) == p.n_vertices
 
 
+def _sum_left_to_right(values):
+    """A plain float sum in order, as the audit takes it (the builtin sum compensates from Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _hanging_vertices(p):
     """Registry vertices lying on the face of a leaf they are not a corner of."""
     corner_count = {}
@@ -839,7 +870,7 @@ def test_audit_fractions_equal_per_cone_measurement_bitwise(name):
     assert len(report.decomposition_checks) == p.n_vertices
     for c in report.decomposition_checks:
         leaves = sorted(at_leaf[at_vertex == c.vertex_id].tolist())
-        assert c.fraction_sum.hex() == float(sum(per_cone(leaf, c.vertex_id) for leaf in leaves)).hex()
+        assert c.fraction_sum.hex() == _sum_left_to_right(per_cone(leaf, c.vertex_id) for leaf in leaves).hex()
     # the sums of the last two cases take face cones at hanging vertices
     assert bool(_hanging_vertices(p)) == (name in ("largest-kuhn4@30", "random4@3"))
 
@@ -872,7 +903,7 @@ def test_stacked_closed_form_cones_equal_per_cone_build_bitwise(d, steps, strate
     at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
     for c in report.decomposition_checks:
         leaves = sorted(at_leaf[at_vertex == c.vertex_id].tolist())
-        assert c.fraction_sum.hex() == float(sum(per_cone(leaf, c.vertex_id) for leaf in leaves)).hex()
+        assert c.fraction_sum.hex() == _sum_left_to_right(per_cone(leaf, c.vertex_id) for leaf in leaves).hex()
     assert _hanging_vertices(p) or strategy == "bisect-all-leaves"
 
 
