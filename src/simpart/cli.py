@@ -154,7 +154,6 @@ def cmd_cone(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    objective = build_objective(args.objective, args.dim)
     if args.dim < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {args.dim}")
     # the d! Kuhn roots need (d + 1) d! evaluations; refuse before building
@@ -168,6 +167,8 @@ def cmd_optimize(args) -> int:
         raise BudgetTooSmall(
             f"budget {args.budget} cannot cover the (d + 1) d! root vertex evaluations of d = {args.dim}"
         )
+    # built after the checks: an objective may allocate per dimension
+    objective = build_objective(args.objective, args.dim)
     result = optimize(objective, kuhn_triangulation(args.dim), args.budget, args.tol)
     if args.trace:
         write_trace_csv(result.trace, args.trace)

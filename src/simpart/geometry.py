@@ -3,7 +3,7 @@
 A simplex in dimension d >= 2 is stored as a (d+1, d) array of vertex
 coordinates.  The module provides the exact quantities (volume, longest
 edge, regularity ratio, barycentric coordinates).  Each formula has one
-kernel over (m, d+1, d) stacks (_volumes, _longest_edges, _gradients,
+kernel over (m, d+1, d) stacks (_volumes, _longest_edges, _gradient_rows,
 _barycentric); a Simplex calls it on a stack of one, and the partition
 module on its node table, so both get the same bits.
 
@@ -86,15 +86,22 @@ def _longest_edges(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lengths.max(axis=1), pairs[lengths.argmax(axis=1)]
 
 
+def _gradient_rows(verts: np.ndarray) -> np.ndarray:
+    """(m, d, d) gradient rows 1..d of an (m, d+1, d) stack: one stacked inverse of its edge matrices.
+
+    LAPACK inverts each matrix on its own, so a member's rows do not
+    depend on the rest of the stack.
+    """
+    return np.linalg.inv(_edge_matrices(verts))
+
+
 def _gradients(verts: np.ndarray) -> np.ndarray:
     """(m, d+1, d) barycentric gradients of an (m, d+1, d) stack, row i the gradient of lambda_i.
 
-    Rows 1..d are one stacked inverse of the edge matrices; LAPACK
-    inverts each matrix on its own, so a member's rows do not depend on
-    the rest of the stack.  Row 0 is minus their column sum, since the
-    coordinates add up to 1.
+    Rows 1..d are _gradient_rows; row 0 is minus their column sum, since
+    the coordinates add up to 1.
     """
-    inv = np.linalg.inv(_edge_matrices(verts))
+    inv = _gradient_rows(verts)
     return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
 

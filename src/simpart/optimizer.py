@@ -18,13 +18,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ArityError, BudgetTooSmall, DegenerateSimplex, EmptyPartition
 from .geometry import regularity_ratio  # not called here; bound for perfbench/tracing.py's span of it
-from .partition import Partition
+from .partition import Partition, _grown
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def simplex_lower_bound(vertex_values, lipschitz_constant: float, h: float, d: i
     return min(values) - lipschitz_constant * h
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """State at the top of one loop visit.
 
     node_id is the queue head (the leaf holding the global lower bound);
@@ -107,13 +106,27 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     Lipschitz constant must be finite and >= 0, or the bounds order
     nothing.
 
-    No Simplex is built: the roots' edges come from one
-    Partition.longest_edges call and their ratios from one
-    Partition.regularity call, and each step's children's longest edges
-    from one longest_edges call.  The children's ratios are taken once,
-    after the loop, in one Partition.regularity call, which raises
-    DegenerateSimplex at the first degenerate child; the trace's eta_min
-    column is filled from them then.
+    The search runs in rounds.  A child whose bound does not beat its
+    parent's inherits it, so many leaves tie at the queue head, and the
+    loop would take them one after another in id order (any child pushed
+    meanwhile at the same bound has a larger id).  A round pops all of
+    them, at most one per evaluation left in the budget.  Their midpoints
+    are computed in one stacked step and walked in order: each member
+    after the first gets its trace row with the incumbent the members
+    before it left, and the round ends early at a row whose gap is <= tol.
+    The members walked are bisected in one Partition.bisect_leaves call,
+    their children measured in one Partition.longest_edges call, and the
+    children's bounds taken in one pass over an array of vertex values
+    indexed by registry id.  The trace, the partition and the result are
+    the bits the one-leaf-at-a-time loop gives, and so is the partition
+    left behind when the objective raises or returns a non-finite value
+    or a midpoint rounds onto a vertex: the members up to that one are
+    bisected first.
+
+    No Simplex is built.  The roots' ratios come from one
+    Partition.regularity call; the children's are taken once, after the
+    search, in one more, which raises DegenerateSimplex at the first
+    degenerate child; the trace's eta_min column is filled from them then.
     """
     lip = objective.lipschitz_constant
     if not (0 <= lip < math.inf):
@@ -130,40 +143,36 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         raise ValueError(f"tol must be positive, got {tol}")
 
     f = objective.evaluate
-    values: dict[int, float] = {}
+    values = np.full(p.n_vertices, np.nan)  # objective value by registry id, NaN until evaluated
     evaluations = 0
+    best_vid = -1
+    best_val = math.inf
 
-    def value_at(vid: int) -> float:
+    def value_at(vid: int, x: np.ndarray) -> float:
+        """The objective at vertex vid, whose coordinates are x; evaluated once per vertex."""
         nonlocal evaluations
-        v = values.get(vid)
-        if v is None:
-            v = float(f(p.vertex_coords(vid)))
+        if math.isnan(values[vid]):
+            v = float(f(x))
             if not math.isfinite(v):
                 raise ValueError(f"objective returned non-finite value {v} at vertex {vid}")
             values[vid] = v
             evaluations += 1
-        return v
+        return float(values[vid])
 
-    best_vid = -1
-    best_val = math.inf
-
-    def consider(vid: int) -> None:
+    def consider(vid: int, v: float) -> None:
         nonlocal best_vid, best_val
-        v = value_at(vid)
         if v < best_val or (v == best_val and vid < best_vid):
             best_val = v
             best_vid = vid
 
-    def raw_bound(node_id: int, h: float) -> float:
-        vals = [value_at(v) for v in p._vertex_ids[node_id].tolist()]
-        return simplex_lower_bound(vals, lip, h, p.d)
+    def bounds(node_ids: np.ndarray) -> np.ndarray:
+        """min f(vertices) - L * h of each node, in one stacked pass."""
+        return values[p._vertex_ids[node_ids]].min(axis=1) - lip * p.longest_edges(node_ids)[0]
 
-    heap: list[tuple[float, int]] = []
-    h = p.longest_edges(roots)[0].tolist()
-    for root, hr in zip(roots, h):
-        for vid in p._vertex_ids[root].tolist():
-            consider(vid)
-        heapq.heappush(heap, (raw_bound(root, hr), root))
+    for vid in p._vertex_ids[roots].ravel().tolist():
+        consider(vid, value_at(vid, p.vertex_coords(vid)))
+    heap: list[tuple[float, int]] = list(zip(bounds(roots).tolist(), roots))
+    heapq.heapify(heap)
     eta_min = min(p.regularity(roots))
 
     rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
@@ -174,23 +183,51 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         if gap <= tol or evaluations >= budget:
             stop_reason = "tol" if gap <= tol else "budget"
             break
-        heapq.heappop(heap)
-        left, right = p.bisect(node_id)
-        i, j = p._edge[node_id].tolist()
-        mid = int(p._vertex_ids[left, j])
-        if mid in p._vertex_ids[node_id].tolist():
-            # the midpoint rounded onto a vertex, so a child repeats one;
-            # stop here rather than split a copy of the parent forever
+        members = [heapq.heappop(heap)[1]]
+        while heap and heap[0][0] == lb and len(members) < budget - evaluations:
+            members.append(heapq.heappop(heap)[1])
+        nodes = np.array(members)
+        corners = p._corners(nodes)
+        i, j = p._edge[nodes].T
+        at = np.arange(nodes.size)
+        mids = (corners[at, i] + corners[at, j]) / 2.0  # the bits bisect_leaves registers
+        made: dict[tuple, int] = {}  # coordinates -> id of the midpoints new to the registry
+        flat = None
+        walked = 0
+        first = p._n_nodes
+        try:
+            for k, (node_id, vids, key, mid) in enumerate(
+                zip(members, p._vertex_ids[nodes].tolist(), map(tuple, mids.tolist()), mids)
+            ):
+                if k:
+                    gap = best_val - lb
+                    if gap <= tol:
+                        break
+                    rows.append((len(rows), node_id, lb, best_val, gap))
+                walked = k + 1  # bisected even if what follows raises, as one leaf at a time
+                vid = p._ids.get(key)
+                if vid is None:
+                    # bisect_leaves registers new midpoints in member order
+                    vid = made.setdefault(key, p.n_vertices + len(made))
+                    values = _grown(values, vid + 1, fill=np.nan)
+                elif vid in vids:
+                    # the midpoint rounded onto a vertex, so a child repeats one;
+                    # stop here rather than split a copy of the parent forever
+                    flat = f"node {node_id}: its longest edge {i[k]}-{j[k]} is too short to bisect"
+                    break
+                consider(vid, value_at(vid, mid))
+        finally:
+            p.bisect_leaves(members[:walked])
+        if flat is not None:
             p.volumes(range(len(roots), p._n_nodes))
-            raise DegenerateSimplex(f"node {node_id}: its longest edge {i}-{j} is too short to bisect")
-        # every other child vertex is a root vertex or the midpoint of an
-        # earlier bisection, so it has been considered already
-        consider(mid)
-        h = p.longest_edges((left, right))[0].tolist()
-        for child, hc in zip((left, right), h):
-            # inherited bound: the child region is inside the parent's,
-            # so the parent's bound still holds and only improves
-            heapq.heappush(heap, (max(lb, raw_bound(child, hc)), child))
+            raise DegenerateSimplex(flat)
+        children = np.arange(first, p._n_nodes)
+        # inherited bound: a child region is inside its parent's, so the
+        # parent's bound still holds and only improves
+        for child, bound in zip(children.tolist(), np.maximum(lb, bounds(children)).tolist()):
+            heapq.heappush(heap, (bound, child))
+        for node_id in members[walked:]:  # left by a gap <= tol; the next row stops there
+            heapq.heappush(heap, (lb, node_id))
 
     # row k saw the roots and the 2k children of the k bisections before it
     etas = list(itertools.accumulate(p.regularity(range(len(roots), p._n_nodes)), min, initial=eta_min))

@@ -48,6 +48,7 @@ from .geometry import (
     Simplex,
     _barycentric,
     _degenerate,
+    _gradient_rows,
     _gradients,
     _longest_edges,
     _volumes,
@@ -480,10 +481,10 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
     when the point's barycentric coordinates in the node are all >= -tol,
     so a hanging vertex on a leaf's face is found as well as the leaf
     corners.  Per generation, the distinct frontier nodes take their
-    vertex coordinates straight from the registry and their gradients
-    from one _gradients call, and one _barycentric call on each pair's
-    gradient rows 1..d gives every pair's coordinates, the bits
-    barycentric_many gives on the node's Simplex.  Pairs on a leaf are
+    vertex coordinates straight from the registry and their gradient rows
+    1..d from one _gradient_rows call (row 0 is never read), and one
+    _barycentric call on each pair's rows gives every pair's coordinates,
+    the bits barycentric_many gives on the node's Simplex.  Pairs on a leaf are
     recorded, the others move on to both children through the node
     table's children column.  Only the nodes a point reaches are read, so
     one point costs a path, not the forest.  No volume is measured, so the
@@ -503,7 +504,7 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
         slot[distinct] = np.arange(distinct.size)
         at = slot[node]
         verts = coords[vertex_ids[distinct]]
-        lam = _barycentric(_gradients(verts)[at, 1:], points[point] - verts[at, 0])
+        lam = _barycentric(_gradient_rows(verts)[at], points[point] - verts[at, 0])
         inside = np.all(lam >= -tol, axis=1)
         point, node = point[inside], node[inside]
         kids = children[distinct][at[inside]]

@@ -336,8 +336,9 @@ def branch_and_bound_per_node(evaluate, lipschitz: float, roots: list[Simplex], 
     a popped leaf is split by bisect_longest_edge and its children
     inherit its bound, and eta_min is the running minimum of
     regularity_ratio over every node built.  Returns the trace rows as
-    (iteration, node id, lower bound, incumbent, gap, eta_min) tuples and
-    the nodes' simplices in id order.
+    (iteration, node id, lower bound, incumbent, gap, eta_min) tuples, the
+    nodes' simplices in id order, the (n, d) coordinates of the vertices in
+    their numbering (each evaluated once) and the incumbent's number.
     """
     number: dict[tuple, int] = {}
     values: list[float] = []
@@ -363,7 +364,7 @@ def branch_and_bound_per_node(evaluate, lipschitz: float, roots: list[Simplex], 
         lb, k = heap[0]
         rows.append((len(rows), k, lb, best[0], best[0] - lb, eta))
         if best[0] - lb <= tol or len(values) >= budget:
-            return rows, nodes
+            return rows, nodes, np.array(list(number)), best[1]
         heapq.heappop(heap)
         for child in bisect_longest_edge(nodes[k]):
             eta = min(eta, regularity_ratio(child))

@@ -554,6 +554,20 @@ def test_optimize_refuses_a_small_budget_before_building_roots(capsys, monkeypat
     assert "budget" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("dim, budget", [(1, 100), (1_000_000, 10), (1_000_000_000, 10)])
+def test_optimize_refuses_before_building_the_objective(capsys, monkeypatch, dim, budget):
+    # the shifted sphere's centre is a (dim,) array: 8 GB at dim 10^9
+    def unexpected(d):
+        raise AssertionError("the objective was built")
+
+    monkeypatch.setitem(simpart.optimizer.OBJECTIVES, "shifted-sphere", unexpected)
+    code, _, err = run_cli(
+        capsys, "optimize", "--objective", "shifted-sphere", "--dim", str(dim), "--budget", str(budget)
+    )
+    assert code == 2
+    assert ("dimension" if dim < 2 else "budget") in err and len(err.splitlines()) == 1
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2

@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import dataclasses
-
 from simpart.cones import max_intersection_bound
 from simpart.errors import ArityError, BudgetTooSmall, DegenerateSimplex
 from simpart.geometry import barycentric_many, make_simplex
@@ -17,6 +15,7 @@ from simpart.optimizer import (
 )
 from simpart.partition import Partition, kuhn_triangulation, partition_from_simplices, refine
 
+from . import oracles
 from .oracles import branch_and_bound_per_node, grid_minimum
 from .support import random_simplex
 
@@ -181,8 +180,8 @@ def test_optimizer_trace_equals_per_node_builds_bitwise(d):
     centre = roots[0].vertices.mean(axis=0)
     objective = Objective("shifted", lambda x: float(np.sum((x - centre) ** 2)), 6.0)
     r = optimize(objective, partition_from_simplices(roots), budget=400, tol=1e-6)
-    rows, nodes = branch_and_bound_per_node(objective.evaluate, 6.0, roots, 400, 1e-6)
-    assert [dataclasses.astuple(row) for row in r.trace] == rows
+    rows, nodes, _, _ = branch_and_bound_per_node(objective.evaluate, 6.0, roots, 400, 1e-6)
+    assert [tuple(row) for row in r.trace] == rows
     assert r.eta_min == rows[-1][-1]
     p = r.partition
     assert len(p.nodes) == len(nodes)
@@ -194,6 +193,138 @@ def test_optimizer_trace_equals_per_node_builds_bitwise(d):
         assert fresh.vertices.tobytes() == s.vertices.tobytes()
         assert (h[k], tuple(edge[k].tolist())) == s.longest_edge == fresh.longest_edge
         assert volume[k] == s.volume == fresh.volume
+
+
+def _rounds(rows, n_roots):
+    """The trace's rows grouped into the rounds the search takes them in.
+
+    A round is the queue head's row and the rows after it that tie with
+    its bound and whose node was already in the queue then (an id below
+    the node count at the head's row, n_roots plus two per row before it).
+    """
+    rounds = []
+    for k, row in enumerate(rows):
+        if rounds and row[2] == rows[rounds[-1][0]][2] and row[1] < n_roots + 2 * rounds[-1][0]:
+            rounds[-1].append(k)
+        else:
+            rounds.append([k])
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "name, d, budget, tol, cut",
+    [
+        ("shifted-sphere", 2, 400, 2.8, "tol"),
+        ("shifted-sphere", 3, 24, 1e-3, "budget"),
+        ("shifted-sphere", 3, 200, 3.4, "tol"),
+        ("shifted-sphere", 4, 250, 1e-3, "budget"),
+        ("sphere", 2, 7, 1e-3, None),
+        ("sphere", 3, 100, 1e-3, "budget"),
+        ("sphere", 4, 200, 1e-3, "budget"),
+        ("linear", 2, 50, 1e-6, "budget"),
+        ("linear", 3, 60, 1e-3, "budget"),
+        ("linear", 4, 150, 1e-3, "budget"),
+    ],
+)
+def test_rounds_on_kuhn_roots_equal_per_node_builds_bitwise(name, d, budget, tol, cut):
+    # Kuhn descendants of a level share their longest edge, so many leaves
+    # tie at the queue head and the search takes them in rounds; cut says
+    # whether the budget or tol stops it inside a round (the last row is
+    # then a node that was tied with the round's head and not bisected)
+    objective = build_objective(name, d)
+    r = optimize(objective, kuhn_triangulation(d), budget=budget, tol=tol)
+    kuhn = kuhn_triangulation(d)
+    roots = [kuhn.simplex(k) for k in kuhn.roots]
+    rows, nodes, vertices, incumbent = branch_and_bound_per_node(
+        objective.evaluate, objective.lipschitz_constant, roots, budget, tol
+    )
+    assert [tuple(row) for row in r.trace] == rows
+    assert r.stop_reason == ("tol" if rows[-1][4] <= tol else "budget")
+    assert (r.stop_reason if len(_rounds(rows, len(roots))[-1]) > 1 else None) == cut
+    p = r.partition
+    assert p.vertices.tobytes() == vertices.tobytes()
+    assert r.evaluations == len(vertices)
+    assert r.point.tobytes() == vertices[incumbent].tobytes()
+    # the node table is the one bisecting the rows' nodes one at a time gives
+    for row in rows[:-1]:
+        kuhn.bisect(row[1])
+    assert p == kuhn
+    assert p._corners(np.arange(len(nodes))).tobytes() == np.array([s.vertices for s in nodes]).tobytes()
+
+
+def _counting_bisections(monkeypatch):
+    """The oracle's bisections and the search's bisect_leaves calls, recorded as they happen."""
+    oracle_calls, rounds = [], []
+    bisect, bisect_leaves = oracles.bisect_longest_edge, Partition.bisect_leaves
+    monkeypatch.setattr(oracles, "bisect_longest_edge", lambda s: oracle_calls.append(s) or bisect(s))
+    monkeypatch.setattr(
+        Partition, "bisect_leaves", lambda p, ids: rounds.append(list(ids)) or bisect_leaves(p, ids)
+    )
+    return oracle_calls, rounds
+
+
+class Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fails", ["non-finite", "raises"])
+def test_a_failing_evaluation_inside_a_round_leaves_the_bisections_before_it(fails, monkeypatch):
+    # the bad point is the first new midpoint of a round's second or later
+    # member; the bisections up to and including that member stay, as in
+    # the loop one leaf at a time, whose count the oracle gives
+    d, budget = 3, 200
+    objective = build_objective("shifted-sphere", d)
+    good = optimize(objective, kuhn_triangulation(d), budget=budget, tol=1e-3)
+    p, n_roots = good.partition, len(good.partition.roots)
+    rows = [tuple(row) for row in good.trace]
+
+    def new_midpoint(k):
+        child = n_roots + 2 * k
+        vid = int(p._vertex_ids[child, p._edge[rows[k][1], 1]])
+        return vid > p._vertex_ids[:child].max()
+
+    k = next(k for rd in _rounds(rows[:-1], n_roots) for k in rd[1:] if new_midpoint(k))
+    bad = tuple(p.vertex_coords(int(p._vertex_ids[n_roots + 2 * k, p._edge[rows[k][1], 1]])).tolist())
+
+    def evaluate(x, fails):
+        if tuple(x.tolist()) == bad:
+            if fails == "non-finite":
+                return math.inf
+            raise Refused(f"refused {bad}")
+        return objective.evaluate(x)
+
+    oracle_calls, rounds = _counting_bisections(monkeypatch)
+    kuhn = kuhn_triangulation(d)
+    with pytest.raises(Refused):
+        branch_and_bound_per_node(
+            lambda x: evaluate(x, "raises"), 4.0, [kuhn.simplex(r) for r in kuhn.roots], budget, 1e-3
+        )
+    assert len(oracle_calls) == k + 1
+    q = kuhn_triangulation(d)
+    with pytest.raises(ValueError if fails == "non-finite" else Refused):
+        optimize(Objective("bad", lambda x: evaluate(x, fails), 4.0), q, budget=budget, tol=1e-3)
+    assert len(rounds[-1]) > 1
+    assert len(q.nodes) == n_roots + 2 * len(oracle_calls)
+
+
+def test_a_midpoint_onto_a_vertex_inside_a_round_leaves_the_bisections_before_it(monkeypatch):
+    # a right triangle with legs of one ulp at the origin, where midpoints
+    # are exact, and its copy at (1, 1), where the hypotenuse's midpoint
+    # rounds onto the right-angle vertex: with f = 0 the two roots tie, so
+    # the copy is the second member of the first round
+    u = 2.0**-52
+    roots = [
+        make_simplex([[0.0, 0.0], [u, 0.0], [0.0, u]]),
+        make_simplex([[1.0, 1.0], [1.0 + u, 1.0], [1.0, 1.0 + u]]),
+    ]
+    oracle_calls, rounds = _counting_bisections(monkeypatch)
+    with pytest.raises(DegenerateSimplex):
+        branch_and_bound_per_node(lambda x: 0.0, 1.0, roots, 10_000, 1e-300)
+    p = partition_from_simplices(roots)
+    with pytest.raises(DegenerateSimplex, match="volume 0.000e"):
+        optimize(Objective("zero", lambda x: 0.0, 1.0), p, budget=10_000, tol=1e-300)
+    assert rounds == [[0, 1]]
+    assert len(p.nodes) == len(roots) + 2 * len(oracle_calls)
 
 
 def test_every_generation_respects_the_valence_bound():

@@ -589,7 +589,7 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     # kuhn(3)@4: every round, eta_min and the replay of each generation
     # measure their nodes at once, one _longest_edges and one _volumes
     # call each, and build no Simplex; the optimizer measures its roots'
-    # and each step's children's edges, and every child's volume at the end
+    # and each round's children's edges, and every child's volume at the end
     calls = []
 
     def counted(name):
@@ -615,12 +615,17 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     q = read_partition(path)
     assert calls == [(name, n) for n in rounds[:-1] for name in ("_longest_edges", "_volumes")]
     calls.clear()
+    rounds = []
+    bisect_leaves = partition_mod.Partition.bisect_leaves
+    monkeypatch.setattr(
+        partition_mod.Partition, "bisect_leaves", lambda p, ids: rounds.append(len(ids)) or bisect_leaves(p, ids)
+    )
     r = optimize(build_objective("shifted-sphere", 3), kuhn_triangulation(3), budget=300, tol=1e-3)
-    children = 2 * r.leaves_explored
+    assert sum(rounds) == r.leaves_explored and len(rounds) < r.leaves_explored
     assert calls == (
         [("_longest_edges", 6), ("_volumes", 6)]
-        + [("_longest_edges", 2)] * r.leaves_explored
-        + [("_volumes", children)]
+        + [("_longest_edges", 2 * m) for m in rounds]
+        + [("_volumes", 2 * r.leaves_explored)]
     )
 
 
