@@ -114,14 +114,18 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     are computed in one stacked step and walked in order: each member
     after the first gets its trace row with the incumbent the members
     before it left, and the round ends early at a row whose gap is <= tol.
-    The members walked are bisected in one Partition.bisect_leaves call,
-    their children measured in one Partition.longest_edges call, and the
-    children's bounds taken in one pass over an array of vertex values
-    indexed by registry id.  The trace, the partition and the result are
-    the bits the one-leaf-at-a-time loop gives, and so is the partition
-    left behind when the objective raises or returns a non-finite value
-    or a midpoint rounds onto a vertex: the members up to that one are
-    bisected first.
+    The walk registers each member's midpoint as it reaches it, through
+    the registry's one insert (Partition._insert), and calls the objective
+    only where the array of vertex values indexed by registry id still
+    holds NaN.  The members walked are then split in one Partition._split
+    call, with the edges and midpoint ids the walk already has (no
+    bisect_leaves and none of its checks, gathers or lookups), their
+    children measured in one Partition.longest_edges call, and the
+    children's bounds taken in one pass over the value array.  The trace,
+    the partition and the result are the bits the one-leaf-at-a-time loop
+    gives, and so is the partition left behind when the objective raises
+    or returns a non-finite value or a midpoint rounds onto a vertex: the
+    members up to that one are registered and split first.
 
     No Simplex is built.  The roots' ratios come from one
     Partition.regularity call; the children's are taken once, after the
@@ -145,36 +149,23 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     f = objective.evaluate
     values = np.full(p.n_vertices, np.nan)  # objective value by registry id, NaN until evaluated
     evaluations = 0
-    best_vid = -1
-    best_val = math.inf
-
-    def value_at(vid: int, x: np.ndarray) -> float:
-        """The objective at vertex vid, whose coordinates are x; evaluated once per vertex."""
-        nonlocal evaluations
-        if math.isnan(values[vid]):
-            v = float(f(x))
-            if not math.isfinite(v):
-                raise ValueError(f"objective returned non-finite value {v} at vertex {vid}")
-            values[vid] = v
-            evaluations += 1
-        return float(values[vid])
-
-    def consider(vid: int, v: float) -> None:
-        nonlocal best_vid, best_val
-        if v < best_val or (v == best_val and vid < best_vid):
-            best_val = v
-            best_vid = vid
 
     def bounds(node_ids: np.ndarray) -> np.ndarray:
         """min f(vertices) - L * h of each node, in one stacked pass."""
         return values[p._vertex_ids[node_ids]].min(axis=1) - lip * p.longest_edges(node_ids)[0]
 
-    for vid in p._vertex_ids[roots].ravel().tolist():
-        consider(vid, value_at(vid, p.vertex_coords(vid)))
+    root_vids = p._vertex_ids[roots].ravel().tolist()
+    for vid in root_vids:
+        if math.isnan(values[vid]):
+            values[vid] = _evaluated(f, p.vertex_coords(vid), vid)
+            evaluations += 1
+    # the incumbent: the smallest value, ties to the smallest id
+    best_val, best_vid = min((float(values[vid]), vid) for vid in root_vids)
     heap: list[tuple[float, int]] = list(zip(bounds(roots).tolist(), roots))
     heapq.heapify(heap)
     eta_min = min(p.regularity(roots))
 
+    insert = p._insert
     rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
     while True:
         lb, node_id = heap[0]
@@ -187,37 +178,41 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         while heap and heap[0][0] == lb and len(members) < budget - evaluations:
             members.append(heapq.heappop(heap)[1])
         nodes = np.array(members)
-        corners = p._corners(nodes)
+        corner_vids = p._vertex_ids[nodes]
         i, j = p._edge[nodes].T
         at = np.arange(nodes.size)
-        mids = (corners[at, i] + corners[at, j]) / 2.0  # the bits bisect_leaves registers
-        made: dict[tuple, int] = {}  # coordinates -> id of the midpoints new to the registry
+        mids = (p._coords[corner_vids[at, i]] + p._coords[corner_vids[at, j]]) / 2.0  # as bisect_leaves
+        mid_ids: list[int] = []  # registry id of each walked member's midpoint
         flat = None
-        walked = 0
-        first = p._n_nodes
         try:
             for k, (node_id, vids, key, mid) in enumerate(
-                zip(members, p._vertex_ids[nodes].tolist(), map(tuple, mids.tolist()), mids)
+                zip(members, corner_vids.tolist(), map(tuple, mids.tolist()), mids)
             ):
                 if k:
                     gap = best_val - lb
                     if gap <= tol:
                         break
                     rows.append((len(rows), node_id, lb, best_val, gap))
-                walked = k + 1  # bisected even if what follows raises, as one leaf at a time
-                vid = p._ids.get(key)
-                if vid is None:
-                    # bisect_leaves registers new midpoints in member order
-                    vid = made.setdefault(key, p.n_vertices + len(made))
-                    values = _grown(values, vid + 1, fill=np.nan)
-                elif vid in vids:
+                # registered and split even if what follows raises, as one leaf at a time
+                vid = insert(key)
+                mid_ids.append(vid)
+                if vid in vids:
                     # the midpoint rounded onto a vertex, so a child repeats one;
                     # stop here rather than split a copy of the parent forever
                     flat = f"node {node_id}: its longest edge {i[k]}-{j[k]} is too short to bisect"
                     break
-                consider(vid, value_at(vid, mid))
+                if vid >= values.shape[0]:
+                    values = _grown(values, vid + 1, fill=np.nan)
+                if math.isnan(values[vid]):
+                    # a cached value was weighed against the incumbent when it was evaluated
+                    v = values[vid] = _evaluated(f, mid, vid)
+                    evaluations += 1
+                    if v < best_val or (v == best_val and vid < best_vid):
+                        best_val, best_vid = v, vid
         finally:
-            p.bisect_leaves(members[:walked])
+            walked = len(mid_ids)
+            first = p._n_nodes
+            p._split(nodes[:walked], i[:walked], j[:walked], mid_ids)
         if flat is not None:
             p.volumes(range(len(roots), p._n_nodes))
             raise DegenerateSimplex(flat)
@@ -244,6 +239,14 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         trace=trace,
         partition=p,
     )
+
+
+def _evaluated(f: Callable[[np.ndarray], float], x: np.ndarray, vid: int) -> float:
+    """f(x) as a float, where x is the coordinates of vertex vid; a non-finite value raises ValueError."""
+    v = float(f(x))
+    if not math.isfinite(v):
+        raise ValueError(f"objective returned non-finite value {v} at vertex {vid}")
+    return v
 
 
 def _sphere(d: int) -> Objective:

@@ -23,6 +23,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .geometry import (
     MEMBERSHIP_TOL,
+    VOLUME_EPS_REL,
     Simplex,
     _barycentric,
     _degenerate,
@@ -176,30 +178,25 @@ class Partition:
         Bisection midpoints are: the mean of two registry vertices, whose
         coordinates make_simplex caps far below overflow.
         """
-        key = tuple(p.tolist())
+        return self._insert(tuple(p.tolist()))
+
+    def _register_rows(self, points: np.ndarray) -> list[int]:
+        """_register of each row of an (m, d) array, in row order."""
+        return list(map(self._insert, map(tuple, points.tolist())))
+
+    def _insert(self, key: tuple) -> int:
+        """Registry id of the vertex whose coordinate tuple is key, appended if new.
+
+        Every registration goes through here.  The coordinates are written
+        from the key's floats, which are the bits of the array it came from.
+        """
         vid = self._ids.get(key)
         if vid is None:
             vid = self._ids[key] = self._n_vertices
             self._coords = _grown(self._coords, vid + 1)
-            self._coords[vid] = p
+            self._coords[vid] = key
             self._n_vertices = vid + 1
         return vid
-
-    def _register_rows(self, points: np.ndarray) -> list[int]:
-        """_register of each row of an (m, d) array, in row order, with one copy of the new rows."""
-        ids, start, new = self._ids, self._n_vertices, []
-        out = []
-        for row, key in enumerate(map(tuple, points.tolist())):
-            vid = ids.get(key)
-            if vid is None:
-                vid = ids[key] = start + len(new)
-                new.append(row)
-            out.append(vid)
-        if new:
-            self._n_vertices = start + len(new)
-            self._coords = _grown(self._coords, self._n_vertices)
-            self._coords[start : self._n_vertices] = points[new]
-        return out
 
     def vertex_coords(self, vid: int) -> np.ndarray:
         return self._coords[: self._n_vertices][vid]
@@ -297,15 +294,20 @@ class Partition:
         first degenerate one raises DegenerateSimplex with its message, and
         neither it nor the nodes after it are kept, so asking again raises
         again.  Ids index the nodes in use as in longest_edges.
+
+        numpy's h**d may differ from Python's in the last bit, so one
+        stacked test with room to spare (twice the threshold, plus a
+        margin below which the threshold's last bit is no longer relative)
+        picks the candidates, and _degenerate decides on them in order.
         """
         ids = np.asarray(node_ids, dtype=np.intp)
         vols = self._vol[: self._n_nodes]
         todo = ids[np.isnan(vols[ids])]
         if todo.size:
-            h = self.longest_edges(todo)[0].tolist()
+            h = self.longest_edges(todo)[0]
             vol = _volumes(self._corners(todo))
-            for k, (v, hk) in enumerate(zip(vol.tolist(), h)):
-                flat = _degenerate(v, hk, self.d)
+            for k in np.flatnonzero(vol <= 2.0 * VOLUME_EPS_REL * h**self.d + 2.0**-1000).tolist():
+                flat = _degenerate(float(vol[k]), float(h[k]), self.d)
                 if flat is not None:
                     vols[todo[:k]] = vol[:k]
                     raise flat
@@ -357,11 +359,11 @@ class Partition:
 
         One leaf takes bisect.  More are split in one stacked pass: the
         longest edges come from one longest_edges call, every midpoint is
-        (v_i + v_j) / 2 in one elementwise operation (the bits bisect
-        gets), the midpoints are registered in the given order, and the
-        children of the k-th leaf get the next ids 2k and 2k + 1, laid out
-        as bisect lays them out.  A partition refined either way has the
-        same node table and registry, bit for bit.
+        (v_i + v_j) / 2 in one elementwise operation on the gathered
+        corners (the bits bisect gets), the midpoints are registered in the
+        given order (_register_rows), and _split writes the children.  A
+        partition refined either way has the same node table and registry,
+        bit for bit.
         """
         node_ids = list(node_ids)
         if len(node_ids) <= 1:
@@ -376,14 +378,24 @@ class Partition:
         i, j = self.longest_edges(leaves)[1].T
         rows = np.arange(leaves.size)
         verts = self._corners(leaves)
-        mid = self._register_rows((verts[rows, i] + verts[rows, j]) / 2.0)
-        kids = np.repeat(self._vertex_ids[leaves], 2, axis=0)  # each leaf's first, then second child
-        kids[2 * rows, j] = kids[2 * rows + 1, i] = mid
-        first = self._new_nodes(kids.shape[0])
+        self._split(leaves, i, j, self._register_rows((verts[rows, i] + verts[rows, j]) / 2.0))
+
+    def _split(self, leaves: np.ndarray, i: np.ndarray, j: np.ndarray, mid) -> None:
+        """Write the leaves' children into the node table, as bisect lays them out.
+
+        Leaf k's longest edge is (i[k], j[k]) and its midpoint has registry
+        id mid[k]; its children get the next ids 2k and 2k + 1, the first
+        with mid in place of vertex j[k], the second in place of i[k].  The
+        caller has checked the leaves and registered the midpoints.
+        """
+        first = self._new_nodes(2 * leaves.size)
         new = slice(first, self._n_nodes)
-        self._vertex_ids[new] = kids
-        self._parent[new] = np.repeat(leaves, 2)
-        self._generation[new] = np.repeat(self._generation[leaves] + 1, 2)
+        rows = np.arange(leaves.size)
+        kids = self._vertex_ids[new].reshape(-1, 2, self.d + 1)  # each leaf's first and second child
+        kids[:] = self._vertex_ids[leaves, None]
+        kids[rows, 0, j] = kids[rows, 1, i] = mid
+        self._parent[new].reshape(-1, 2)[:] = leaves[:, None]
+        self._generation[new].reshape(-1, 2)[:] = self._generation[leaves, None] + 1
         self._children[leaves] = np.arange(first, self._n_nodes).reshape(-1, 2)
 
     def __eq__(self, other):
@@ -554,8 +566,7 @@ def max_valence(p: Partition, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, 
 # -------------------------------------------------------------- the audit
 
 
-@dataclass(frozen=True)
-class VertexCheck:
+class VertexCheck(NamedTuple):
     """One (leaf, vertex) cone audit row.
 
     strong_bound uses the leaf's own regularity ratio; uniform_bound
@@ -576,8 +587,7 @@ class VertexCheck:
     passed_uniform: bool
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     """Fraction sum around one registry vertex.
 
     The tangent cones of the leaves containing a vertex tile the full

@@ -368,7 +368,22 @@ def write_theorem_report_csv(report: TheoremReport, path) -> None:
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:
-    """One line per row from one %-template: %d for the ids, %.17g (fmt_float's form) for the floats."""
+    """One line per row, the bytes one %-template gives: %d for the ids, %.17g (fmt_float's form) for the floats.
+
+    Consecutive rows often share their float tail (lower_bound,
+    incumbent, gap, eta_min), so the tail is formatted once per run of
+    equal tails; only the previous one is remembered.  A tail holding a
+    zero is always formatted again, since -0.0 == 0.0 but prints as -0.
+    """
     with _open_csv(path) as fh:
         fh.write("iteration,node_id,lower_bound,incumbent,gap,eta_min\n")
-        fh.writelines("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % row for row in trace)
+        fh.writelines(_trace_lines(trace))
+
+
+def _trace_lines(trace: list[TraceRow]):
+    last = text = None
+    for row in trace:
+        tail = row[2:]
+        if tail != last or 0.0 in tail:
+            last, text = tail, "%.17g,%.17g,%.17g,%.17g\n" % tail
+        yield "%d,%d," % row[:2] + text

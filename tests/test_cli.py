@@ -40,7 +40,8 @@ from simpart import (
     write_simplex,
 )
 from simpart.cli import main
-from simpart.serialization import dumps, fmt_float, partition_to_json, write_fraction_csv
+from simpart.optimizer import TraceRow
+from simpart.serialization import dumps, fmt_float, partition_to_json, write_fraction_csv, write_trace_csv
 
 
 # ---------------------------------------------------------------- formats
@@ -535,6 +536,50 @@ def test_optimize_writes_trace_and_is_deterministic(tmp_path, capsys):
     assert header == "iteration,node_id,lower_bound,incumbent,gap,eta_min"
     assert "value=" in outputs[0] and "gap=" in outputs[0]
     assert outputs[0].split()[-1] == "stop=budget"
+
+
+TRACE_HEADER = "iteration,node_id,lower_bound,incumbent,gap,eta_min\n"
+
+
+def assert_trace_writer_matches_the_template(trace, path):
+    # the writer formats a run of equal float tails once; the bytes must be
+    # those of the one template applied to every row
+    write_trace_csv(trace, path)
+    want = TRACE_HEADER + "".join("%d,%d,%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in trace)
+    assert path.read_bytes() == want.encode()
+
+
+def test_trace_writer_on_signed_zeros_runs_and_no_rows(tmp_path):
+    path = tmp_path / "trace.csv"
+    assert_trace_writer_matches_the_template([], path)
+    assert path.read_bytes() == TRACE_HEADER.encode()
+    rows = []
+    for column in range(2, 6):  # 0.0 and -0.0 alternate in each float column in turn
+        for k in range(6):
+            row = [len(rows), k, 0.25, 0.5, 1.5, 0.125]
+            row[column] = -0.0 if k % 2 else 0.0
+            rows.append(TraceRow(*row))
+    rows += [TraceRow(len(rows) + k, 7, -0.0, -0.0, 0.0, -0.0) for k in range(3)]
+    rows += [TraceRow(len(rows) + k, 9, 0.1, 0.3, 0.2, 0.7) for k in range(4)]  # one run of four
+    assert_trace_writer_matches_the_template(rows, path)
+    assert b"-0,0.5,1.5,0.125" in path.read_bytes()
+    r = optimize(build_objective("shifted-sphere", 2), kuhn_triangulation(2), budget=400, tol=1e-3)
+    assert len({row[2:] for row in r.trace}) < len(r.trace)
+    assert_trace_writer_matches_the_template(r.trace, path)
+
+
+_tail_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    tails=st.lists(st.tuples(_tail_floats, _tail_floats, _tail_floats, _tail_floats), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), max_size=40),
+)
+def test_trace_writer_on_random_tails_matches_the_template(tmp_path_factory, tails, picks):
+    # rows drawn from a few tails, so consecutive rows often repeat one
+    trace = [TraceRow(k, 3 * k + 1, *tails[pick % len(tails)]) for k, pick in enumerate(picks)]
+    assert_trace_writer_matches_the_template(trace, tmp_path_factory.mktemp("trace") / "trace.csv")
 
 
 def test_optimize_unknown_objective(capsys):

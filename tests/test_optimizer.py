@@ -253,14 +253,22 @@ def test_rounds_on_kuhn_roots_equal_per_node_builds_bitwise(name, d, budget, tol
 
 
 def _counting_bisections(monkeypatch):
-    """The oracle's bisections and the search's bisect_leaves calls, recorded as they happen."""
-    oracle_calls, rounds = [], []
-    bisect, bisect_leaves = oracles.bisect_longest_edge, Partition.bisect_leaves
+    """The oracle's bisections, the search's Partition._split calls and its bisect_leaves or _register_rows calls.
+
+    All are recorded as they happen, so the caller builds its partitions first.
+    """
+    oracle_calls, rounds, rebuilt = [], [], []
+    bisect, split = oracles.bisect_longest_edge, Partition._split
     monkeypatch.setattr(oracles, "bisect_longest_edge", lambda s: oracle_calls.append(s) or bisect(s))
     monkeypatch.setattr(
-        Partition, "bisect_leaves", lambda p, ids: rounds.append(list(ids)) or bisect_leaves(p, ids)
+        Partition, "_split", lambda p, leaves, *rest: rounds.append(leaves.tolist()) or split(p, leaves, *rest)
     )
-    return oracle_calls, rounds
+    for name in ("bisect_leaves", "_register_rows"):
+        method = getattr(Partition, name)
+        monkeypatch.setattr(
+            Partition, name, lambda p, *args, name=name, method=method: rebuilt.append(name) or method(p, *args)
+        )
+    return oracle_calls, rounds, rebuilt
 
 
 class Refused(Exception):
@@ -293,18 +301,20 @@ def test_a_failing_evaluation_inside_a_round_leaves_the_bisections_before_it(fai
             raise Refused(f"refused {bad}")
         return objective.evaluate(x)
 
-    oracle_calls, rounds = _counting_bisections(monkeypatch)
-    kuhn = kuhn_triangulation(d)
+    kuhn, q = kuhn_triangulation(d), kuhn_triangulation(d)
+    oracle_calls, rounds, rebuilt = _counting_bisections(monkeypatch)
     with pytest.raises(Refused):
         branch_and_bound_per_node(
             lambda x: evaluate(x, "raises"), 4.0, [kuhn.simplex(r) for r in kuhn.roots], budget, 1e-3
         )
     assert len(oracle_calls) == k + 1
-    q = kuhn_triangulation(d)
     with pytest.raises(ValueError if fails == "non-finite" else Refused):
         optimize(Objective("bad", lambda x: evaluate(x, fails), 4.0), q, budget=budget, tol=1e-3)
-    assert len(rounds[-1]) > 1
+    assert len(rounds[-1]) > 1 and rebuilt == []
     assert len(q.nodes) == n_roots + 2 * len(oracle_calls)
+    # the refused midpoint is registered, and nothing after it
+    assert tuple(q.vertex_coords(q.n_vertices - 1).tolist()) == bad
+    assert q.vertices.tobytes() == p.vertices[: q.n_vertices].tobytes()
 
 
 def test_a_midpoint_onto_a_vertex_inside_a_round_leaves_the_bisections_before_it(monkeypatch):
@@ -317,13 +327,13 @@ def test_a_midpoint_onto_a_vertex_inside_a_round_leaves_the_bisections_before_it
         make_simplex([[0.0, 0.0], [u, 0.0], [0.0, u]]),
         make_simplex([[1.0, 1.0], [1.0 + u, 1.0], [1.0, 1.0 + u]]),
     ]
-    oracle_calls, rounds = _counting_bisections(monkeypatch)
+    p = partition_from_simplices(roots)
+    oracle_calls, rounds, rebuilt = _counting_bisections(monkeypatch)
     with pytest.raises(DegenerateSimplex):
         branch_and_bound_per_node(lambda x: 0.0, 1.0, roots, 10_000, 1e-300)
-    p = partition_from_simplices(roots)
     with pytest.raises(DegenerateSimplex, match="volume 0.000e"):
         optimize(Objective("zero", lambda x: 0.0, 1.0), p, budget=10_000, tol=1e-300)
-    assert rounds == [[0, 1]]
+    assert rounds == [[0, 1]] and rebuilt == []
     assert len(p.nodes) == len(roots) + 2 * len(oracle_calls)
 
 

@@ -22,7 +22,9 @@ from simpart.errors import (
 )
 from simpart.geometry import (
     MEMBERSHIP_TOL,
+    VOLUME_EPS_REL,
     _barycentric,
+    _degenerate,
     _gradients,
     barycentric_many,
     canonical_simplex,
@@ -229,6 +231,60 @@ def test_volumes_raise_at_a_degenerate_node_and_keep_earlier_ones():
         with pytest.raises(DegenerateSimplex):
             refine(q, 1, strategy)
         assert len(q.nodes) == 3
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_volume_check_on_dyadic_roots_matches_one_by_one(d, monkeypatch):
+    # volumes set at, one ulp above and one ulp below VOLUME_EPS_REL * h**d,
+    # the threshold taken both in Python floats and in numpy, whose ** differs
+    # from Python's in the last bit on some h: volumes keeps and raises at the
+    # nodes the one-by-one _degenerate loop does, with its message.  The roots
+    # have dyadic vertices, so every squared edge length is exact and h is the
+    # same under any BLAS kernel; the volumes come from a stub, not from det.
+    # With numpy 2.4 on x86-64 the two thresholds differ on a few percent of
+    # the roots in d >= 3 (none in d = 2); where numpy's ** is Python's they agree
+    rng = np.random.default_rng(5150 + d)
+    p = Partition(d)
+    while len(p.nodes) < 120:
+        try:
+            p.add_root(rng.integers(0, 64, (d + 1, d)) / 64.0)
+        except DegenerateSimplex:
+            pass
+    ids = list(range(len(p.nodes)))
+    h = p.longest_edges(ids)[0]
+    at_numpy = (VOLUME_EPS_REL * h**d).tolist()
+    at_python = [VOLUME_EPS_REL * hk**d for hk in h.tolist()]
+    clear = [t * 2.0 ** int(rng.integers(1, 40)) for t in at_python]  # some within the stacked test's slack
+
+    def near(k):
+        """The six volumes at node k's two thresholds."""
+        return [
+            v for t in (at_python[k], at_numpy[k]) for v in (t, math.nextafter(t, math.inf), math.nextafter(t, 0.0))
+        ]
+
+    trials = [clear[:k] + [v] + clear[k + 1 :] for k in ids for v in near(k)]  # each node alone at each
+    for share in np.linspace(0.0, 1.0, 40):  # a growing share of the nodes at one of their six
+        vol = list(clear)
+        for k in np.flatnonzero(rng.random(len(ids)) < share).tolist():
+            vol[k] = near(k)[rng.integers(6)]
+        trials.append(vol)
+    measured = []
+    monkeypatch.setattr(partition_mod, "_volumes", lambda verts: measured.pop())
+    for vol in trials:
+        first = None
+        for k, (v, hk) in enumerate(zip(vol, h.tolist())):
+            first = _degenerate(v, hk, d)
+            if first is not None:
+                break
+        p._vol[: len(ids)] = np.nan
+        measured.append(np.array(vol))
+        if first is None:
+            assert p.volumes(ids).tolist() == vol
+            continue
+        with pytest.raises(DegenerateSimplex) as raised:
+            p.volumes(ids)
+        assert str(raised.value) == str(first)
+        assert p._vol[:k].tolist() == vol[:k] and np.isnan(p._vol[k : len(ids)]).all()
 
 
 def test_rejected_root_leaves_the_partition_unchanged():
@@ -589,7 +645,9 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     # kuhn(3)@4: every round, eta_min and the replay of each generation
     # measure their nodes at once, one _longest_edges and one _volumes
     # call each, and build no Simplex; the optimizer measures its roots'
-    # and each round's children's edges, and every child's volume at the end
+    # and each round's children's edges, and every child's volume at the
+    # end, and splits each round's leaves in one Partition._split call
+    # without going through bisect_leaves or _register_rows
     calls = []
 
     def counted(name):
@@ -614,14 +672,20 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     calls.clear()
     q = read_partition(path)
     assert calls == [(name, n) for n in rounds[:-1] for name in ("_longest_edges", "_volumes")]
+    kuhn = kuhn_triangulation(3)
     calls.clear()
-    rounds = []
-    bisect_leaves = partition_mod.Partition.bisect_leaves
+    rounds, rebuilt = [], []
+    split = partition_mod.Partition._split
     monkeypatch.setattr(
-        partition_mod.Partition, "bisect_leaves", lambda p, ids: rounds.append(len(ids)) or bisect_leaves(p, ids)
+        partition_mod.Partition,
+        "_split",
+        lambda p, leaves, *rest: rounds.append(len(leaves)) or split(p, leaves, *rest),
     )
-    r = optimize(build_objective("shifted-sphere", 3), kuhn_triangulation(3), budget=300, tol=1e-3)
+    for name in ("bisect_leaves", "_register_rows"):
+        monkeypatch.setattr(partition_mod.Partition, name, lambda p, *args, name=name: rebuilt.append(name))
+    r = optimize(build_objective("shifted-sphere", 3), kuhn, budget=300, tol=1e-3)
     assert sum(rounds) == r.leaves_explored and len(rounds) < r.leaves_explored
+    assert rebuilt == []
     assert calls == (
         [("_longest_edges", 6), ("_volumes", 6)]
         + [("_longest_edges", 2 * m) for m in rounds]
