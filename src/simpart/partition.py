@@ -713,8 +713,17 @@ def verify_theorem(
     the cone), every pair is audited, and mc and full_audit play no part;
     in d >= 6 each pair draws mc.samples directions from its own stream.
     Only the face cones of hanging vertices are cut by cone_at_point, from
-    Partition.simplex.  Each decomposition sum and its stderr are summed
-    left to right, in ascending leaf id.
+    Partition.simplex, in (vertex, leaf) order, and only for vertices
+    whose sums are kept.
+
+    The records are built from columns: both verdicts of every pair come
+    from one numpy comparison, and the VertexChecks and
+    DecompositionChecks from VertexCheck._make and
+    DecompositionCheck._make over zipped columns.  Each decomposition sum
+    and its stderr are summed left to right in ascending leaf id, rank by
+    rank: the r-th incidence of every vertex with more than r is added to
+    its running totals in one operation, which gives the bits of a
+    per-vertex Python loop in O(incidences) memory.
     """
     leaves = p.leaves
     if not leaves:
@@ -724,21 +733,26 @@ def verify_theorem(
     bound_n = max_intersection_bound(eta_min, d)
     uniform_bound = per_simplex_angle_bound(eta_min, d)
 
+    n = p.n_vertices
     at_vertex, at_leaf = _incidence(p, p.vertices, MEMBERSHIP_TOL)
-    valences = np.bincount(at_vertex, minlength=p.n_vertices)
+    valences = np.bincount(at_vertex, minlength=n)
     witness_id = int(np.argmax(valences))
     max_val = int(valences[witness_id])
 
     exact = d <= 5
-    corners = p._vertex_ids[leaves].tolist()
-    pairs = list(itertools.product(range(len(leaves)), range(d + 1)))  # (i, k): corner k of the i-th leaf
-    total_pairs = len(pairs)
+    width = d + 1
+    total_pairs = len(leaves) * width
+    # pair c is corner c % width of the (c // width)-th leaf
+    audited = np.arange(total_pairs)
     if not exact and total_pairs > AUDIT_PAIR_CAP and not full_audit:
         rng = np.random.default_rng(np.random.SeedSequence([mc.seed, _SUBSAMPLE_TAG]))
-        chosen = rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False)
-        pairs = [pairs[c] for c in sorted(chosen)]
-    cone_ids = [f"{leaves[i]}:v{k}" for i, k in pairs]
-    normals = _corner_normals(p, leaves)
+        audited = np.sort(rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False))
+    slot = np.repeat(np.arange(len(leaves)), width)[audited].tolist()  # each audited pair's index in leaves
+    corner = np.tile(np.arange(width), len(leaves))[audited].tolist()
+    leaf_col = list(map(leaves.__getitem__, slot))
+    vid_col = p._vertex_ids[leaves].ravel()[audited].tolist()
+    cone_ids = list(map("%d:v%d".__mod__, zip(leaf_col, corner)))
+    normals = _corner_normals(p, leaves).reshape(total_pairs, d, d)
 
     classes: dict = {}  # the exact route's fraction of each cone class, local to this audit
 
@@ -749,70 +763,92 @@ def verify_theorem(
         return est.fraction, est.stderr
 
     if exact:
-        fractions = exact_solid_angle_fractions(normals.reshape(total_pairs, d, d), cone_ids, classes)
-        measured = [(f, EXACT_STDERR) for f in fractions]
+        fraction = exact_solid_angle_fractions(normals, cone_ids, classes)
+        stderr = [EXACT_STDERR] * total_pairs
     else:
-        measured = [
-            measure(VertexCone(p.vertex_coords(corners[i][k]), normals[i, k], cone_id), leaves[i], corners[i][k])
-            for (i, k), cone_id in zip(pairs, cone_ids)
-        ]
+        fraction, stderr = zip(
+            *[
+                measure(VertexCone(p.vertex_coords(vid), normals[c], cone_id), leaf, vid)
+                for c, leaf, vid, cone_id in zip(audited.tolist(), leaf_col, vid_col, cone_ids)
+            ]
+        )
 
+    # the records share each leaf's rho and bound, as Python floats
     rho = p.regularity(leaves)
     strong = [per_simplex_angle_bound(r, d) for r in rho]
-    estimates: dict[tuple[int, int], tuple[float, float]] = {}
-    checks = []
-    for (i, k), cone_id, (fraction, stderr) in zip(pairs, cone_ids, measured):
-        leaf, vid = leaves[i], corners[i][k]
-        checks.append(
-            VertexCheck(
-                leaf_id=leaf,
-                vertex_id=vid,
-                cone_id=cone_id,
-                fraction=fraction,
-                stderr=stderr,
-                rho=rho[i],
-                strong_bound=strong[i],
-                uniform_bound=uniform_bound,
-                passed_strong=fraction >= strong[i] - 3.0 * stderr,
-                passed_uniform=fraction >= uniform_bound - 3.0 * stderr,
-            )
+    rho_col, strong_col = list(map(rho.__getitem__, slot)), list(map(strong.__getitem__, slot))
+    fraction_at, stderr_at = np.array(fraction), np.array(stderr)
+    bounds = np.array([strong_col, [uniform_bound] * audited.size])
+    passed_strong, passed_uniform = (fraction_at >= bounds - 3.0 * stderr_at).tolist()
+    checks = list(
+        map(
+            VertexCheck._make,
+            zip(
+                leaf_col,
+                vid_col,
+                cone_ids,
+                fraction,
+                stderr,
+                rho_col,
+                strong_col,
+                itertools.repeat(uniform_bound),
+                passed_strong,
+                passed_uniform,
+            ),
         )
-        estimates[(leaf, vid)] = (fraction, stderr)
-    # the corner pairs a Monte Carlo subsample left out
-    skipped = {(leaf, vid) for leaf, vids in zip(leaves, corners) for vid in vids} - estimates.keys()
+    )
 
-    # each vertex's incident leaves in ascending id order, the order of the sums
+    # every incidence, in (vertex, leaf) order: the order of the sums
     order = np.lexsort((at_leaf, at_vertex))
-    incident = np.split(at_leaf[order], np.cumsum(valences)[:-1])
+    inc_vertex, inc_leaf = at_vertex[order], at_leaf[order]
+    # an incidence at corner k of its leaf takes its pair's measurement, or
+    # drops its vertex when a Monte Carlo subsample left that pair out
+    at, k = np.nonzero(p._vertex_ids[inc_leaf] == inc_vertex[:, None])
+    leaf_slot = np.zeros(p._n_nodes, dtype=np.intp)
+    leaf_slot[leaves] = np.arange(len(leaves))
+    position = np.full(total_pairs, -1)  # each pair's index among the audited ones
+    position[audited] = np.arange(audited.size)
+    pair = position[leaf_slot[inc_leaf[at]] * width + k]
+    dropped = np.zeros(n, dtype=bool)
+    dropped[inc_vertex[at[pair < 0]]] = True
+    terms = np.zeros((inc_vertex.size, 2))  # each incidence's fraction and stderr, then stderr squared
+    terms[at[pair >= 0]] = np.column_stack([fraction_at, stderr_at])[pair[pair >= 0]]
+    # the others hang on a face of their leaf: its face cone, cut and measured in this order
+    face = ~dropped[inc_vertex]
+    face[at] = False
+    face = np.flatnonzero(face)
+    for row, leaf, vid in zip(face.tolist(), inc_leaf[face].tolist(), inc_vertex[face].tolist()):
+        terms[row] = measure(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), leaf, vid)
+    terms[:, 1] *= terms[:, 1]
 
-    boundary = boundary_vertex_mask(p)
-    decomposition = []
-    for vid, leaves_at in enumerate(incident):
-        leaves_at = leaves_at.tolist()
-        if skipped and any((leaf, vid) in skipped for leaf in leaves_at):
-            continue  # a corner pair was subsampled away; the sum would be meaningless
-        # summed left to right: from Python 3.12 the builtin sum compensates,
-        # which would make the report's bytes depend on the Python version
-        total = variance = 0.0
-        for leaf in leaves_at:
-            got = estimates.get((leaf, vid))
-            if got is None:  # the vertex hangs on a face of this leaf
-                got = measure(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), leaf, vid)
-            total += got[0]
-            variance += got[1] * got[1]
-        sigma = math.sqrt(variance)
-        interior = not bool(boundary[vid])
-        ok = abs(total - 1.0) <= 4.0 * sigma if interior else total <= 1.0 + 4.0 * sigma
-        decomposition.append(
-            DecompositionCheck(
-                vertex_id=vid,
-                interior=interior,
-                valence=len(leaves_at),
-                fraction_sum=total,
-                combined_stderr=sigma,
-                passed=ok,
-            )
+    # Each sum is taken left to right, as a Python loop would take it (from
+    # Python 3.12 the builtin sum compensates, which would make the report's
+    # bytes depend on the Python version): rank r adds the r-th term of every
+    # vertex with more than r.  With the vertices in order of falling valence
+    # those are a prefix, and with the terms laid out rank by rank their
+    # terms are one block.
+    by_valence = np.lexsort((max_val - valences,))
+    place = np.empty(n, dtype=np.intp)
+    place[by_valence] = np.arange(n)
+    live = n - np.cumsum(np.bincount(valences))[:max_val]  # [r]: the vertices with valence > r
+    block = np.cumsum(live) - live
+    rank = np.arange(inc_vertex.size) - (np.cumsum(valences) - valences)[inc_vertex]
+    ranked = np.empty_like(terms)
+    ranked[block[rank] + place[inc_vertex]] = terms
+    running = np.zeros((n, 2))
+    for start, count in zip(block.tolist(), live.tolist()):
+        running[:count] += ranked[start : start + count]
+    total, variance = running[place].T
+    sigma = np.sqrt(variance)
+    interior = ~boundary_vertex_mask(p)
+    passed = np.where(interior, np.abs(total - 1.0) <= 4.0 * sigma, total <= 1.0 + 4.0 * sigma)
+    kept = np.flatnonzero(~dropped)
+    decomposition = list(
+        map(
+            DecompositionCheck._make,
+            zip(*(a.tolist() for a in (kept, interior[kept], valences[kept], total[kept], sigma[kept], passed[kept]))),
         )
+    )
 
     return TheoremReport(
         d=d,
@@ -823,7 +859,7 @@ def verify_theorem(
         samples_per_cone=mc.samples,
         seed=mc.seed,
         total_pairs=total_pairs,
-        audited_pairs=len(pairs),
+        audited_pairs=audited.size,
         method="exact" if exact else "monte-carlo",
         per_vertex_checks=checks,
         decomposition_checks=decomposition,

@@ -78,17 +78,23 @@ def partition_to_json(p: Partition) -> str:
 
     The bytes are those of dumps on the document {"d", "nodes",
     "vertices"}, with each node {"id", "parent", "generation",
-    "vertex_ids", "children"}: every node and vertex is formatted in one
-    pass over the arrays' lists, then joined once.
+    "vertex_ids", "children"}.  Each node is one %-template of its kind
+    (root or not, leaf or not) over its row of the zipped id columns, the
+    kind's unused fields taken by %.0s, which prints nothing; each vertex
+    is one "[%.17g, ...]" template.  All are joined once.
     """
-    parent, generation, children, vertex_ids = (column.tolist() for column in p._columns())
-    nodes = [
-        f'{{"id": {i}, "parent": {"null" if up < 0 else up}, "generation": {gen}, '
-        f'"vertex_ids": [{", ".join(map(str, vids))}], '
-        f'"children": [{"" if kids[0] < 0 else f"{kids[0]}, {kids[1]}"}]}}'
-        for i, (up, gen, kids, vids) in enumerate(zip(parent, generation, children, vertex_ids))
+    parent, generation, children, vertex_ids = p._columns()
+    ids = ", ".join(["%d"] * (p.d + 1))
+    templates = [
+        '{"id": %d, "parent": ' + up + ', "generation": %d, "vertex_ids": [' + ids + '], "children": [' + kids + "]}"
+        for up in ("%d", "null%.0s")
+        for kids in ("%d, %d", "%.0s%.0s")
     ]
-    vertices = ["[" + ", ".join([fmt_float(x) for x in v]) + "]" for v in p.vertices.tolist()]
+    kind = 2 * (parent < 0) + (children[:, 0] < 0)  # index into templates
+    rows = zip(range(parent.size), parent.tolist(), generation.tolist(), *vertex_ids.T.tolist(), *children.T.tolist())
+    nodes = list(map(str.__mod__, map(templates.__getitem__, kind.tolist()), rows))
+    vertex = "[" + ", ".join(["%.17g"] * p.d) + "]"
+    vertices = list(map(vertex.__mod__, map(tuple, p.vertices.tolist())))
     return f'{{"d": {p.d}, "nodes": [{", ".join(nodes)}], "vertices": [{", ".join(vertices)}]}}\n'
 
 
@@ -242,6 +248,7 @@ def read_partition(path) -> Partition:
 
     p = Partition(d)
     built = 0  # the nodes below this id have been replayed
+    split = bytearray(n_nodes)  # 1 at the parents bisected by earlier runs, read without numpy
     while built < n_nodes:
         if parent[built] is None:
             p.add_root([coords[v] for v in vertex_ids[built]])
@@ -250,13 +257,15 @@ def read_partition(path) -> Partition:
         run: dict[int, None] = {}  # the parents of nodes built, built + 2, ..., in order
         while built + 2 * len(run) < n_nodes:
             up = parent[built + 2 * len(run)]
-            if up is None or up >= built or up in run or p._children[up, 0] >= 0:
+            if up is None or up >= built or up in run or split[up]:
                 break
             run[up] = None
         if not run:
             raise ValueError(f"node {built}: parent {parent[built]} is not a leaf built before it")
         p.volumes(list(run))  # a degenerate node stops the replay, as it stops refine
         p.bisect_leaves(run)
+        for up in run:
+            split[up] = 1
         built += 2 * len(run)
 
     columns = (
@@ -302,6 +311,10 @@ def write_fraction_csv(estimates: list[FractionEstimate], path) -> None:
             w.writerow([e.cone_id, fmt_float(e.fraction), fmt_float(e.stderr), e.samples, e.seed])
 
 
+_BOOL = {True: "true", False: "false"}
+_LOCATION = {True: "interior", False: "boundary"}
+
+
 def write_theorem_report_csv(report: TheoremReport, path) -> None:
     """One row per check, then a summary row.
 
@@ -311,60 +324,31 @@ def write_theorem_report_csv(report: TheoremReport, path) -> None:
     a vertex with 1; the valence row compares the observed maximum with
     the theoretical N; the summary row carries eta_min against N and
     the overall verdict.
+
+    Each row is one %-template of its kind, %d for the ids and %.17g
+    (fmt_float's form) for the floats; no field needs CSV quoting.
     """
     with _open_csv(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["check", "leaf_id", "vertex_id", "location", "value", "stderr", "bound", "passed"])
-        for c in report.per_vertex_checks:
-            w.writerow(
-                [
-                    "vertex-bound",
-                    c.leaf_id,
-                    c.vertex_id,
-                    "",
-                    fmt_float(c.fraction),
-                    fmt_float(c.stderr),
-                    fmt_float(c.strong_bound),
-                    str(c.passed_strong).lower(),
-                ]
-            )
-        for c in report.decomposition_checks:
-            w.writerow(
-                [
-                    "decomposition",
-                    "",
-                    c.vertex_id,
-                    "interior" if c.interior else "boundary",
-                    fmt_float(c.fraction_sum),
-                    fmt_float(c.combined_stderr),
-                    fmt_float(1.0),
-                    str(c.passed).lower(),
-                ]
-            )
-        w.writerow(
+        fh.write("check,leaf_id,vertex_id,location,value,stderr,bound,passed\n")
+        fh.writelines(
             [
-                "valence",
-                "",
-                "",
-                "",
-                report.max_observed_valence,
-                "",
-                fmt_float(report.theoretical_bound),
-                str(report.valence_ok).lower(),
+                "vertex-bound,%d,%d,,%.17g,%.17g,%.17g,%s\n"
+                % (c.leaf_id, c.vertex_id, c.fraction, c.stderr, c.strong_bound, _BOOL[c.passed_strong])
+                for c in report.per_vertex_checks
             ]
         )
-        w.writerow(
+        fh.writelines(
             [
-                "summary",
-                "",
-                "",
-                "",
-                fmt_float(report.eta_min),
-                "",
-                fmt_float(report.theoretical_bound),
-                str(report.passed).lower(),
+                "decomposition,,%d,%s,%.17g,%.17g,1,%s\n"
+                % (c.vertex_id, _LOCATION[c.interior], c.fraction_sum, c.combined_stderr, _BOOL[c.passed])
+                for c in report.decomposition_checks
             ]
         )
+        fh.write(
+            "valence,,,,%d,,%.17g,%s\n"
+            % (report.max_observed_valence, report.theoretical_bound, _BOOL[report.valence_ok])
+        )
+        fh.write("summary,,,,%.17g,,%.17g,%s\n" % (report.eta_min, report.theoretical_bound, _BOOL[report.passed]))
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

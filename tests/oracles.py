@@ -8,6 +8,7 @@ imports library internals beyond the Simplex container, its validating
 constructor and regularity_ratio.
 """
 
+import csv
 import heapq
 import itertools
 import math
@@ -370,3 +371,51 @@ def branch_and_bound_per_node(evaluate, lipschitz: float, roots: list[Simplex], 
             eta = min(eta, regularity_ratio(child))
             heapq.heappush(heap, (max(lb, bound(child)), len(nodes)))
             nodes.append(child)
+
+
+def theorem_report_csv_by_rows(report, path) -> None:
+    """The report CSV written through csv.writer, one list of fields per row.
+
+    Floats are formatted as format(x, ".17g"), booleans as lower-case
+    words, and csv.writer quotes whatever needs it: the bytes the
+    library's template writer must give.
+    """
+
+    def g(x):
+        return format(float(x), ".17g")
+
+    def word(flag):
+        return str(flag).lower()
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["check", "leaf_id", "vertex_id", "location", "value", "stderr", "bound", "passed"])
+        for c in report.per_vertex_checks:
+            w.writerow(
+                [
+                    "vertex-bound",
+                    c.leaf_id,
+                    c.vertex_id,
+                    "",
+                    g(c.fraction),
+                    g(c.stderr),
+                    g(c.strong_bound),
+                    word(c.passed_strong),
+                ]
+            )
+        for c in report.decomposition_checks:
+            w.writerow(
+                [
+                    "decomposition",
+                    "",
+                    c.vertex_id,
+                    "interior" if c.interior else "boundary",
+                    g(c.fraction_sum),
+                    g(c.combined_stderr),
+                    g(1.0),
+                    word(c.passed),
+                ]
+            )
+        bound = g(report.theoretical_bound)
+        w.writerow(["valence", "", "", "", report.max_observed_valence, "", bound, word(report.valence_ok)])
+        w.writerow(["summary", "", "", "", g(report.eta_min), "", bound, word(report.passed)])

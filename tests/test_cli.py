@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -41,7 +42,17 @@ from simpart import (
 )
 from simpart.cli import main
 from simpart.optimizer import TraceRow
-from simpart.serialization import dumps, fmt_float, partition_to_json, write_fraction_csv, write_trace_csv
+from simpart.serialization import (
+    dumps,
+    fmt_float,
+    partition_to_json,
+    write_fraction_csv,
+    write_theorem_report_csv,
+    write_trace_csv,
+)
+
+from .oracles import theorem_report_csv_by_rows
+from .support import random_simplex
 
 
 # ---------------------------------------------------------------- formats
@@ -580,6 +591,96 @@ def test_trace_writer_on_random_tails_matches_the_template(tmp_path_factory, tai
     # rows drawn from a few tails, so consecutive rows often repeat one
     trace = [TraceRow(k, 3 * k + 1, *tails[pick % len(tails)]) for k, pick in enumerate(picks)]
     assert_trace_writer_matches_the_template(trace, tmp_path_factory.mktemp("trace") / "trace.csv")
+
+
+def assert_report_writer_matches_the_oracle(report, tmp_path):
+    # each row kind is one %-template; the bytes must be those of
+    # csv.writer with every float formatted on its own
+    write_theorem_report_csv(report, tmp_path / "got.csv")
+    theorem_report_csv_by_rows(report, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["exact kuhn3@2", "monte-carlo corner6@2", "hanging largest-kuhn2@11"])
+def test_report_writer_oracle_on_real_audits(tmp_path, name):
+    p = {
+        "exact kuhn3@2": lambda: refine(kuhn_triangulation(3), 2),
+        "monte-carlo corner6@2": lambda: refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), 2),
+        "hanging largest-kuhn2@11": lambda: refine(kuhn_triangulation(2), 11, "bisect-largest-leaf"),
+    }[name]()
+    report = verify_theorem(p, MonteCarloConfig(samples=2_000, seed=3, shards=1))
+    assert report.method == ("monte-carlo" if p.d == 6 else "exact")
+    assert report.per_vertex_checks and report.decomposition_checks
+    assert_report_writer_matches_the_oracle(report, tmp_path)
+
+
+def test_report_writer_oracle_on_edited_rows(tmp_path):
+    # failing, boundary and zero-stderr rows and extreme magnitudes, which
+    # a passing audit of a unit domain never writes
+    report = verify_theorem(refine(kuhn_triangulation(2), 2), MonteCarloConfig(samples=2_000, seed=3, shards=1))
+    values = [1e-300, 1e16, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 1 / 3]
+
+    def value(k):
+        return values[k % len(values)]
+
+    vertex = [
+        c._replace(fraction=value(k), stderr=value(k + 2), strong_bound=value(k + 5), passed_strong=k % 2 == 0)
+        for k, c in enumerate(report.per_vertex_checks)
+    ]
+    sums = [
+        c._replace(interior=k % 3 == 0, fraction_sum=value(k), combined_stderr=value(k + 2), passed=k % 4 == 1)
+        for k, c in enumerate(report.decomposition_checks)
+    ]
+    assert {c.interior for c in sums} == {c.passed for c in sums} == {True, False}
+    assert {c.passed_strong for c in vertex} == {True, False}
+    for eta_min, bound, valence_ok in [(1e-300, 1e16, False), (0.25, 34.15893689069427, True)]:
+        edited = dataclasses.replace(
+            report,
+            per_vertex_checks=vertex,
+            decomposition_checks=sums,
+            eta_min=eta_min,
+            theoretical_bound=bound,
+            valence_ok=valence_ok,
+        )
+        assert_report_writer_matches_the_oracle(edited, tmp_path)
+        text = (tmp_path / "got.csv").read_bytes()
+        assert b",1e-300," in text and b",10000000000000000," in text and b",-0," in text and b",0,1,false\n" in text
+
+
+def _partition_document(p):
+    return dumps(
+        {
+            "d": p.d,
+            "nodes": [
+                {
+                    "id": node.id,
+                    "parent": node.parent,
+                    "generation": node.generation,
+                    "vertex_ids": list(node.vertex_ids),
+                    "children": list(node.children),
+                }
+                for node in p.nodes
+            ],
+            "vertices": p.vertices.tolist(),
+        }
+    )
+
+
+def test_partition_writer_oracle():
+    # each node kind (root or not, leaf or not) is one %-template; the
+    # bytes must be those of dumps on the document built from Partition.nodes
+    rng = np.random.default_rng(2000)
+    partitions = [
+        kuhn_triangulation(3),  # roots only
+        partition_from_simplices([random_simplex(4, rng), random_simplex(4, rng)]),
+        *(refine(kuhn_triangulation(d), 6 - d) for d in range(2, 7)),
+        refine(kuhn_triangulation(2), 40, "bisect-largest-leaf"),
+        refine(kuhn_triangulation(4), 30, "bisect-largest-leaf"),
+        refine(partition_from_simplices([random_simplex(3, rng)]), 4),
+        refine(partition_from_simplices([random_simplex(5, rng)]), 12, "bisect-largest-leaf"),
+    ]
+    for p in partitions:
+        assert partition_to_json(p) == _partition_document(p)
 
 
 def test_optimize_unknown_objective(capsys):

@@ -11,6 +11,7 @@ from simpart.cones import (
     cone_at_point,
     exact_solid_angle_fraction,
     max_intersection_bound,
+    solid_angle_fraction,
 )
 from simpart.errors import (
     DegenerateSimplex,
@@ -841,6 +842,60 @@ def test_verify_theorem_subsample_cap(monkeypatch):
     ]
     assert complete
     assert [c.vertex_id for c in capped.decomposition_checks] == complete
+
+
+@pytest.mark.parametrize(
+    "steps, strategy, cap, seeds, hanging_kept, hanging_skipped",
+    [
+        (3, "bisect-all-leaves", 20, (1,), False, False),  # test_verify_theorem_subsample_cap's audit
+        (18, "bisect-largest-leaf", 113, (1, 2, 3), True, True),
+        (18, "bisect-largest-leaf", 10_000, (1,), True, False),
+    ],
+)
+def test_monte_carlo_decomposition_sums_are_left_to_right(
+    monkeypatch, steps, strategy, cap, seeds, hanging_kept, hanging_skipped
+):
+    # the audit sums rank by rank over all vertices at once; each kept sum
+    # and its stderr must have the bits of a left-to-right sum over the
+    # vertex's incidences in ascending leaf id, face cones included, and
+    # no face cone may be cut for a vertex whose sum a subsample skipped
+    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", cap)
+    p = refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), steps, strategy)
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
+    incidences = zip(at_vertex.tolist(), at_leaf.tolist())
+    faces = sorted((v, leaf) for v, leaf in incidences if v not in p.nodes[leaf].vertex_ids)
+    vid_of = {tuple(v): k for k, v in enumerate(p.vertices.tolist())}
+    calls = []
+
+    def counted(s, point, *args):
+        calls.append((vid_of[tuple(point.tolist())], int(s.id)))
+        return cone_at_point(s, point, *args)
+
+    monkeypatch.setattr(partition_mod, "cone_at_point", counted)
+    seen_kept = seen_skipped = False
+    for seed in seeds:
+        mc = MonteCarloConfig(samples=2_000, seed=seed, shards=1)
+        calls.clear()
+        report = verify_theorem(p, mc)
+        assert report.method == "monte-carlo" and report.audited_pairs == min(cap, report.total_pairs)
+        kept = {c.vertex_id for c in report.decomposition_checks}
+        assert calls == [(v, leaf) for v, leaf in faces if v in kept]
+        seen_kept |= bool(calls)
+        seen_skipped |= any(v not in kept for v, _ in faces)
+        corner = {(c.leaf_id, c.vertex_id): (c.fraction, c.stderr) for c in report.per_vertex_checks}
+        for c in report.decomposition_checks:
+            terms = []
+            for leaf in sorted(at_leaf[at_vertex == c.vertex_id].tolist()):
+                got = corner.get((leaf, c.vertex_id))
+                if got is None:  # the vertex hangs on a face of this leaf
+                    cone = cone_at_point(p.simplex(leaf), p.vertex_coords(c.vertex_id))
+                    est = solid_angle_fraction(cone, partition_mod._pair_config(mc, leaf, c.vertex_id))
+                    got = est.fraction, est.stderr
+                terms.append(got)
+            assert c.valence == len(terms)
+            assert c.fraction_sum.hex() == _sum_left_to_right(f for f, _ in terms).hex()
+            assert c.combined_stderr.hex() == math.sqrt(_sum_left_to_right(se * se for _, se in terms)).hex()
+    assert (seen_kept, seen_skipped) == (hanging_kept, hanging_skipped)
 
 
 def test_exact_audit_ignores_the_pair_cap(monkeypatch):
