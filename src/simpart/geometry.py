@@ -198,16 +198,19 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
 
     Raises
     ------
-    DimensionMismatch : point dimensions disagree or the count is not d+1.
+    DimensionMismatch : a coordinate is not a number, point dimensions
+        disagree or the count is not d+1.
     UnsupportedDimension : ambient dimension below 2.
     InvalidPoint : NaN or infinite coordinate, or one so large that h^d
-        may overflow.
+        may overflow or that is beyond the float range.
     DegenerateSimplex : volume at or below the relative threshold.
     """
     try:
         arr = np.array(vertices, dtype=float)
+    except OverflowError as exc:  # an int beyond the float range
+        raise InvalidPoint("vertex coordinates too large to be floats") from exc
     except (TypeError, ValueError) as exc:
-        raise DimensionMismatch("vertex dimensions disagree") from exc
+        raise DimensionMismatch("each vertex must be a list of numbers, all of one length") from exc
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D vertex array, got shape {arr.shape}")
     n, d = arr.shape

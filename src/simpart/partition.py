@@ -167,10 +167,12 @@ class Partition:
     def vertex_id(self, p) -> int:
         """Registry id of the vertex whose coordinates equal p's, added if new.
 
-        Keyed by the coordinate tuple: -0.0 and 0.0 are one vertex, points
-        one ulp apart are two, and shared midpoints agree bitwise (above).
+        Keyed by the coordinate tuple: -0.0 and 0.0 are one vertex, stored
+        as 0.0 (adding 0.0 clears the sign, so a written file reads back
+        with the same bits), points one ulp apart are two, and shared
+        midpoints agree bitwise (above).
         """
-        return self._register(as_point(p, self.d))
+        return self._register(as_point(p, self.d) + 0.0)
 
     def _register(self, p: np.ndarray) -> int:
         """vertex_id without its input checks; p must be a finite (d,) array.
@@ -246,12 +248,14 @@ class Partition:
         """Install a generation-0 simplex; returns its node id.
 
         The vertices are validated (make_simplex) before anything is
-        registered, so a rejected root leaves the partition as it was.
+        registered, so a rejected root leaves the partition as it was.  A
+        -0.0 coordinate is registered as 0.0, as in vertex_id; midpoints of
+        such coordinates are never -0.0.
         """
         s = make_simplex(vertices)
         if s.dimension != self.d:
             raise DimensionMismatch(f"expected dimension {self.d}, got {s.dimension}")
-        vids = self._register_rows(s.vertices)
+        vids = self._register_rows(s.vertices + 0.0)
         node = self._new_nodes(1)
         self._parent[node] = -1
         self._generation[node] = 0
@@ -332,9 +336,10 @@ class Partition:
         replaces w in the first child and u in the second, so each child
         keeps one endpoint of the split edge and the parent's vertex order.
         Both children are appended at the end of the node table, so node
-        ids are creation order, which is what lets read_partition replay a
-        file.  The edge comes from longest_edges; nothing is built or
-        checked here, so a caller that needs its leaves valid asks volumes.
+        ids are creation order, which is what lets a partition file be its
+        roots and split ids in that order (read_partition replays them).
+        The edge comes from longest_edges; nothing is built or checked
+        here, so a caller that needs its leaves valid asks volumes.
         """
         if not 0 <= node_id < self._n_nodes:
             raise IndexError(f"node {node_id} is not in the partition")

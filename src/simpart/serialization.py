@@ -9,7 +9,6 @@ files on every platform.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 
@@ -73,29 +72,30 @@ def read_simplex(path) -> Simplex:
 # --------------------------------------------------------------- partition
 
 
-def partition_to_json(p: Partition) -> str:
-    """The partition as JSON text, written from its node table and registry.
+# The bisection rule is part of the format: a log replays to the partition
+# it was written from only under the rule that wrote it, so a change of the
+# rule must change this string, and an older log is then refused.
+PARTITION_FORMAT = "simpart-refinement-log-1"
 
-    The bytes are those of dumps on the document {"d", "nodes",
-    "vertices"}, with each node {"id", "parent", "generation",
-    "vertex_ids", "children"}.  Each node is one %-template of its kind
-    (root or not, leaf or not) over its row of the zipped id columns, the
-    kind's unused fields taken by %.0s, which prints nothing; each vertex
-    is one "[%.17g, ...]" template.  All are joined once.
+
+def partition_to_json(p: Partition) -> str:
+    """The partition as a refinement log, JSON text.
+
+    The document is {"format": PARTITION_FORMAT, "d", "log"}, the log in
+    node creation order: a root is its d+1 vertex coordinate lists, and
+    a split is the id of the leaf it bisected.  Bisection appends both
+    children at the end of the node table, so each pair of children
+    stands for one split, written where its first child was created.
     """
-    parent, generation, children, vertex_ids = p._columns()
-    ids = ", ".join(["%d"] * (p.d + 1))
-    templates = [
-        '{"id": %d, "parent": ' + up + ', "generation": %d, "vertex_ids": [' + ids + '], "children": [' + kids + "]}"
-        for up in ("%d", "null%.0s")
-        for kids in ("%d, %d", "%.0s%.0s")
+    parent, _, children, _ = p._columns()
+    roots = iter(p._corners(np.flatnonzero(parent < 0)).tolist())
+    first_child = children[:, 0].tolist()
+    log = [
+        next(roots) if up < 0 else up
+        for node, up in enumerate(parent.tolist())
+        if up < 0 or first_child[up] == node
     ]
-    kind = 2 * (parent < 0) + (children[:, 0] < 0)  # index into templates
-    rows = zip(range(parent.size), parent.tolist(), generation.tolist(), *vertex_ids.T.tolist(), *children.T.tolist())
-    nodes = list(map(str.__mod__, map(templates.__getitem__, kind.tolist()), rows))
-    vertex = "[" + ", ".join(["%.17g"] * p.d) + "]"
-    vertices = list(map(vertex.__mod__, map(tuple, p.vertices.tolist())))
-    return f'{{"d": {p.d}, "nodes": [{", ".join(nodes)}], "vertices": [{", ".join(vertices)}]}}\n'
+    return dumps({"format": PARTITION_FORMAT, "d": p.d, "log": log})
 
 
 def write_partition(p: Partition, path) -> None:
@@ -124,176 +124,67 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _check_id_list(obj: dict, key: str, where: str, limit: int) -> None:
-    """Raise ValueError unless the field is a list of integer ids in [0, limit)."""
-    values = _field(obj, key, where)
-    if not isinstance(values, list):
-        raise ValueError(f"{where}: {key} must be a list, got {values!r}")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < limit:
-            raise ValueError(f"{where}: {key} entry {v!r} is not an id in [0, {limit})")
-
-
-def _vertex_coords(raw_vertices: list):
-    """The file's vertices as one float array, or as one array per vertex when the list is ragged."""
-    try:
-        return np.array(raw_vertices, dtype=float)
-    except (TypeError, ValueError):
-        pass
-    try:
-        return [np.asarray(v, dtype=float) for v in raw_vertices]
-    except (TypeError, ValueError):
-        raise ValueError("partition: vertices must be lists of numbers") from None
-
-
-_NODE_FIELDS = ("parent", "id", "generation", "vertex_ids", "children")
-
-
-def _plain_ints(values, limit: int | None = None) -> bool:
-    """Whether every value is an int and not a bool, in [0, limit) when a limit is given."""
-    values = list(values)
-    if not set(map(type, values)) <= {int}:
-        return False
-    return limit is None or not values or (min(values) >= 0 and max(values) < limit)
-
-
-def _id_lists(values, limit: int) -> bool:
-    return set(map(type, values)) <= {list} and _plain_ints(itertools.chain.from_iterable(values), limit)
-
-
-def _check_node(raw, index: int, n_nodes: int, n_vertices: int) -> None:
-    """Raise ValueError naming the node's first malformed field, if it has one."""
-    where = f"node {index}"
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where}: expected an object, got {type(raw).__name__}")
-    parent = _field(raw, "parent", where)
-    if parent is not None:
-        parent = _int_field(raw, "parent", where)
-        if not 0 <= parent < n_nodes:
-            raise ValueError(f"{where}: parent {parent} is not a node id in [0, {n_nodes})")
-    _int_field(raw, "id", where)
-    _int_field(raw, "generation", where)
-    _check_id_list(raw, "vertex_ids", where, n_vertices)
-    _check_id_list(raw, "children", where, n_nodes)
-
-
-def _node_columns(raw_nodes: list, n_vertices: int) -> tuple[list, ...]:
-    """The nodes' parent, id, generation, vertex_ids and children columns.
-
-    Each column is checked whole, for types and id ranges.  A column that
-    fails sends every node through _check_node in order, so the error
-    names the first malformed node and field.
-    """
-    n_nodes = len(raw_nodes)
-    try:
-        columns = tuple([raw[key] for raw in raw_nodes] for key in _NODE_FIELDS)
-    except (TypeError, KeyError):
-        columns = None
-    if columns is not None:
-        parent, ids, generation, vertex_ids, children = columns
-        if (
-            _plain_ints([up for up in parent if up is not None], n_nodes)
-            and _plain_ints(ids)
-            and _plain_ints(generation)
-            and _id_lists(vertex_ids, n_vertices)
-            and _id_lists(children, n_nodes)
-        ):
-            return columns
-    for index, raw in enumerate(raw_nodes):
-        _check_node(raw, index, n_nodes, n_vertices)
-    return tuple([raw[key] for raw in raw_nodes] for key in _NODE_FIELDS)
-
-
-def _table_equals(columns, table) -> bool:
-    """Whether the file's node columns equal the first rows of the replayed table."""
-    try:
-        return all(
-            np.array_equal(np.array(got, dtype=np.intp), want[: len(got)]) for got, want in zip(columns, table)
-        )
-    except (ValueError, OverflowError):  # a ragged id list or an int beyond intp
-        return False
-
-
 def read_partition(path) -> Partition:
-    """Rebuild a partition by replaying its refinement.
+    """Rebuild a partition by replaying its refinement log.
 
-    The node fields are checked first, column by column (_node_columns);
-    a malformed one raises ValueError naming the node and field.  Node
-    ids are creation order (bisection appends both children at the end),
-    so the replay walks the ids: a root goes in through add_root, and any
-    other node not yet built is made by bisecting its parent, which must
-    be a leaf built before it.  Each maximal run of such nodes whose parents are
+    The format string must be PARTITION_FORMAT, so a file of another
+    format (the node table of older versions, or a log of another
+    bisection rule) is refused.  A root goes in through add_root, which
+    validates its coordinates.  A split id must be an int (not a bool)
+    naming a leaf already built.  Each maximal run of split ids of
     distinct leaves built before the run is replayed by one
-    Partition.bisect_leaves call, which gives the ids and registry of one
-    bisection after another; a bisect-all-leaves file replays one round
-    per generation.  The file's parent, generation, vertex_ids and
-    children columns must then equal the replayed table, compared as
-    arrays; a per-node scan names the first node and field that differ.
-    The vertex list must equal the replayed registry: the same count, and
-    each vertex bitwise equal to the one the replay made.
+    Partition.volumes call, so a degenerate node stops the replay as it
+    stops refine, and one Partition.bisect_leaves call, which gives the
+    ids and registry of one bisection after another; a bisect-all-leaves
+    file replays one round per generation.  Which nodes are split is
+    kept in a bytearray, so the run detection reads no numpy scalar.
     """
     doc = _read_object(path, "partition")
+    if doc.get("format") != PARTITION_FORMAT:
+        got = f"format {doc['format']!r}" if "format" in doc else "no format field"
+        raise ValueError(f"partition: expected format {PARTITION_FORMAT!r}, got {got}")
     d = _int_field(doc, "d", "partition")
-    raw_vertices = _field(doc, "vertices", "partition")
-    raw_nodes = _field(doc, "nodes", "partition")
-    if not isinstance(raw_vertices, list) or not isinstance(raw_nodes, list):
-        raise ValueError("partition: vertices and nodes must be lists")
-    coords = _vertex_coords(raw_vertices)
-    n_nodes, n_vertices = len(raw_nodes), len(coords)
-    parent, ids, generation, vertex_ids, children = _node_columns(raw_nodes, n_vertices)
-    if not raw_nodes:
+    log = _field(doc, "log", "partition")
+    if not isinstance(log, list):
+        raise ValueError(f"partition: log must be a list, got {type(log).__name__}")
+    if not log:
         raise EmptyPartition("partition file contains no nodes")
-    if ids != list(range(n_nodes)):
-        raise ValueError("node ids must be 0..n-1 in order")
 
     p = Partition(d)
-    built = 0  # the nodes below this id have been replayed
-    split = bytearray(n_nodes)  # 1 at the parents bisected by earlier runs, read without numpy
-    while built < n_nodes:
-        if parent[built] is None:
-            p.add_root([coords[v] for v in vertex_ids[built]])
-            built += 1
+    n = len(log)
+    split = bytearray(2 * n)  # 1 at the nodes split so far; each entry adds at most two nodes
+    k = 0  # the entries below k have been replayed
+    while k < n:
+        if isinstance(log[k], list):
+            p.add_root(log[k])
+            k += 1
             continue
-        run: dict[int, None] = {}  # the parents of nodes built, built + 2, ..., in order
-        while built + 2 * len(run) < n_nodes:
-            up = parent[built + 2 * len(run)]
-            if up is None or up >= built or up in run or split[up]:
+        built = p._n_nodes
+        run: dict[int, None] = {}  # the split ids of entries k, ..., end - 1, in order
+        end = k
+        while end < n:
+            entry = log[end]
+            if type(entry) is not int or not 0 <= entry < built or entry in run or split[entry]:
                 break
-            run[up] = None
+            run[entry] = None
+            end += 1
         if not run:
-            raise ValueError(f"node {built}: parent {parent[built]} is not a leaf built before it")
-        p.volumes(list(run))  # a degenerate node stops the replay, as it stops refine
+            raise ValueError(_bad_entry(log[k], k, built))
+        p.volumes(list(run))
         p.bisect_leaves(run)
-        for up in run:
-            split[up] = 1
-        built += 2 * len(run)
-
-    columns = (
-        [-1 if up is None else up for up in parent],
-        generation,
-        [kids or (-1, -1) for kids in children],
-        vertex_ids,
-    )
-    if not _table_equals(columns, p._columns()):
-        replayed = p.nodes
-        for i, got_node in enumerate(zip(parent, generation, vertex_ids, children)):
-            want_node = replayed[i]
-            for key, got in zip(("parent", "generation", "vertex_ids", "children"), got_node):
-                got = tuple(got) if isinstance(got, list) else got
-                want = getattr(want_node, key)
-                if got != want:
-                    raise ValueError(f"node {i}: {key} is {got}, the replayed refinement gives {want}")
-    if n_vertices != p.n_vertices:
-        raise ValueError(f"partition: {n_vertices} vertices listed, the replayed refinement gives {p.n_vertices}")
-    registry = p.vertices
-    if not (isinstance(coords, np.ndarray) and np.array_equal(coords, registry)):
-        for vid, want in enumerate(registry):
-            got = np.asarray(coords[vid])
-            if not np.array_equal(got, want):
-                raise ValueError(
-                    f"vertex {vid}: stored as {got.tolist()}, the replayed refinement gives {want.tolist()}"
-                )
+        for node in run:
+            split[node] = 1
+        k = end
     return p
+
+
+def _bad_entry(entry, k: int, built: int) -> str:
+    """What is wrong with log entry k, which starts no run with built nodes."""
+    if type(entry) is not int:
+        return f"partition: log entry {k} is {entry!r}, neither a root (a list of vertices) nor a split id"
+    if not 0 <= entry < built:
+        return f"partition: log entry {k} splits node {entry}, which is not built before it ({built} are)"
+    return f"partition: log entry {k} splits node {entry} a second time"
 
 
 # -------------------------------------------------------------------- CSV

@@ -52,7 +52,6 @@ from simpart.serialization import (
 )
 
 from .oracles import theorem_report_csv_by_rows
-from .support import random_simplex
 
 
 # ---------------------------------------------------------------- formats
@@ -98,15 +97,23 @@ def _optimizer_refined():
     return p
 
 
+def _negative_zero_root_refined():
+    # -0.0 prints as -0, which JSON reads back as the int 0, so a -0.0 that
+    # reached the registry would come back as 0.0
+    return refine(partition_from_simplices([make_simplex([[-0.0, -0.0], [1.0, -0.0], [-0.0, 1.0]])]), 3)
+
+
 def test_partition_round_trip_is_equal_and_byte_stable(tmp_path):
     # largest-leaf refinement bisects parents out of id order, the optimizer
-    # refines by its own priority, and a root can come after bisected nodes
+    # refines by its own priority, a root can come after bisected nodes, and
+    # a root can hold -0.0
     partitions = [
         refine(kuhn_triangulation(3), 2),
         refine(kuhn_triangulation(2), 40, "bisect-largest-leaf"),
         refine(kuhn_triangulation(3), 54, "bisect-largest-leaf"),
         _optimizer_refined(),
         _root_added_then_refined(),
+        _negative_zero_root_refined(),
     ]
     for k, p in enumerate(partitions):
         first = tmp_path / f"p{k}.json"
@@ -119,21 +126,36 @@ def test_partition_round_trip_is_equal_and_byte_stable(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+EMPTY_LOG = '{"format": "simpart-refinement-log-1", "d": 2, "log": []}\n'
+
+
+def test_partition_file_is_the_roots_and_split_ids_in_creation_order():
+    # roots 0, 1; splits of 0 and 1 (nodes 2..5); root 6; split of 2
+    p = refine(kuhn_triangulation(2), 1)
+    p.add_root([[1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+    p.bisect(p.leaves[0])
+    assert partition_to_json(p) == (
+        '{"format": "simpart-refinement-log-1", "d": 2, "log": '
+        "[[[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]], 0, 1, [[1, 0], [2, 0], [1, 1]], 2]}\n"
+    )
+
+
 def test_read_partition_rejects_empty_node_list(tmp_path):
     path = tmp_path / "empty.json"
-    path.write_text('{"d": 2, "nodes": [], "vertices": []}\n')
+    path.write_text(EMPTY_LOG)
     with pytest.raises(EmptyPartition):
         read_partition(path)
 
 
 def test_read_partition_rejects_bad_node_ids(tmp_path):
-    p = kuhn_triangulation(2)
-    doc = json.loads(partition_to_json(p))
-    doc["nodes"][0]["id"] = 7
+    # the log of kuhn(2)@1 is two roots and the split ids 0 and 1
+    doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 1)))
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="node ids"):
-        read_partition(path)
+    for bad, message in [(7, "not built"), (-1, "not built"), (0, "second time"), (1.0, "split id")]:
+        doc["log"][3] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            read_partition(path)
 
 
 def test_fraction_csv_layout(tmp_path):
@@ -274,7 +296,7 @@ def test_verify_fails_on_overlapping_cells(tmp_path, capsys):
 
 def test_verify_empty_partition_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
-    path.write_text('{"d": 2, "nodes": [], "vertices": []}\n')
+    path.write_text(EMPTY_LOG)
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert "no nodes" in err
@@ -292,123 +314,113 @@ def _json_array_document(tmp_path):
     return path
 
 
-def _out_of_range_vertex_id(tmp_path):
-    doc = json.loads(partition_to_json(kuhn_triangulation(2)))
-    doc["nodes"][0]["vertex_ids"][0] = 999
-    path = tmp_path / "oor.json"
-    path.write_text(json.dumps(doc))
+def _old_node_table_document(tmp_path):
+    # kuhn(2)'s first root in the node-table format of earlier versions
+    path = tmp_path / "nodes.json"
+    path.write_text(
+        '{"d": 2, "nodes": [{"id": 0, "parent": null, "generation": 0, "vertex_ids": [0, 1, 2], '
+        '"children": []}], "vertices": [[0, 0], [1, 0], [1, 1]]}\n'
+    )
     return path
 
 
 def _edited_kuhn2(tmp_path, edit):
+    # the log of kuhn(2)@2: roots 0 and 1, then the split ids 0, 1 and 2..5
     doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 2)))
-    edit(doc["nodes"])
+    edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     return path
 
 
-def _out_of_range_child(tmp_path):
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[0]["children"].__setitem__(0, 99))
+def _missing_format(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc.pop("format"))
 
 
-def _out_of_range_parent(tmp_path):
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", 99))
+def _unknown_format(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc.__setitem__("format", "simpart-refinement-log-0"))
 
 
-def _parent_not_listing_the_child(tmp_path):
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", 1))
+def _non_integer_d(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc.__setitem__("d", 2.0))
 
 
-def _generation_skip(tmp_path):
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("generation", 3))
+def _log_not_a_list(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc.__setitem__("log", {"0": 0}))
 
 
-def _children_cycle(tmp_path):
-    # node 2 is a child of root 0; listing root 0 as its child closes a loop
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("children", [0]))
+def _root_of_wrong_shape(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"][1].pop())
 
 
-def _child_not_the_bisection(tmp_path):
-    # node 2 is the first child of root 0 and ends in the midpoint of its
-    # diagonal; the corner (0, 1) of root 1 in its place leaves a sound
-    # triangle that is not the bisection of its parent
-    def edit(nodes):
-        nodes[2]["vertex_ids"][2] = nodes[1]["vertex_ids"][1]
-
-    return _edited_kuhn2(tmp_path, edit)
+def _non_numeric_root(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"][1][2].__setitem__(0, "x"))
 
 
-def _child_listed_before_its_parent(tmp_path):
-    # kuhn(2)@1 makes roots 0 and 1, then children 2, 3 of root 0 and 4, 5
-    # of root 1; swapping ids 1 and 2 keeps every link consistent, but
-    # the ids are no longer the order in which bisection creates nodes
-    swap = {1: 2, 2: 1}
-    doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 1)))
-    for node in doc["nodes"]:
-        node["id"] = swap.get(node["id"], node["id"])
-        if node["parent"] is not None:
-            node["parent"] = swap.get(node["parent"], node["parent"])
-        node["children"] = [swap.get(c, c) for c in node["children"]]
-    doc["nodes"].sort(key=lambda node: node["id"])
-    path = tmp_path / "permuted.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def _non_integer_node_id(tmp_path):
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[3].__setitem__("id", "three"))
-
-
-def _non_integer_parent(tmp_path):
-    return _edited_kuhn2(tmp_path, lambda nodes: nodes[2].__setitem__("parent", "0"))
-
-
-def _root_vertex_moved_off_its_midpoints(tmp_path):
-    # each midpoint that depends on the origin now replays at most 5e-11
-    # away from its stored coordinates: near, but not bitwise equal
-    doc = json.loads(partition_to_json(refine(kuhn_triangulation(2), 9, "bisect-largest-leaf")))
-    assert doc["vertices"][0] == [0.0, 0.0]
-    doc["vertices"][0][0] += 1e-10
-    path = tmp_path / "moved.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
-def _huge_extra_vertex(tmp_path):
-    doc = json.loads(partition_to_json(kuhn_triangulation(2)))
-    doc["vertices"].append([1e300, 0.0])
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(doc))
-    return path
+def _degenerate_root(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(1, [[0, 0], [1, 1], [0.5, 0.5]]))
 
 
 def _huge_root_vertex(tmp_path):
     # the edges from [1e300, 0] are finite, but their length squared is not
-    doc = json.loads(partition_to_json(kuhn_triangulation(2)))
-    assert doc["vertices"][0] == [0.0, 0.0]
-    doc["vertices"][0] = [1e300, 0.0]
-    path = tmp_path / "huge-root.json"
-    path.write_text(json.dumps(doc))
-    return path
+    def edit(doc):
+        assert doc["log"][0][0] == [0, 0]
+        doc["log"][0][0] = [1e300, 0]
+
+    return _edited_kuhn2(tmp_path, edit)
+
+
+def _huge_extra_vertex(tmp_path):
+    # an extra root after the splits, one vertex beyond the float range
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].append([[10**400, 0], [1, 0], [1, 1]]))
+
+
+def _non_integer_parent(tmp_path):
+    # a split id names the parent of the next two nodes; True is no id
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(2, True))
+
+
+def _non_integer_node_id(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(4, "three"))
+
+
+def _out_of_range_parent(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(4, -1))
+
+
+def _child_listed_before_its_parent(tmp_path):
+    # node 6 is the first child of entry 4's split
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(2, 6))
+
+
+def _children_cycle(tmp_path):
+    # entry 2's split creates nodes 2 and 3, so it cannot split node 2
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(2, 2))
+
+
+def _split_twice(tmp_path):
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"].append(3))
 
 
 # input writer -> a word the one-line message must contain
 MALFORMED = {
     _json_array_document: "JSON object",
-    _out_of_range_vertex_id: "vertex_ids",
-    _out_of_range_child: "children",
-    _out_of_range_parent: "parent",
-    _parent_not_listing_the_child: "parent",
-    _generation_skip: "generation",
-    _children_cycle: "node",
-    _child_not_the_bisection: "vertex_ids",
-    _child_listed_before_its_parent: "parent",
-    _non_integer_node_id: "id",
-    _non_integer_parent: "parent",
-    _root_vertex_moved_off_its_midpoints: "vertex",
-    _huge_extra_vertex: "vertices",
+    _old_node_table_document: "expected format 'simpart-refinement-log-1', got no format field",
+    _missing_format: "no format field",
+    _unknown_format: "simpart-refinement-log-0",
+    _non_integer_d: "d must be an integer",
+    _log_not_a_list: "log must be a list",
+    _root_of_wrong_shape: "d+1 vertices",
+    _non_numeric_root: "list of numbers",
+    _degenerate_root: "degenerate",
     _huge_root_vertex: "too large",
+    _huge_extra_vertex: "too large",
+    _non_integer_parent: "True, neither a root",
+    _non_integer_node_id: "'three', neither a root",
+    _out_of_range_parent: "node -1, which is not built",
+    _child_listed_before_its_parent: "node 6, which is not built",
+    _children_cycle: "node 2, which is not built",
+    _split_twice: "node 3 a second time",
 }
 
 
@@ -416,7 +428,7 @@ MALFORMED = {
 def test_verify_malformed_input_is_internal_error_not_theorem_failure(tmp_path, capsys, make_input):
     # exit 1 is reserved for "a theorem check failed" and 4 for bugs; the
     # reader validates the file and rejects malformed input as a usage
-    # error (2), on one line naming the field and without a traceback
+    # error (2), on one line naming the fault and without a traceback
     code, out, err = run_cli(capsys, "verify", str(make_input(tmp_path)), "--samples", "100")
     assert code == 2
     assert out == ""
@@ -424,56 +436,64 @@ def test_verify_malformed_input_is_internal_error_not_theorem_failure(tmp_path, 
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-# Mutations of two valid files: kuhn(2)@3, and largest-leaf kuhn(2)@9,
-# which has hanging vertices and parents bisected out of id order.
+# Mutations of two valid logs: kuhn(2)@3, and largest-leaf kuhn(2)@9,
+# which has hanging vertices and splits parents out of id order.
 MUTATION_BASES = [
     json.loads(partition_to_json(refine(kuhn_triangulation(2), 3))),
     json.loads(partition_to_json(refine(kuhn_triangulation(2), 9, "bisect-largest-leaf"))),
 ]
-NODE_KEYS = ["id", "parent", "generation", "vertex_ids", "children"]
 ODD_VALUES = st.one_of(
     st.integers(-2, 40), st.none(), st.text(max_size=3), st.lists(st.integers(-1, 40), max_size=4), st.booleans()
 )
-MUTATIONS = [
-    "set-field", "replace-entry", "delete-key", "swap-nodes", "drop-node",
-    "drop-vertex", "perturb-vertex", "replace-document-field",
-]
+MUTATIONS = ["drop-entry", "swap-entries", "duplicate-split", "replace-entry", "perturb-root", "replace-document-field"]
+
+
+def _is_root(entry) -> bool:
+    """Whether a log entry is a nonempty list of lists of numbers."""
+    return (
+        isinstance(entry, list)
+        and len(entry) > 0
+        and all(isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in entry)
+    )
 
 
 @st.composite
 def mutated_partition_documents(draw):
-    """A valid file after one to three mutations; replacing d, nodes or
-    vertices is always the last."""
+    """A valid log after one to three mutations; replacing format, d or
+    log is always the last.
+
+    A root is moved only toward its own centroid, or far out of range: a
+    root moved outward or listed twice overlaps another cell, a legal
+    file whose audit fails (exit 1), as test_verify_fails_on_overlapping_cells
+    shows.  A duplicated split id is a second split of its node.
+    """
     doc = copy.deepcopy(draw(st.sampled_from(MUTATION_BASES)))
-    nodes, vertices = doc["nodes"], doc["vertices"]
+    log = doc["log"]
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
-        node = draw(st.sampled_from(nodes)) if nodes else {}
-        if kind == "set-field":
-            node[draw(st.sampled_from(NODE_KEYS))] = draw(ODD_VALUES)
-        elif kind == "replace-entry":
-            ids = node.get(draw(st.sampled_from(["vertex_ids", "children"])))
-            if isinstance(ids, list) and ids:
-                ids[draw(st.integers(0, len(ids) - 1))] = draw(st.integers(-1, len(vertices)))
-        elif kind == "delete-key":
-            node.pop(draw(st.sampled_from(NODE_KEYS)), None)
-        elif kind in ("swap-nodes", "drop-node") and nodes:
-            i, j = draw(st.integers(0, len(nodes) - 1)), draw(st.integers(0, len(nodes) - 1))
-            if kind == "swap-nodes":
-                nodes[i], nodes[j] = nodes[j], nodes[i]
-            else:
-                del nodes[i]
-        elif kind in ("drop-vertex", "perturb-vertex") and vertices:
-            i = draw(st.integers(0, len(vertices) - 1))
-            if kind == "drop-vertex":
-                del vertices[i]
-            else:
-                # None replaces the coordinate with a huge one instead
-                k = draw(st.integers(0, 1))
-                delta = draw(st.sampled_from([1e-12, -1e-12, 1e-10, -1e-10, 1e-3, -1e-3, 0.5, -0.5, None]))
-                vertices[i][k] = 1e300 if delta is None else vertices[i][k] + delta
-        elif kind == "replace-document-field":
-            doc[draw(st.sampled_from(["d", "nodes", "vertices"]))] = draw(ODD_VALUES)
+        if kind == "replace-document-field":
+            doc[draw(st.sampled_from(["format", "d", "log"]))] = draw(ODD_VALUES)
             break
+        if not log:
+            continue
+        i, j = draw(st.integers(0, len(log) - 1)), draw(st.integers(0, len(log)))
+        if kind == "drop-entry":
+            del log[i]
+        elif kind == "swap-entries":
+            j = min(j, len(log) - 1)
+            log[i], log[j] = log[j], log[i]
+        elif kind == "duplicate-split" and isinstance(log[i], int):
+            log.insert(j, log[i])
+        elif kind == "replace-entry":
+            log[i] = draw(ODD_VALUES)
+        elif kind == "perturb-root" and _is_root(log[i]):
+            root = log[i]
+            v = draw(st.integers(0, len(root) - 1))
+            t = draw(st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 1.0, None]))  # None: out of range
+            if t is None:
+                root[v][0] = 1e300
+            else:
+                centroid = [sum(xs) / len(root) for xs in zip(*root)]
+                root[v] = [x + t * (c - x) for x, c in zip(root[v], centroid)]
     return doc
 
 
@@ -647,42 +667,6 @@ def test_report_writer_oracle_on_edited_rows(tmp_path):
         assert b",1e-300," in text and b",10000000000000000," in text and b",-0," in text and b",0,1,false\n" in text
 
 
-def _partition_document(p):
-    return dumps(
-        {
-            "d": p.d,
-            "nodes": [
-                {
-                    "id": node.id,
-                    "parent": node.parent,
-                    "generation": node.generation,
-                    "vertex_ids": list(node.vertex_ids),
-                    "children": list(node.children),
-                }
-                for node in p.nodes
-            ],
-            "vertices": p.vertices.tolist(),
-        }
-    )
-
-
-def test_partition_writer_oracle():
-    # each node kind (root or not, leaf or not) is one %-template; the
-    # bytes must be those of dumps on the document built from Partition.nodes
-    rng = np.random.default_rng(2000)
-    partitions = [
-        kuhn_triangulation(3),  # roots only
-        partition_from_simplices([random_simplex(4, rng), random_simplex(4, rng)]),
-        *(refine(kuhn_triangulation(d), 6 - d) for d in range(2, 7)),
-        refine(kuhn_triangulation(2), 40, "bisect-largest-leaf"),
-        refine(kuhn_triangulation(4), 30, "bisect-largest-leaf"),
-        refine(partition_from_simplices([random_simplex(3, rng)]), 4),
-        refine(partition_from_simplices([random_simplex(5, rng)]), 12, "bisect-largest-leaf"),
-    ]
-    for p in partitions:
-        assert partition_to_json(p) == _partition_document(p)
-
-
 def test_optimize_unknown_objective(capsys):
     code, _, err = run_cli(capsys, "optimize", "--objective", "mystery")
     assert code == 2
@@ -774,9 +758,11 @@ GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "290ba0878eb391759dec035eeab4133afaf15499
 
 # Optimizer trace and refined partitions on the Kuhn cube: every vertex
 # is dyadic, so no edge length or midpoint depends on the BLAS kernel.
+# A partition file is the refinement log: the roots and the split ids,
+# so its hash pins which leaves the refinement bisected and in what order.
 GOLDEN_OPTIMIZE_D3_TRACE_SHA256 = "1234974185c3ec11784d3a33ee5a982aa540ad4038168fed344cf40f142f1fb9"
-GOLDEN_KUHN3_6_PARTITION_SHA256 = "5a012654d8111d12a1068c798e76ee5354563d91ec32f487bb640cab0e941222"
-GOLDEN_LARGEST_KUHN3_54_PARTITION_SHA256 = "e5daed8e16a844e04b887872ec68594d029ab2760b718b10b557a8f07ecc7b92"
+GOLDEN_KUHN3_6_PARTITION_SHA256 = "31f04a05cd01188b13feec71023dd5ca4a8826747dba47a5124404c7c36529bc"
+GOLDEN_LARGEST_KUHN3_54_PARTITION_SHA256 = "b15f04e006da91101c7fbe73cc76a76e6e6d5dc9f16e38aae1206d82aa071c81"
 
 # point -> (cone id, direction hits) at 29999 samples, seed 7 and 3 shards
 # (sizes 10000, 10000, 9999, so the shard order shows), on the
