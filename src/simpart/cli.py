@@ -43,19 +43,6 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _mc_config(args) -> MonteCarloConfig:
-    return MonteCarloConfig(samples=args.samples, seed=args.seed, shards=args.shards)
-
-
-def _add_sampling_flags(sub, default_samples: int, audit: bool = False) -> None:
-    # the audit measures cones in d <= 5 exactly, so sampling only matters in d >= 6
-    note = "; d >= 6 only, cones in d <= 5 are measured exactly" if audit else ""
-    seed_note = "; d >= 6 only, where it also picks the pairs audited above the pair cap" if audit else ""
-    sub.add_argument("--samples", type=int, default=default_samples, help="Monte-Carlo draws per cone" + note)
-    sub.add_argument("--seed", type=int, default=42, help="base seed (default 42)" + seed_note)
-    sub.add_argument("--shards", type=int, default=4, help="independent sampling shards" + note)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="simpart", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,20 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="audit a partition against the intersection bound")
     p_ver.add_argument("partition", help="partition JSON path")
-    _add_sampling_flags(p_ver, default_samples=100_000, audit=True)
+    # accepted, and ignored, so that command lines written for the sampling audit still run
+    p_ver.add_argument("--samples", type=int, default=None, help="ignored: every cone is measured exactly")
+    p_ver.add_argument("--seed", type=int, default=None, help="ignored: the audit draws no samples")
     p_ver.add_argument("--report", default=None, help="write the check rows to this CSV")
-    p_ver.add_argument(
-        "--full-audit",
-        action="store_true",
-        help="audit every (leaf, vertex) pair regardless of the subsample cap; d >= 6 only, "
-        "d <= 5 audits always check every pair",
-    )
     p_ver.set_defaults(func=cmd_verify)
 
     p_cone = sub.add_parser("cone", help="estimate the solid-angle fraction at a point of a simplex")
     p_cone.add_argument("--simplex", required=True, help="simplex JSON path")
     p_cone.add_argument("--point", required=True, help="comma-separated coordinates")
-    _add_sampling_flags(p_cone, default_samples=1_000_000)
+    p_cone.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo draws per cone")
+    p_cone.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
+    p_cone.add_argument("--shards", type=int, default=4, help="independent sampling shards")
     p_cone.add_argument("-o", "--output", default=None, help="write estimates to this CSV")
     p_cone.set_defaults(func=cmd_cone)
 
@@ -124,7 +109,7 @@ def cmd_refine(args) -> int:
 
 def cmd_verify(args) -> int:
     p = read_partition(args.partition)
-    report = verify_theorem(p, _mc_config(args), full_audit=args.full_audit)
+    report = verify_theorem(p)
     if args.report:
         write_theorem_report_csv(report, args.report)
     strong_ok = sum(c.passed_strong for c in report.per_vertex_checks)
@@ -135,7 +120,7 @@ def cmd_verify(args) -> int:
         f"max_valence={report.max_observed_valence} "
         f"vertex_checks={strong_ok}/{len(report.per_vertex_checks)} "
         f"decomposition={decomp_ok}/{len(report.decomposition_checks)} "
-        f"audited={report.audited_pairs}/{report.total_pairs} method={report.method} {verdict}"
+        f"audited={report.total_pairs}/{report.total_pairs} method=exact {verdict}"
     )
     return EXIT_OK if report.passed else EXIT_THEOREM_FAILURE
 
@@ -143,7 +128,7 @@ def cmd_verify(args) -> int:
 def cmd_cone(args) -> int:
     s = read_simplex(args.simplex)
     point = np.array([float(c) for c in args.point.split(",")])
-    est = solid_angle_fraction(cone_at_point(s, point), _mc_config(args))
+    est = solid_angle_fraction(cone_at_point(s, point), MonteCarloConfig(args.samples, args.seed, args.shards))
     print(
         f"cone={est.cone_id} fraction={fmt_float(est.fraction)} "
         f"stderr={fmt_float(est.stderr)} samples={est.samples} seed={est.seed}"

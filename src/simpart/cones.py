@@ -2,10 +2,11 @@
 
 The tangent cone of a simplex S at a point p collects the directions one
 can move in from p without leaving S.  Its size is measured as a
-fraction of the full sphere of directions: in closed form for cones
-with at most three facets, by a checked 1-D quadrature for four and
-five, so exactly for every cone in d <= 5, and by Monte Carlo in
-general (d >= 6).  Two bounds tie the measure to the regularity ratio:
+fraction of the full sphere of directions: exactly, in closed form for
+cones with at most three facets and by a checked quadrature beyond
+(exact_solid_angle_fractions), and by Monte Carlo as an independent
+check (solid_angle_fraction).  Two bounds tie the measure to the
+regularity ratio:
 
 * at any vertex of a simplex with rho(S) >= eta, the solid-angle
   fraction is at least eta * (d / (2 e pi))^(d/2);
@@ -43,9 +44,11 @@ _DIRECTION_TAG = 101
 # The closed forms are accurate to a few units in the last place (worst
 # interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), and a
 # quadrature is only returned once two rules agree to QUADRATURE_TOL,
-# 1e-13 (worst interior sum on kuhn(4)@6: 5.8e-15), so 4 sigma of one
-# cone, 1e-12, is a wide margin that still lets the audit's sigma-based
-# tests apply to exact rows unchanged.
+# 1e-13, at every level (worst interior sum on kuhn(4)@6: 5.8e-15, on
+# kuhn(6)@2: 8.4e-14), so 4 sigma of one cone, 1e-12, is a wide margin
+# that still lets the audit's sigma-based tests apply to exact rows
+# unchanged.  It covers _orthant_quadrature's worst-case error budget up
+# to seven facets, not at eight (3.4e-12).
 EXACT_STDERR = 2.5e-13
 
 
@@ -196,6 +199,10 @@ def _angles(u: np.ndarray, v: np.ndarray) -> list[float]:
 # square-root behaviour, with 16 and 24 nodes each.
 QUADRATURE_TOL = 1e-13
 
+# Elements of the largest array one pass of Plackett's integrand holds
+# (2 MiB of doubles); a level with more laws takes them in chunks.
+_CHUNK = 1 << 18
+
 
 @functools.cache
 def _plackett_rules() -> list[tuple[np.ndarray, ...]]:
@@ -293,31 +300,46 @@ def _cone_classes(h: np.ndarray) -> np.ndarray:
 
 
 def _orthant_quadrature(n: np.ndarray, cone_id: str) -> float:
-    """P(N Z >= 0) for Z ~ N(0, I) and k = 4 or 5 unit rows, by Plackett's reduction.
+    """P(N Z >= 0) for Z ~ N(0, I) and k >= 4 unit rows, by Plackett's reduction.
 
     With R = N N^T the correlation of X = N Z, the orthant probability along
     R(t) = I + t (R - I) starts at 2^-k and grows by
     sum_{i<j} r_ij phi2(0, 0; t r_ij) P(rest >= 0 | X_i = X_j = 0) dt
-    (Plackett, Biometrika 41, 1954).  The conditional orthant has
-    q = k - 2 variables, so its probability is 2^-q plus the arcsines of
-    its correlations over 2^(q-1) pi.  The substitution
-    theta = asin(t r_ij) turns r_ij phi2 dt into dtheta / 2pi, which
-    removes the singularity of nearly parallel facets.
+    (Plackett, Biometrika 41, 1954).  The substitution theta = asin(t r_ij)
+    turns r_ij phi2 dt into dtheta / 2pi, which removes the singularity of
+    nearly parallel facets.  The conditional orthant has q = k - 2
+    variables: 2^-q plus the arcsines of its correlations over
+    2^(q-1) pi for q <= 3, and the same integral again on its correlations
+    for q >= 4 (_orthants; Miwa, Hayter & Kuriki, J. R. Stat. Soc. B 65,
+    2003), so k = 6 and 7 nest one level and k = 8 two.
 
     Conditioning on X_i = X_j = 0 is conditioning on X_i + X_j and
     X_i - X_j, which are uncorrelated with variances 2 (1 +- t r_ij), so
     the rest's covariance is
     C_ab = (1 - t) [a = b] + t r_ab
            - t^2 (p_a p_b / 2 (1 + t r_ij) + m_a m_b / 2 (1 - t r_ij))
-    with p_a, m_a = n_a . (n_i +- n_j) for the unit normals n.  Each
-    factor is taken from the normals and angles, not as a difference of
-    correlations, so nearly parallel or antiparallel normals keep their
-    precision.  The value depends on nothing but the bits of N, which
-    is what lets one quadrature stand for a whole class (_cone_classes).
+    with p_a, m_a = r_ai +- r_aj.  At the outer level these are
+    n_a . (n_i +- n_j) for the unit normals n, and asin(r_ij) is half the
+    difference of the angles between n_i and -n_j and between n_i and n_j,
+    so nearly parallel or antiparallel normals keep their precision.  The
+    value depends on nothing but the bits of N, which is what lets one
+    quadrature stand for a whole class (_cone_classes).
+
+    Error budget: each level takes a value only when its two rules agree
+    to QUADRATURE_TOL, and its pair weights alpha / 2pi add up to at most
+    C(k, 2) / 4, so k variables are off by e_k <= QUADRATURE_TOL +
+    C(k, 2) / 4 e_(k-2), e_2 = e_3 = rounding: 1e-13 for k = 4, 5, 4.75e-13
+    for 6, 6.25e-13 for 7 and 3.4e-12 for 8 (measured: far less, see
+    EXACT_STDERR).  A nested value no rule passes is NaN, which fails the
+    enclosing check; at the outer level QuadratureError names the cone.
+
+    Cost of one cone on a 2-vCPU x86 box (Python 3.11, numpy 2.4): 1 ms
+    at k = 4, 5; 0.06-0.2 s at k = 6, 1-2 s when the outer level needs the
+    graded rule; 0.3-0.9 s at k = 7; 8 minutes at k = 8 (482 s and 100 MiB
+    peak for the equicorrelated cone: 2.2e9 arcsines, 96 nodes a level).
     """
     k = n.shape[0]
-    q = k - 2
-    i, j, rest, a, b, oa, ob = _plackett_layout(k)
+    i, j, rest, a, b, _, _ = _plackett_layout(k)
     plus, minus = n[i] + n[j], n[i] - n[j]
     # angles between n_i and n_j and between n_i and -n_j; asin(r_ij) is half their difference
     beta, gamma = np.array(
@@ -332,33 +354,75 @@ def _orthant_quadrature(n: np.ndarray, cone_id: str) -> float:
         return 2.0**-k
     rest, plus, minus, alpha, beta, gamma = (x[used] for x in (rest, plus, minus, alpha, beta, gamma))
     p, m = _dot(n[rest], plus[:, None, :]), _dot(n[rest], minus[:, None, :])
+    off = np.where(a == b, 0.0, _dot(n[rest[:, a]], n[rest[:, b]]))
+    value, gap = _plackett(k, p[None], m[None], off[None], alpha[None], beta[None], gamma[None])
+    if not gap[0] <= QUADRATURE_TOL:
+        raise QuadratureError(
+            f"solid angle of cone {cone_id}: quadrature rules disagree by {gap[0]:.3e} "
+            f"(tolerance {QUADRATURE_TOL:.1e})"
+        )
+    return float(value[0])
+
+
+def _plackett(k, p, m, off, alpha, beta, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """Plackett's integral for a batch of k-variate laws: each one's value (NaN if no rule passes) and rule gap.
+
+    Row l of each argument is law l, a column per pair (i, j): alpha =
+    asin(r_ij), beta, gamma = pi/2 -+ alpha, and over the rest p_a, m_a and
+    r_ab (off, as _plackett_layout's a, b, zero on the diagonal).  A pair
+    with alpha = 0 adds nothing.  The laws go through each rule in chunks
+    of at most _CHUNK elements per array, so memory stays bounded at every
+    level, and no law's bits depend on the rest of its batch.
+    """
+    q = k - 2
+    _, _, _, a, b, oa, ob = _plackett_layout(k)
     on_diag = (a == b).astype(float)
-    off = np.where(on_diag, 0.0, _dot(n[rest[:, a]], n[rest[:, b]]))[:, None, :]
-    pp = (p[:, a] * p[:, b] / 2.0)[:, None, :]
-    mm = (m[:, a] * m[:, b] / 2.0)[:, None, :]
-    scale = alpha / (2.0 * math.pi)
+    pp, mm = p[..., a] * p[..., b] / 2.0, m[..., a] * m[..., b] / 2.0
+    laws = [x[:, :, None] for x in (alpha, beta, gamma, off, pp, mm)] + [alpha / (2.0 * math.pi)]
+    value, gap = np.full(len(alpha), np.nan), np.full(len(alpha), np.nan)
+    where = np.arange(len(alpha))  # the open laws' rows of value and gap
     for nodes, gaps, coarse, fine in _plackett_rules():
-        theta = alpha[:, None] * nodes
-        t = np.sin(theta) / np.sin(alpha)[:, None]
-        # 1 -+ sin(theta) = 2 sin^2((pi/2 -+ theta) / 2), where pi/2 - theta = beta + gap alpha
-        one_minus = 2.0 * np.sin((beta[:, None] + gaps * alpha[:, None]) / 2.0) ** 2
-        one_plus = 2.0 * np.sin((gamma[:, None] - gaps * alpha[:, None]) / 2.0) ** 2
-        t, one_minus, one_plus = t[:, :, None], one_minus[:, :, None], one_plus[:, :, None]
-        with np.errstate(invalid="ignore", divide="ignore"):  # a NaN fails the check below
-            cov = on_diag + t * off - t * t * (pp / one_plus + mm / one_minus)
-            var = cov[:, :, :q]
-            rho = cov[:, :, q:] / np.sqrt(var[:, :, oa] * var[:, :, ob])
-        clipped = np.clip(rho, -1.0, 1.0)
-        arcsines = np.fromiter(map(math.asin, clipped.ravel().tolist()), float, clipped.size)
-        orthant = 2.0**-q + arcsines.reshape(clipped.shape).sum(axis=2) / (2.0 ** (q - 1) * math.pi)
-        low = 2.0**-k + float(_dot(_dot(orthant, coarse), scale))
-        high = 2.0**-k + float(_dot(_dot(orthant, fine), scale))
-        if abs(high - low) <= QUADRATURE_TOL:
-            return high
-    raise QuadratureError(
-        f"solid angle of cone {cone_id}: quadrature rules disagree by {abs(high - low):.3e} "
-        f"(tolerance {QUADRATURE_TOL:.1e})"
-    )
+        step = max(1, _CHUNK // (nodes.size * off[0].size))
+        for start in range(0, where.size, step):
+            al, be, ga, of, p2, m2, scale = (x[start : start + step] for x in laws)
+            # 1 -+ sin(theta) = 2 sin^2((pi/2 -+ theta) / 2), where pi/2 - theta = beta + gap alpha
+            one_minus = 2.0 * np.sin((be + gaps * al) / 2.0) ** 2
+            one_plus = 2.0 * np.sin((ga - gaps * al) / 2.0) ** 2
+            with np.errstate(invalid="ignore", divide="ignore"):  # a NaN fails the check below
+                t = np.sin(al * nodes) / np.sin(al)  # 0 / 0 where alpha = 0, masked below
+                t, one_minus, one_plus = t[..., None], one_minus[..., None], one_plus[..., None]
+                cov = on_diag + t * of - t * t * (p2 / one_plus + m2 / one_minus)
+                var = cov[..., :q]
+                rho = cov[..., q:] / np.sqrt(var[..., oa] * var[..., ob])
+            orthant = np.where(al != 0.0, _orthants(q, np.clip(rho, -1.0, 1.0)), 0.0)
+            low = 2.0**-k + _dot(_dot(orthant, coarse), scale)
+            high = 2.0**-k + _dot(_dot(orthant, fine), scale)
+            rows = where[start : start + step]
+            value[rows], gap[rows] = high, np.abs(high - low)
+        still = ~(gap[where] <= QUADRATURE_TOL)
+        if not still.any():
+            break
+        where, laws = where[still], [x[still] for x in laws]
+    return np.where(gap <= QUADRATURE_TOL, value, np.nan), gap
+
+
+def _orthants(q: int, r: np.ndarray) -> np.ndarray:
+    """P(Y >= 0) for q-variate laws with unit variances and correlations r (a stack, in _plackett_layout's pair order).
+
+    The arcsines of r give the closed form for q <= 3 and are alpha for
+    q >= 4, where _plackett gets p_a, m_a = r_ai +- r_aj.
+    """
+    arcsines = np.fromiter(map(math.asin, r.ravel().tolist()), float, r.size).reshape(r.shape)
+    if q <= 3:
+        return 2.0**-q + arcsines.sum(axis=-1) / (2.0 ** (q - 1) * math.pi)
+    i, j, rest, a, b, _, _ = _plackett_layout(q)
+    alpha = arcsines.reshape(-1, r.shape[-1])
+    full = np.ones((len(alpha), q, q))
+    full[:, i, j] = full[:, j, i] = r.reshape(alpha.shape)
+    ri, rj = full[:, rest, i[:, None]], full[:, rest, j[:, None]]
+    off = np.where(a == b, 0.0, full[:, rest[:, a], rest[:, b]])
+    value = _plackett(q, ri + rj, ri - rj, off, alpha, math.pi / 2.0 - alpha, math.pi / 2.0 + alpha)[0]
+    return value.reshape(r.shape[:-1])
 
 
 def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | None = None) -> list[float]:
@@ -373,13 +437,11 @@ def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | Non
     normals is a k-dimensional cone times a flat factor, so the formulas
     hold in any ambient dimension; every cone of a simplex in d <= 3 has
     k <= 3.  Beyond three facets there is no elementary formula (Ribando,
-    "Measuring solid angles beyond dimension three", 2006), but for k = 4
-    and 5, which covers every cone in d <= 5, the fraction is the normal
-    orthant probability P(H Z >= 0), a 1-D integral of closed forms
-    (_orthant_quadrature).  Its value is returned only when two
-    quadrature rules agree to QUADRATURE_TOL; QuadratureError, naming
-    the cone, is raised when no pair of rules does.  So d <= 5 is exact
-    and d >= 6 is left to Monte Carlo (solid_angle_fraction).
+    "Measuring solid angles beyond dimension three", 2006), but the
+    fraction is the normal orthant probability P(H Z >= 0), a checked
+    quadrature, nested from k = 6 on (_orthant_quadrature, which gives
+    its error budget and cost), which raises QuadratureError naming the
+    cone when no pair of rules agrees.
 
     The quadrature runs once per distinct class key (_cone_classes), on
     the first cone with it, so cones equal up to a signed permutation of
@@ -402,7 +464,7 @@ def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | Non
         if k == 2:
             return [(math.pi - a) / (2.0 * math.pi) for a in angles[0]]
         return [(2.0 * math.pi - a01 - a02 - a12) / (4.0 * math.pi) for a01, a02, a12 in zip(*angles)]
-    if k in (4, 5) and d >= k:
+    if k >= 4 and d >= k:
         classes = {} if classes is None else classes
         out = []
         for n, cone_id in zip(_cone_classes(halfspaces), ids):

@@ -42,8 +42,19 @@ VOLUME_EPS_REL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 
 
+def _numbers(values) -> bool:
+    """True when every entry of nested lists, tuples and arrays is an int or a float (numpy reads True and "1" as 1)."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(map(_numbers, values))
+    return isinstance(values, (int, float, np.integer, np.floating)) and not isinstance(values, bool)
+
+
 def as_point(p, d: int | None = None) -> Point:
-    """Coerce ``p`` to a validated 1-D float64 coordinate array."""
+    """Coerce ``p`` to a validated 1-D float64 coordinate array; each coordinate must be an int or a float."""
+    if not _numbers(p):
+        raise DimensionMismatch("a point must be a list of numbers")
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D coordinate sequence, got shape {arr.shape}")
@@ -198,13 +209,16 @@ def make_simplex(vertices, id: str = "S") -> Simplex:
 
     Raises
     ------
-    DimensionMismatch : a coordinate is not a number, point dimensions
-        disagree or the count is not d+1.
+    DimensionMismatch : a coordinate is not an int or a float (a bool or
+        a numeric string is refused), point dimensions disagree or the
+        count is not d+1.
     UnsupportedDimension : ambient dimension below 2.
     InvalidPoint : NaN or infinite coordinate, or one so large that h^d
         may overflow or that is beyond the float range.
     DegenerateSimplex : volume at or below the relative threshold.
     """
+    if not _numbers(vertices):
+        raise DimensionMismatch("each vertex must be a list of numbers, all of one length")
     try:
         arr = np.array(vertices, dtype=float)
     except OverflowError as exc:  # an int beyond the float range

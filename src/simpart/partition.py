@@ -9,11 +9,11 @@ can be counted and audited against the bound
 regularity ratio.
 
 verify_theorem is the end-to-end check: it measures the solid-angle
-fraction of every (leaf, vertex) cone (exactly in d <= 5, by Monte
-Carlo in d >= 6), compares each against the per-simplex lower bound, sums
-the fractions around every registry vertex (they must tile the sphere
-of directions at interior points), and compares the observed maximum
-valence with the theoretical bound, in stacked passes over the leaf ids.
+fraction of every (leaf, vertex) cone exactly, compares each against the
+per-simplex lower bound, sums the fractions around every registry vertex
+(they must tile the sphere of directions at interior points), and
+compares the observed maximum valence with the theoretical bound, in
+stacked passes over the leaf ids.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ import numpy as np
 
 from .cones import (
     EXACT_STDERR,
-    MonteCarloConfig,
-    VertexCone,
     cone_at_point,
     exact_solid_angle_fraction,
     exact_solid_angle_fractions,
     max_intersection_bound,
     per_simplex_angle_bound,
-    solid_angle_fraction,
+    solid_angle_fraction,  # not called here; bound for perfbench/tracing.py's span of it
 )
 from .errors import (
     DimensionMismatch,
@@ -59,14 +57,6 @@ from .geometry import (
     make_simplex,
     regularity_ratio,  # not called here; bound for perfbench/tracing.py's span of it
 )
-
-# Entropy tags for audit streams, disjoint from the cone-measure tags.
-_PAIR_TAG = 303
-_SUBSAMPLE_TAG = 404
-
-# Above this many (leaf, vertex) pairs a Monte Carlo audit (d >= 6) draws
-# a seeded subsample; the exact route of d <= 5 always audits every pair.
-AUDIT_PAIR_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -610,15 +600,11 @@ class DecompositionCheck(NamedTuple):
 
 @dataclass
 class TheoremReport:
-    """Outcome of verify_theorem.
+    """Outcome of verify_theorem, with a VertexCheck for each of the total_pairs (leaf, vertex) pairs.
 
-    method is "exact" when every cone was measured without sampling
-    (d <= 5: closed forms up to three facets, a checked quadrature for
-    four and five) and "monte-carlo" in d >= 6; samples_per_cone and
-    seed record the sampling budget, which the exact route does not
-    draw on.  cone_classes is the number of quadratures the exact route
-    ran, one per class key of four- and five-facet cones, corner or face
-    (0 in d <= 3 and on the Monte Carlo route); it is not in the report.
+    cone_classes is the number of quadratures the audit ran, one per class
+    key of cones with four or more facets, corner or face (0 in d <= 3);
+    it is not in the report.
     """
 
     d: int
@@ -626,11 +612,7 @@ class TheoremReport:
     theoretical_bound: float
     max_observed_valence: int
     witness: np.ndarray
-    samples_per_cone: int
-    seed: int
     total_pairs: int
-    audited_pairs: int
-    method: str
     per_vertex_checks: list[VertexCheck] = field(default_factory=list)
     decomposition_checks: list[DecompositionCheck] = field(default_factory=list)
     valence_ok: bool = True
@@ -670,16 +652,6 @@ def boundary_vertex_mask(p: Partition) -> np.ndarray:
     return mask
 
 
-def _pair_config(mc: MonteCarloConfig, leaf_id: int, vertex_id: int) -> MonteCarloConfig:
-    """Per-pair sampling config with a seed derived from (seed, pair).
-
-    Each (leaf, vertex) cone gets its own stream, so estimates do not
-    depend on audit order and re-runs are byte-identical.
-    """
-    derived = int(np.random.SeedSequence([mc.seed, _PAIR_TAG, leaf_id, vertex_id]).generate_state(1)[0])
-    return MonteCarloConfig(samples=mc.samples, seed=derived, shards=mc.shards)
-
-
 def _corner_normals(p: Partition, leaves) -> np.ndarray:
     """(m, d+1, d, d) half-space matrices of the leaves' corner cones, [i, k] at vertex k of leaf i.
 
@@ -691,35 +663,25 @@ def _corner_normals(p: Partition, leaves) -> np.ndarray:
     return _gradients(p._corners(leaves))[:, [[r for r in range(d + 1) if r != k] for k in range(d + 1)]]
 
 
-def verify_theorem(
-    p: Partition,
-    mc: MonteCarloConfig = MonteCarloConfig(samples=100_000, seed=42, shards=4),
-    full_audit: bool = False,
-) -> TheoremReport:
+def verify_theorem(p: Partition) -> TheoremReport:
     """End-to-end audit of the intersection-number bound.
 
     Steps: compute eta_min and the theoretical bound N(eta_min, d);
     locate every registry vertex by one tree descent, whose (vertex,
     leaf) incidences give both the valences and the leaves around each
     vertex; measure the solid-angle fraction of each (leaf, vertex) cone
-    (on the Monte Carlo route, above AUDIT_PAIR_CAP pairs, a seeded
-    uniform subsample is audited instead unless full_audit);
-    check each fraction against the per-simplex bound minus 3 stderr;
-    and sum the fractions of the incident leaves around every vertex
-    none of whose corner pairs was subsampled away, measuring the face
-    cone of each leaf the vertex hangs on (interior sums must hit 1
+    and check it against the per-simplex bound minus 3 stderr; and sum
+    the fractions of the incident leaves around every vertex, with the
+    face cone of each leaf the vertex hangs on (interior sums must hit 1
     within 4 combined stderr, boundary sums must not exceed 1 by more).
 
     The corner cones are one stack (_corner_normals), and each leaf's
-    rho (Partition.regularity) and bound are computed once.  In d <= 5
-    one exact_solid_angle_fractions call measures the stack with stderr
+    rho (Partition.regularity) and bound are computed once.  One
+    exact_solid_angle_fractions call measures the stack with stderr
     EXACT_STDERR (closed forms up to three facets, one checked quadrature
-    per cone class for four and five, which raises QuadratureError naming
-    the cone), every pair is audited, and mc and full_audit play no part;
-    in d >= 6 each pair draws mc.samples directions from its own stream.
+    per cone class beyond, which raises QuadratureError naming the cone).
     Only the face cones of hanging vertices are cut by cone_at_point, from
-    Partition.simplex, in (vertex, leaf) order, and only for vertices
-    whose sums are kept.
+    Partition.simplex, in (vertex, leaf) order, with the same classes.
 
     The records are built from columns: both verdicts of every pair come
     from one numpy comparison, and the VertexChecks and
@@ -744,47 +706,24 @@ def verify_theorem(
     witness_id = int(np.argmax(valences))
     max_val = int(valences[witness_id])
 
-    exact = d <= 5
     width = d + 1
     total_pairs = len(leaves) * width
     # pair c is corner c % width of the (c // width)-th leaf
-    audited = np.arange(total_pairs)
-    if not exact and total_pairs > AUDIT_PAIR_CAP and not full_audit:
-        rng = np.random.default_rng(np.random.SeedSequence([mc.seed, _SUBSAMPLE_TAG]))
-        audited = np.sort(rng.choice(total_pairs, size=AUDIT_PAIR_CAP, replace=False))
-    slot = np.repeat(np.arange(len(leaves)), width)[audited].tolist()  # each audited pair's index in leaves
-    corner = np.tile(np.arange(width), len(leaves))[audited].tolist()
+    slot = np.repeat(np.arange(len(leaves)), width).tolist()  # each pair's index in leaves
+    corner = np.tile(np.arange(width), len(leaves)).tolist()
     leaf_col = list(map(leaves.__getitem__, slot))
-    vid_col = p._vertex_ids[leaves].ravel()[audited].tolist()
+    vid_col = p._vertex_ids[leaves].ravel().tolist()
     cone_ids = list(map("%d:v%d".__mod__, zip(leaf_col, corner)))
-    normals = _corner_normals(p, leaves).reshape(total_pairs, d, d)
-
-    classes: dict = {}  # the exact route's fraction of each cone class, local to this audit
-
-    def measure(cone: VertexCone, leaf: int, vid: int) -> tuple[float, float]:
-        if exact:
-            return exact_solid_angle_fraction(cone, classes), EXACT_STDERR
-        est = solid_angle_fraction(cone, _pair_config(mc, leaf, vid))
-        return est.fraction, est.stderr
-
-    if exact:
-        fraction = exact_solid_angle_fractions(normals, cone_ids, classes)
-        stderr = [EXACT_STDERR] * total_pairs
-    else:
-        fraction, stderr = zip(
-            *[
-                measure(VertexCone(p.vertex_coords(vid), normals[c], cone_id), leaf, vid)
-                for c, leaf, vid, cone_id in zip(audited.tolist(), leaf_col, vid_col, cone_ids)
-            ]
-        )
+    classes: dict = {}  # the fraction of each cone class, local to this audit
+    fraction = exact_solid_angle_fractions(_corner_normals(p, leaves).reshape(total_pairs, d, d), cone_ids, classes)
 
     # the records share each leaf's rho and bound, as Python floats
     rho = p.regularity(leaves)
     strong = [per_simplex_angle_bound(r, d) for r in rho]
     rho_col, strong_col = list(map(rho.__getitem__, slot)), list(map(strong.__getitem__, slot))
-    fraction_at, stderr_at = np.array(fraction), np.array(stderr)
-    bounds = np.array([strong_col, [uniform_bound] * audited.size])
-    passed_strong, passed_uniform = (fraction_at >= bounds - 3.0 * stderr_at).tolist()
+    fraction_at = np.array(fraction)
+    bounds = np.array([strong_col, [uniform_bound] * total_pairs])
+    passed_strong, passed_uniform = (fraction_at >= bounds - 3.0 * EXACT_STDERR).tolist()
     checks = list(
         map(
             VertexCheck._make,
@@ -793,7 +732,7 @@ def verify_theorem(
                 vid_col,
                 cone_ids,
                 fraction,
-                stderr,
+                itertools.repeat(EXACT_STDERR),
                 rho_col,
                 strong_col,
                 itertools.repeat(uniform_bound),
@@ -806,24 +745,18 @@ def verify_theorem(
     # every incidence, in (vertex, leaf) order: the order of the sums
     order = np.lexsort((at_leaf, at_vertex))
     inc_vertex, inc_leaf = at_vertex[order], at_leaf[order]
-    # an incidence at corner k of its leaf takes its pair's measurement, or
-    # drops its vertex when a Monte Carlo subsample left that pair out
+    # an incidence at corner k of its leaf takes its pair's measurement
     at, k = np.nonzero(p._vertex_ids[inc_leaf] == inc_vertex[:, None])
     leaf_slot = np.zeros(p._n_nodes, dtype=np.intp)
     leaf_slot[leaves] = np.arange(len(leaves))
-    position = np.full(total_pairs, -1)  # each pair's index among the audited ones
-    position[audited] = np.arange(audited.size)
-    pair = position[leaf_slot[inc_leaf[at]] * width + k]
-    dropped = np.zeros(n, dtype=bool)
-    dropped[inc_vertex[at[pair < 0]]] = True
-    terms = np.zeros((inc_vertex.size, 2))  # each incidence's fraction and stderr, then stderr squared
-    terms[at[pair >= 0]] = np.column_stack([fraction_at, stderr_at])[pair[pair >= 0]]
+    terms = np.full((inc_vertex.size, 2), EXACT_STDERR)  # each incidence's fraction and stderr, then stderr squared
+    terms[at, 0] = fraction_at[leaf_slot[inc_leaf[at]] * width + k]
     # the others hang on a face of their leaf: its face cone, cut and measured in this order
-    face = ~dropped[inc_vertex]
-    face[at] = False
-    face = np.flatnonzero(face)
+    face = np.zeros(inc_vertex.size, dtype=bool)
+    face[at] = True
+    face = np.flatnonzero(~face)
     for row, leaf, vid in zip(face.tolist(), inc_leaf[face].tolist(), inc_vertex[face].tolist()):
-        terms[row] = measure(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), leaf, vid)
+        terms[row, 0] = exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), classes)
     terms[:, 1] *= terms[:, 1]
 
     # Each sum is taken left to right, as a Python loop would take it (from
@@ -847,13 +780,8 @@ def verify_theorem(
     sigma = np.sqrt(variance)
     interior = ~boundary_vertex_mask(p)
     passed = np.where(interior, np.abs(total - 1.0) <= 4.0 * sigma, total <= 1.0 + 4.0 * sigma)
-    kept = np.flatnonzero(~dropped)
-    decomposition = list(
-        map(
-            DecompositionCheck._make,
-            zip(*(a.tolist() for a in (kept, interior[kept], valences[kept], total[kept], sigma[kept], passed[kept]))),
-        )
-    )
+    columns = (np.arange(n), interior, valences, total, sigma, passed)
+    decomposition = list(map(DecompositionCheck._make, zip(*(a.tolist() for a in columns))))
 
     return TheoremReport(
         d=d,
@@ -861,11 +789,7 @@ def verify_theorem(
         theoretical_bound=bound_n,
         max_observed_valence=max_val,
         witness=p.vertex_coords(witness_id).copy(),
-        samples_per_cone=mc.samples,
-        seed=mc.seed,
         total_pairs=total_pairs,
-        audited_pairs=audited.size,
-        method="exact" if exact else "monte-carlo",
         per_vertex_checks=checks,
         decomposition_checks=decomposition,
         valence_ok=max_val <= bound_n,

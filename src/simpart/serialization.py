@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .cones import FractionEstimate
-from .errors import EmptyPartition
+from .errors import DimensionMismatch, EmptyPartition, SimpartError
 from .geometry import Simplex, make_simplex
 from .optimizer import TraceRow
 from .partition import Partition, TheoremReport
@@ -127,17 +127,19 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 def read_partition(path) -> Partition:
     """Rebuild a partition by replaying its refinement log.
 
-    The format string must be PARTITION_FORMAT, so a file of another
-    format (the node table of older versions, or a log of another
-    bisection rule) is refused.  A root goes in through add_root, which
-    validates its coordinates.  A split id must be an int (not a bool)
-    naming a leaf already built.  Each maximal run of split ids of
-    distinct leaves built before the run is replayed by one
-    Partition.volumes call, so a degenerate node stops the replay as it
-    stops refine, and one Partition.bisect_leaves call, which gives the
-    ids and registry of one bisection after another; a bisect-all-leaves
-    file replays one round per generation.  Which nodes are split is
-    kept in a bytearray, so the run detection reads no numpy scalar.
+    The format string must be PARTITION_FORMAT, so a file of another format
+    (the node table of older versions, or a log of another bisection rule)
+    is refused.  Entry 0 must be a root of d + 1 vertices before the
+    partition is built.  A root goes in through add_root, which validates
+    its coordinates, and its error is re-raised naming the log entry.  A
+    split id must be an int (not a bool) naming a leaf already built.  Each
+    maximal run of split ids of distinct leaves built before the run is
+    replayed by one Partition.volumes call, so a degenerate node stops the
+    replay as it stops refine, and one Partition.bisect_leaves call, which
+    gives the ids and registry of one bisection after another; a
+    bisect-all-leaves file replays one round per generation.  Which nodes
+    are split is kept in a bytearray, so the run detection reads no numpy
+    scalar.
     """
     doc = _read_object(path, "partition")
     if doc.get("format") != PARTITION_FORMAT:
@@ -149,6 +151,10 @@ def read_partition(path) -> Partition:
         raise ValueError(f"partition: log must be a list, got {type(log).__name__}")
     if not log:
         raise EmptyPartition("partition file contains no nodes")
+    if not isinstance(log[0], list):  # no node is built before entry 0, so it is a root
+        raise ValueError(_bad_entry(log[0], 0, 0))
+    if d != len(log[0]) - 1:
+        raise DimensionMismatch(f"partition: d is {d}, but log entry 0 is a root of {len(log[0])} vertices")
 
     p = Partition(d)
     n = len(log)
@@ -156,7 +162,10 @@ def read_partition(path) -> Partition:
     k = 0  # the entries below k have been replayed
     while k < n:
         if isinstance(log[k], list):
-            p.add_root(log[k])
+            try:
+                p.add_root(log[k])
+            except SimpartError as exc:
+                raise type(exc)(f"partition: log entry {k}: {exc}") from exc
             k += 1
             continue
         built = p._n_nodes

@@ -236,7 +236,7 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,
         "verify", str(p_path),
-        "--samples", "20000", "--shards", "2", "--seed", "42",
+        "--samples", "20000", "--seed", "42",
         "--report", str(report_path),
     )
     assert code == 0
@@ -260,11 +260,25 @@ def test_verify_report_reruns_are_byte_identical(tmp_path, capsys):
         code, _, _ = run_cli(
             capsys,
             "verify", str(p_path),
-            "--samples", "10000", "--shards", "2", "--seed", "7",
+            "--samples", "10000", "--seed", "7",
             "--report", str(report),
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_verify_ignores_the_sampling_flags(tmp_path, capsys):
+    # every cone is measured exactly, so --samples and --seed, still
+    # accepted, change neither the report nor the summary line
+    p_path = tmp_path / "p.json"
+    write_partition(refine(kuhn_triangulation(4), 1), p_path)
+    outputs = []
+    for k, flags in enumerate([[], ["--samples", "17"], ["--seed", "5"], ["--samples", "2000", "--seed", "9"]]):
+        report = tmp_path / f"{k}.csv"
+        code, out, _ = run_cli(capsys, "verify", str(p_path), *flags, "--report", str(report))
+        assert code == 0 and out.strip().endswith("audited=240/240 method=exact PASS")
+        outputs.append((out, report.read_bytes()))
+    assert all(o == outputs[0] for o in outputs)
 
 
 def test_verify_refuses_an_unchecked_quadrature(tmp_path, capsys, monkeypatch):
@@ -288,7 +302,7 @@ def test_verify_fails_on_overlapping_cells(tmp_path, capsys):
     p_path = tmp_path / "stack.json"
     write_partition(partition_from_simplices(stack), p_path)
     code, out, _ = run_cli(
-        capsys, "verify", str(p_path), "--samples", "2000", "--shards", "2"
+        capsys, "verify", str(p_path), "--samples", "2000"
     )
     assert code == 1
     assert out.strip().endswith("FAIL")
@@ -357,6 +371,25 @@ def _non_numeric_root(tmp_path):
     return _edited_kuhn2(tmp_path, lambda doc: doc["log"][1][2].__setitem__(0, "x"))
 
 
+def _string_coordinate(tmp_path):
+    # numpy reads the string "1" as 1.0; a coordinate must be a JSON number
+    return _edited_kuhn2(tmp_path, lambda doc: doc["log"][1][2].__setitem__(0, "1"))
+
+
+def _bool_coordinate(tmp_path):
+    # numpy reads true as 1, which would make this the root [0, 1] it replaces
+    def edit(doc):
+        assert doc["log"][1][1] == [0, 1]
+        doc["log"][1][1] = [0, True]
+
+    return _edited_kuhn2(tmp_path, edit)
+
+
+def _huge_d(tmp_path):
+    # no root has 10^20 + 1 vertices, so d is refused before a partition of that dimension is built
+    return _edited_kuhn2(tmp_path, lambda doc: doc.__setitem__("d", 10**20))
+
+
 def _degenerate_root(tmp_path):
     return _edited_kuhn2(tmp_path, lambda doc: doc["log"].__setitem__(1, [[0, 0], [1, 1], [0.5, 0.5]]))
 
@@ -410,11 +443,14 @@ MALFORMED = {
     _unknown_format: "simpart-refinement-log-0",
     _non_integer_d: "d must be an integer",
     _log_not_a_list: "log must be a list",
-    _root_of_wrong_shape: "d+1 vertices",
-    _non_numeric_root: "list of numbers",
-    _degenerate_root: "degenerate",
-    _huge_root_vertex: "too large",
-    _huge_extra_vertex: "too large",
+    _huge_d: "d is 100000000000000000000, but log entry 0 is a root of 3 vertices",
+    _root_of_wrong_shape: "log entry 1: need d+1 vertices",
+    _non_numeric_root: "log entry 1: each vertex must be a list of numbers",
+    _string_coordinate: "log entry 1: each vertex must be a list of numbers",
+    _bool_coordinate: "log entry 1: each vertex must be a list of numbers",
+    _degenerate_root: "log entry 1: volume 0.000e+00 is degenerate",
+    _huge_root_vertex: "log entry 0: vertex coordinates too large",
+    _huge_extra_vertex: "log entry 8: vertex coordinates too large",
     _non_integer_parent: "True, neither a root",
     _non_integer_node_id: "'three', neither a root",
     _out_of_range_parent: "node -1, which is not built",
@@ -621,15 +657,14 @@ def assert_report_writer_matches_the_oracle(report, tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["exact kuhn3@2", "monte-carlo corner6@2", "hanging largest-kuhn2@11"])
+@pytest.mark.parametrize("name", ["exact kuhn3@2", "exact corner6@2", "hanging largest-kuhn2@11"])
 def test_report_writer_oracle_on_real_audits(tmp_path, name):
     p = {
         "exact kuhn3@2": lambda: refine(kuhn_triangulation(3), 2),
-        "monte-carlo corner6@2": lambda: refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), 2),
+        "exact corner6@2": lambda: refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), 2),
         "hanging largest-kuhn2@11": lambda: refine(kuhn_triangulation(2), 11, "bisect-largest-leaf"),
     }[name]()
-    report = verify_theorem(p, MonteCarloConfig(samples=2_000, seed=3, shards=1))
-    assert report.method == ("monte-carlo" if p.d == 6 else "exact")
+    report = verify_theorem(p)
     assert report.per_vertex_checks and report.decomposition_checks
     assert_report_writer_matches_the_oracle(report, tmp_path)
 
@@ -637,7 +672,7 @@ def test_report_writer_oracle_on_real_audits(tmp_path, name):
 def test_report_writer_oracle_on_edited_rows(tmp_path):
     # failing, boundary and zero-stderr rows and extreme magnitudes, which
     # a passing audit of a unit domain never writes
-    report = verify_theorem(refine(kuhn_triangulation(2), 2), MonteCarloConfig(samples=2_000, seed=3, shards=1))
+    report = verify_theorem(refine(kuhn_triangulation(2), 2))
     values = [1e-300, 1e16, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5, 1 / 3]
 
     def value(k):
@@ -714,15 +749,15 @@ def test_runtime_imports_no_scipy():
 
 
 def test_cli_verify_agrees_with_library(tmp_path, capsys):
-    """The subcommand is a thin wrapper: same config, same verdict."""
+    """The subcommand is a thin wrapper: same verdict."""
     p = kuhn_triangulation(2)
     refine(p, 1)
     p_path = tmp_path / "p.json"
     write_partition(p, p_path)
     code, out, _ = run_cli(
-        capsys, "verify", str(p_path), "--samples", "8000", "--shards", "2", "--seed", "3"
+        capsys, "verify", str(p_path), "--samples", "8000", "--seed", "3"
     )
-    report = verify_theorem(read_partition(p_path), MonteCarloConfig(8000, 3, 2))
+    report = verify_theorem(read_partition(p_path))
     assert code == (0 if report.passed else 1)
     assert f"eta_min={fmt_float(report.eta_min)}" in out
     assert f"max_valence={report.max_observed_valence}" in out
@@ -744,17 +779,17 @@ GOLDEN_KUHN2_3_REPORT_SHA256 = "955be84ba58018fb74f0e778fadd89c9a53db5792ed58a9f
 # canonical normals.
 GOLDEN_KUHN4_1_REPORT_SHA256 = "8aa4a2ce51c24c7eab734f4d09a1c520d68a028c2ecc1c7b91a3270316a7d0a7"
 
-# kuhn(6)@0 is audited by Monte Carlo: the hash pins the per-pair streams.
-# At 2000 samples 3575 of its 5040 cones draw no hit; their stderr is
-# taken at one hit, so they pass the bound and the verdict is PASS (exit 0).
-GOLDEN_KUHN6_0_REPORT_SHA256 = "dcf67dc7477a5d1914f1986758f143f7a9fe634b1329af05b1e854c970033fe3"
+# kuhn(6)@0 is audited exactly as well: the hash pins the nested
+# quadrature of its six-facet vertex cones (7 classes, each run on its
+# canonical normals, one level of Plackett's reduction inside another).
+GOLDEN_KUHN6_0_REPORT_SHA256 = "5fa20744d1f92008ff3e33dcd88cab0db457212a75e2af5f9508609ad7b1e6ac"
 
 # Largest-leaf refinement leaves vertices hanging on the faces of leaves
-# they are not corners of, so these sums include face cones: exact in
-# kuhn(2)@40 and kuhn(4)@30, Monte Carlo streams in kuhn(6)@4.
+# they are not corners of, so these sums include face cones, measured
+# exactly in kuhn(2)@40, kuhn(4)@30 and kuhn(6)@4.
 GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256 = "fb5b1017b430f7449e47126ae8a046c979be98fd48a9aca1904445411412c777"
 GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "75db11909f72d4aa83a444d156fb922f1739b3cb06bd9e097a3049f32d781d0e"
-GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "290ba0878eb391759dec035eeab4133afaf154993326bf1659453634c917f064"
+GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "4612be08f68fc3cd251c6ff110a5bb467271289427c527ca706eaacf9600ff88"
 
 # Optimizer trace and refined partitions on the Kuhn cube: every vertex
 # is dyadic, so no edge length or midpoint depends on the BLAS kernel.

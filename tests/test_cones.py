@@ -221,16 +221,19 @@ def test_exact_tetrahedron_vertices_match_van_oosterom_strackee():
 
 
 def test_exact_rejects_cones_without_closed_form():
-    # six facets have neither a closed form nor the quadrature
-    orthant6 = cone_at_point(unit_corner(6), np.zeros(6))
+    # more facets than dimensions: the normals are dependent, which no
+    # cone of a simplex has, and the quadrature does not take them
     with pytest.raises(UnsupportedDimension):
-        exact_solid_angle_fraction(orthant6)
+        exact_solid_angle_fraction(VertexCone(np.zeros(3), np.vstack([np.eye(3), np.ones(3)])))
+    # six facets go to the nested quadrature
+    orthant6 = cone_at_point(unit_corner(6), np.zeros(6))
+    assert exact_solid_angle_fraction(orthant6) == 2.0**-6
     # three facets in d >= 4 still form a trihedral cone times a flat factor
     edge4 = VertexCone(np.zeros(4), halfspaces=np.eye(4)[:3])
     assert exact_solid_angle_fraction(edge4) == pytest.approx(0.125, abs=1e-16)
 
 
-# ------------------------------------------------- quadrature, d = 4 and 5
+# ------------------------------------- quadrature, four facets and more
 
 
 def test_quadrature_matches_30_digit_plackett_integral():
@@ -255,9 +258,20 @@ def _rotated(h, rng):
     return h @ q
 
 
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_equicorrelated_orthant_is_one_over_k_plus_one(k):
+    # k normals (e_i + e_k) / sqrt(2) meet at correlation 1/2, whose orthant
+    # probability is 1 / (k + 1); from k = 6 on the conditional orthant is
+    # itself a quadrature (one nested level at 6 and 7)
+    h = np.zeros((k, k + 1))
+    h[:, :k] = np.eye(k)
+    h[:, k] = 1.0
+    assert abs(exact_solid_angle_fraction(VertexCone(np.zeros(k + 1), h)) - 1.0 / (k + 1)) <= 1e-15
+
+
 def test_quadrature_orthant_and_block_diagonal_oracles():
     rng = np.random.default_rng(2009)
-    for k in (4, 5):
+    for k in (4, 5, 6):
         orthant = VertexCone(np.zeros(k), np.eye(k))
         assert exact_solid_angle_fraction(orthant) == 2.0**-k
         rotated = VertexCone(np.zeros(k), _rotated(np.eye(k), rng))
@@ -275,6 +289,8 @@ def test_quadrature_orthant_and_block_diagonal_oracles():
             (wedge, np.eye(3), f_wedge / 8),
             (tri, np.eye(2), f_tri / 4),
             (tri, wedge, f_tri * f_wedge),
+            (tri, tri[::-1], f_tri * f_tri),  # six facets: the nested quadrature
+            (wedge, np.eye(4), f_wedge / 16),
         ):
             h = np.zeros((len(a) + len(b),) * 2)
             h[: len(a), : len(a)] = a

@@ -7,11 +7,9 @@ import simpart.cones as cones_mod
 import simpart.partition as partition_mod
 from simpart.cones import (
     EXACT_STDERR,
-    MonteCarloConfig,
     cone_at_point,
     exact_solid_angle_fraction,
     max_intersection_bound,
-    solid_angle_fraction,
 )
 from simpart.errors import (
     DegenerateSimplex,
@@ -762,16 +760,13 @@ def test_boundary_mask_single_simplex():
 
 # ------------------------------------------------------------ verification
 
-AUDIT = MonteCarloConfig(samples=20_000, seed=42, shards=2)
-
-
 def test_verify_theorem_kuhn2():
-    report = verify_theorem(kuhn_triangulation(2), AUDIT)
+    report = verify_theorem(kuhn_triangulation(2))
     assert report.passed
     assert report.eta_min == pytest.approx(0.25, rel=1e-12)
     assert report.theoretical_bound == pytest.approx(34.15893689069427, rel=1e-9)
     assert report.max_observed_valence == 2
-    assert report.total_pairs == report.audited_pairs == 6
+    assert report.total_pairs == len(report.per_vertex_checks) == 6
     # the two diagonal endpoints are boundary vertices with sums is 0.25+0.25
     sums = {c.vertex_id: c for c in report.decomposition_checks}
     assert len(sums) == 4
@@ -780,7 +775,7 @@ def test_verify_theorem_kuhn2():
 
 def test_verify_theorem_refined_kuhn2_decomposition():
     p = refine(kuhn_triangulation(2), 4)
-    report = verify_theorem(p, AUDIT)
+    report = verify_theorem(p)
     assert report.passed
     interior = [c for c in report.decomposition_checks if c.interior]
     assert interior, "refined grid must have interior vertices"
@@ -795,7 +790,7 @@ def test_verify_theorem_refined_kuhn2_decomposition():
 
 def test_verify_theorem_single_equilateral():
     p = partition_from_simplices([canonical_simplex("regular", 2)])
-    report = verify_theorem(p, AUDIT)
+    report = verify_theorem(p)
     assert report.passed
     for check in report.per_vertex_checks:
         assert check.fraction == pytest.approx(1.0 / 6.0, abs=4 * check.stderr)
@@ -807,7 +802,7 @@ def test_verify_theorem_nonconforming_partition():
     p = refine(kuhn_triangulation(2), 11, strategy="bisect-largest-leaf")
     hanging = _hanging_vertices(p)
     assert hanging, "expected at least one hanging vertex"
-    report = verify_theorem(p, AUDIT)
+    report = verify_theorem(p)
     assert report.passed
     checked = {c.vertex_id: c for c in report.decomposition_checks}
     assert any(v in checked for v in hanging)
@@ -815,57 +810,24 @@ def test_verify_theorem_nonconforming_partition():
 
 def test_verify_theorem_is_deterministic():
     p = refine(kuhn_triangulation(2), 2)
-    a = verify_theorem(p, AUDIT)
-    b = verify_theorem(p, AUDIT)
+    a = verify_theorem(p)
+    b = verify_theorem(p)
     assert a.per_vertex_checks == b.per_vertex_checks
     assert a.decomposition_checks == b.decomposition_checks
     assert a.eta_min == b.eta_min and a.max_observed_valence == b.max_observed_valence
 
 
-def test_verify_theorem_subsample_cap(monkeypatch):
-    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", 20)
-    # 8 leaves, 56 pairs, 13 vertices, Monte Carlo route
-    p = refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), 3)
-    small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
-    capped = verify_theorem(p, small)
-    assert capped.method == "monte-carlo"
-    assert capped.total_pairs == 56 and capped.audited_pairs == 20
-    full = verify_theorem(p, small, full_audit=True)
-    assert full.audited_pairs == 56
-    # estimates are pair-seeded, so overlapping pairs agree across runs
-    by_pair = {(c.leaf_id, c.vertex_id): c.fraction for c in full.per_vertex_checks}
-    for c in capped.per_vertex_checks:
-        assert by_pair[(c.leaf_id, c.vertex_id)] == c.fraction
-    # a vertex is summed only when every leaf it is a corner of was audited
-    audited = {(c.leaf_id, c.vertex_id) for c in capped.per_vertex_checks}
-    complete = [
-        v for v in range(p.n_vertices)
-        if all((leaf, v) in audited for leaf in p.leaves if v in p.nodes[leaf].vertex_ids)
-    ]
-    assert complete
-    assert [c.vertex_id for c in capped.decomposition_checks] == complete
-
-
-@pytest.mark.parametrize(
-    "steps, strategy, cap, seeds, hanging_kept, hanging_skipped",
-    [
-        (3, "bisect-all-leaves", 20, (1,), False, False),  # test_verify_theorem_subsample_cap's audit
-        (18, "bisect-largest-leaf", 113, (1, 2, 3), True, True),
-        (18, "bisect-largest-leaf", 10_000, (1,), True, False),
-    ],
-)
-def test_monte_carlo_decomposition_sums_are_left_to_right(
-    monkeypatch, steps, strategy, cap, seeds, hanging_kept, hanging_skipped
-):
-    # the audit sums rank by rank over all vertices at once; each kept sum
-    # and its stderr must have the bits of a left-to-right sum over the
+@pytest.mark.parametrize("d, steps", [(4, 30), (6, 4)])
+def test_decomposition_sums_are_left_to_right(monkeypatch, d, steps):
+    # the audit sums rank by rank over all vertices at once; each sum and
+    # its stderr must have the bits of a left-to-right sum over the
     # vertex's incidences in ascending leaf id, face cones included, and
-    # no face cone may be cut for a vertex whose sum a subsample skipped
-    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", cap)
-    p = refine(partition_from_simplices([canonical_simplex("unit-corner", 6)]), steps, strategy)
+    # the face cones must be cut in (vertex, leaf) order
+    p = refine(kuhn_triangulation(d), steps, "bisect-largest-leaf")
     at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
     incidences = zip(at_vertex.tolist(), at_leaf.tolist())
     faces = sorted((v, leaf) for v, leaf in incidences if v not in p.nodes[leaf].vertex_ids)
+    assert faces
     vid_of = {tuple(v): k for k, v in enumerate(p.vertices.tolist())}
     calls = []
 
@@ -874,42 +836,31 @@ def test_monte_carlo_decomposition_sums_are_left_to_right(
         return cone_at_point(s, point, *args)
 
     monkeypatch.setattr(partition_mod, "cone_at_point", counted)
-    seen_kept = seen_skipped = False
-    for seed in seeds:
-        mc = MonteCarloConfig(samples=2_000, seed=seed, shards=1)
-        calls.clear()
-        report = verify_theorem(p, mc)
-        assert report.method == "monte-carlo" and report.audited_pairs == min(cap, report.total_pairs)
-        kept = {c.vertex_id for c in report.decomposition_checks}
-        assert calls == [(v, leaf) for v, leaf in faces if v in kept]
-        seen_kept |= bool(calls)
-        seen_skipped |= any(v not in kept for v, _ in faces)
-        corner = {(c.leaf_id, c.vertex_id): (c.fraction, c.stderr) for c in report.per_vertex_checks}
-        for c in report.decomposition_checks:
-            terms = []
-            for leaf in sorted(at_leaf[at_vertex == c.vertex_id].tolist()):
-                got = corner.get((leaf, c.vertex_id))
-                if got is None:  # the vertex hangs on a face of this leaf
-                    cone = cone_at_point(p.simplex(leaf), p.vertex_coords(c.vertex_id))
-                    est = solid_angle_fraction(cone, partition_mod._pair_config(mc, leaf, c.vertex_id))
-                    got = est.fraction, est.stderr
-                terms.append(got)
-            assert c.valence == len(terms)
-            assert c.fraction_sum.hex() == _sum_left_to_right(f for f, _ in terms).hex()
-            assert c.combined_stderr.hex() == math.sqrt(_sum_left_to_right(se * se for _, se in terms)).hex()
-    assert (seen_kept, seen_skipped) == (hanging_kept, hanging_skipped)
+    report = verify_theorem(p)
+    assert calls == faces
+    assert len(report.decomposition_checks) == p.n_vertices
+    classes = {}
+    corner = {(c.leaf_id, c.vertex_id): (c.fraction, c.stderr) for c in report.per_vertex_checks}
+    for c in report.decomposition_checks:
+        terms = []
+        for leaf in sorted(at_leaf[at_vertex == c.vertex_id].tolist()):
+            got = corner.get((leaf, c.vertex_id))
+            if got is None:  # the vertex hangs on a face of this leaf
+                cone = cone_at_point(p.simplex(leaf), p.vertex_coords(c.vertex_id))
+                got = exact_solid_angle_fraction(cone, classes), EXACT_STDERR
+            terms.append(got)
+        assert c.valence == len(terms)
+        assert c.fraction_sum.hex() == _sum_left_to_right(f for f, _ in terms).hex()
+        assert c.combined_stderr.hex() == math.sqrt(_sum_left_to_right(se * se for _, se in terms)).hex()
 
 
-def test_exact_audit_ignores_the_pair_cap(monkeypatch):
-    # the cap saves sampling time, which the exact route does not spend,
-    # so a d <= 3 audit checks every pair and every sum whatever the seed
-    monkeypatch.setattr(partition_mod, "AUDIT_PAIR_CAP", 10)
+def test_exact_audit_ignores_the_pair_cap():
+    # there is no pair cap: an audit checks every pair and every sum
     p = refine(kuhn_triangulation(2), 3)  # 16 leaves, 48 pairs, 25 vertices
-    for seed in (1, 2):
-        report = verify_theorem(p, MonteCarloConfig(samples=2_000, seed=seed, shards=1))
-        assert report.method == "exact" and report.passed
-        assert report.total_pairs == report.audited_pairs == 48
-        assert len(report.decomposition_checks) == p.n_vertices
+    report = verify_theorem(p)
+    assert report.passed
+    assert report.total_pairs == len(report.per_vertex_checks) == 48
+    assert len(report.decomposition_checks) == p.n_vertices
 
 
 def _sum_left_to_right(values):
@@ -949,8 +900,8 @@ def test_exact_interior_sums_are_one(d, steps, strategy):
     # at hanging vertices included; in kuhn(5)@12 the hanging centre
     # collects face cones with four facets
     p = refine(kuhn_triangulation(d), steps, strategy=strategy)
-    report = verify_theorem(p, AUDIT)
-    assert report.method == "exact" and report.passed
+    report = verify_theorem(p)
+    assert report.passed
     assert all(c.stderr == EXACT_STDERR for c in report.per_vertex_checks)
     interior = [c for c in report.decomposition_checks if c.interior]
     assert interior
@@ -961,6 +912,24 @@ def test_exact_interior_sums_are_one(d, steps, strategy):
         assert hanging & {c.vertex_id for c in report.decomposition_checks}
         if (d, steps) != (4, 30):  # there every hanging vertex lies on the boundary
             assert hanging & {c.vertex_id for c in interior}
+
+
+@pytest.mark.parametrize("d, steps", [(6, 1), (6, 2), (7, 0)])
+def test_exact_audits_pass_in_d6_and_d7(d, steps):
+    # six- and seven-facet vertex cones take one nested level of the
+    # quadrature; around a vertex x of the Kuhn cube the cones tile the
+    # cube's own tangent cone, an orthant in the m coordinates of x that
+    # are 0 or 1, so every sum is 2^-m to rounding (1 at interior vertices)
+    p = refine(kuhn_triangulation(d), steps)
+    report = verify_theorem(p)
+    assert report.passed and report.cone_classes > 0
+    assert len(report.per_vertex_checks) == report.total_pairs
+    assert all(c.stderr == EXACT_STDERR for c in report.per_vertex_checks)
+    on_cube_facets = np.count_nonzero((p.vertices == 0.0) | (p.vertices == 1.0), axis=1)
+    assert len(report.decomposition_checks) == p.n_vertices
+    for c in report.decomposition_checks:
+        assert abs(c.fraction_sum - 2.0 ** -on_cube_facets[c.vertex_id]) <= 1e-12, (c.vertex_id, c.fraction_sum)
+    assert any(c.interior for c in report.decomposition_checks) == (steps > 0)
 
 
 def _audit_case(name):
@@ -988,8 +957,8 @@ def test_audit_fractions_equal_per_cone_measurement_bitwise(name):
     def per_cone(leaf, vid):
         return exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)))
 
-    report = verify_theorem(p, AUDIT)
-    assert report.method == "exact" and report.passed
+    report = verify_theorem(p)
+    assert report.passed
     for c in report.per_vertex_checks:
         assert c.fraction.hex() == per_cone(c.leaf_id, c.vertex_id).hex()
     at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
@@ -1021,8 +990,8 @@ def test_stacked_closed_form_cones_equal_per_cone_build_bitwise(d, steps, strate
     def per_cone(leaf, vid):
         return exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)))
 
-    report = verify_theorem(p, AUDIT)
-    assert report.method == "exact" and report.passed
+    report = verify_theorem(p)
+    assert report.passed
     for c in report.per_vertex_checks:
         normals = cone_at_point(p.simplex(c.leaf_id), p.vertex_coords(c.vertex_id)).halfspaces
         assert c.fraction.hex() == per_cone(c.leaf_id, c.vertex_id).hex() == closed_form_fraction(normals).hex()
@@ -1042,24 +1011,22 @@ def test_report_counts_one_quadrature_per_cone_class(monkeypatch):
         return quadrature(n, cone_id)
 
     monkeypatch.setattr(cones_mod, "_orthant_quadrature", counted)
-    report = verify_theorem(refine(kuhn_triangulation(4), 3), AUDIT)
+    report = verify_theorem(refine(kuhn_triangulation(4), 3))
     assert report.total_pairs == 960
     assert report.cone_classes == len(calls)
     assert 0 < report.cone_classes < report.total_pairs / 5
 
 
 def test_verify_theorem_method_follows_dimension():
-    small = MonteCarloConfig(samples=2_000, seed=1, shards=1)
-    for d in (3, 4, 5):
-        report = verify_theorem(kuhn_triangulation(d), small)
-        assert report.method == "exact"
+    # one route in every dimension: closed forms up to three facets, the
+    # quadrature (nested from six facets on) beyond
+    for p in (*map(kuhn_triangulation, (3, 4, 5)), partition_from_simplices([canonical_simplex("unit-corner", 6)])):
+        report = verify_theorem(p)
+        assert report.passed
         assert all(c.stderr == EXACT_STDERR for c in report.per_vertex_checks)
-        assert (report.cone_classes > 0) == (d > 3)
-    report = verify_theorem(partition_from_simplices([canonical_simplex("unit-corner", 6)]), small)
-    assert report.method == "monte-carlo" and report.cone_classes == 0
-    assert all(c.stderr != EXACT_STDERR for c in report.per_vertex_checks)
+        assert (report.cone_classes > 0) == (p.d > 3)
 
 
 def test_verify_theorem_empty():
     with pytest.raises(EmptyPartition):
-        verify_theorem(Partition(2), AUDIT)
+        verify_theorem(Partition(2))
