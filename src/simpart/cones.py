@@ -35,10 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidEta, PointOutsideSimplex, QuadratureError, UnsupportedDimension
-from .geometry import MEMBERSHIP_TOL, Simplex, as_point, barycentric, regular_simplex_ratio
+from .geometry import MEMBERSHIP_TOL, Simplex, _norms, as_point, barycentric, regular_simplex_ratio
 
 # SeedSequence entropy tag of the direction estimator's streams.
 _DIRECTION_TAG = 101
+
+# Rows of directions the estimator draws and tests at a time.
+_DRAW_BLOCK = 1 << 16
 
 # Rounding allowance reported as the standard error of an exact fraction.
 # The closed forms are accurate to a few units in the last place (worst
@@ -140,16 +143,19 @@ def _shard_sizes(config: MonteCarloConfig) -> list[int]:
 def _count_hits(cone: VertexCone, config: MonteCarloConfig, tag: int) -> int:
     """Draws landing in the cone, over the shards of the (seed, tag) stream.
 
-    Each shard draws N(0, I) directions into one reused buffer sized to
-    the largest shard, so memory stays bounded by one shard.
+    Each shard's generator fills one reused buffer of at most _DRAW_BLOCK
+    rows at a time, and each block is tested as it is drawn.  Successive
+    fills continue the stream, so the draws are those of one call for the
+    whole shard, and memory stays bounded by one block, not one shard.
     """
     sizes = _shard_sizes(config)
-    buf = np.empty((sizes[0], cone.dimension))
+    buf = np.empty((min(_DRAW_BLOCK, sizes[0]), cone.dimension))
     hits = 0
     for shard, count in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag, shard]))
-        u = rng.standard_normal(out=buf[:count])
-        hits += int(np.count_nonzero(cone.contains_directions(u)))
+        for start in range(0, count, _DRAW_BLOCK):
+            u = rng.standard_normal(out=buf[: min(_DRAW_BLOCK, count - start)])
+            hits += int(np.count_nonzero(cone.contains_directions(u)))
     return hits
 
 
@@ -172,14 +178,6 @@ def solid_angle_fraction(cone: VertexCone, config: MonteCarloConfig = MonteCarlo
         samples=n,
         seed=config.seed,
     )
-
-
-def _norms(h: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, the squares summed left to right, not as numpy's sum pairs them."""
-    total = h[..., 0] * h[..., 0]
-    for c in range(1, h.shape[-1]):
-        total = total + h[..., c] * h[..., c]
-    return np.sqrt(total)
 
 
 def _angles(u: np.ndarray, v: np.ndarray) -> list[float]:

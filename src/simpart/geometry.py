@@ -82,18 +82,24 @@ def _volumes(verts: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(_edge_matrices(verts))) / math.factorial(verts.shape[2])
 
 
+def _norms(h: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, the squares summed left to right, not as numpy's sum pairs them."""
+    total = h[..., 0] * h[..., 0]
+    for c in range(1, h.shape[-1]):
+        total = total + h[..., c] * h[..., c]
+    return np.sqrt(total)
+
+
 def _longest_edges(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Longest edges of an (m, d+1, d) stack: (m,) lengths and the (m, 2) vertex pairs (i, j).
 
-    The squared lengths are one stacked (1, d) @ (d, 1) product per edge,
-    which numpy hands to the BLAS ``ddot`` that ``np.linalg.norm`` uses;
-    a plain sum of squares would round differently where the kernel uses
-    fused multiply-adds.  The first maximal length wins (argmax), which
-    is the lexicographically smallest pair.
+    The lengths are _norms of the edge vectors: elementwise numpy with the
+    squares summed in index order, so no BLAS kernel decides their bits
+    and a simplex gets the same lengths in any stack.  The first maximal
+    length wins (argmax), which is the lexicographically smallest pair.
     """
     i, j, pairs = _edge_pairs(verts.shape[1])
-    diff = verts.take(i, axis=1) - verts.take(j, axis=1)
-    lengths = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    lengths = _norms(verts.take(i, axis=1) - verts.take(j, axis=1))
     return lengths.max(axis=1), pairs[lengths.argmax(axis=1)]
 
 
@@ -186,10 +192,11 @@ class Simplex:
         """(length, (i, j)) of the longest edge.
 
         Exact ties are broken by the lexicographically smallest vertex
-        index pair so refinement is reproducible.  Lengths come from one
-        stacked BLAS dot, the same ``ddot`` as ``np.linalg.norm``, so they
-        equal per-pair ``norm`` calls bitwise and comparisons against h
-        elsewhere in the package are consistent.
+        index pair so refinement is reproducible.  Lengths are the square
+        roots of the squared coordinate differences summed in index order
+        (_longest_edges on a stack of one), the bits the node table's h
+        column gets on every CPU, so comparisons against h elsewhere in the
+        package are consistent.
         """
         h, pair = _longest_edges(self.vertices[None])
         return h.item(), tuple(pair[0].tolist())

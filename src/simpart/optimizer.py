@@ -23,8 +23,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ArityError, BudgetTooSmall, DegenerateSimplex, EmptyPartition
+from .geometry import _longest_edges
 from .geometry import regularity_ratio  # not called here; bound for perfbench/tracing.py's span of it
 from .partition import Partition, _grown
+
+# The most queue entries one sweep plans, and the most nodes one
+# Partition.regularity call measures after the search.
+_PLAN = 1024
 
 
 @dataclass(frozen=True)
@@ -106,31 +111,39 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     Lipschitz constant must be finite and >= 0, or the bounds order
     nothing.
 
-    The search runs in rounds.  A child whose bound does not beat its
-    parent's inherits it, so many leaves tie at the queue head, and the
-    loop would take them one after another in id order (any child pushed
-    meanwhile at the same bound has a larger id).  A round pops all of
-    them, at most one per evaluation left in the budget.  Their midpoints
-    are computed in one stacked step and walked in order: each member
-    after the first gets its trace row with the incumbent the members
-    before it left, and the round ends early at a row whose gap is <= tol.
-    The walk registers each member's midpoint as it reaches it, through
-    the registry's one insert (Partition._insert), and calls the objective
+    The search runs in sweeps.  A sweep pops a plan off the queue: its
+    next entries in heap order, at most _PLAN of them and at most a
+    quarter of the node table's rows (the children of more could outgrow
+    the doubled table _grown makes room in, and it would size the table
+    exactly instead).  One stacked pass over the plan computes every
+    member's midpoint, (v_i + v_j) / 2 as bisect_leaves computes it, its
+    children's corners and their longest edges (one _longest_edges call),
+    and each child's smallest vertex value but its midpoint's: the
+    parent's without vertex j, and without vertex i.  The plan is then
+    walked in order as the loop that takes one leaf at a time takes it:
+    each member gets its trace row, and the search stops at a row whose
+    gap is <= tol or whose evaluations have used up the budget.  A
+    member's midpoint is registered as the walk reaches it, through the
+    registry's one insert (Partition._insert), the objective is called
     only where the array of vertex values indexed by registry id still
-    holds NaN.  The members walked are then split in one Partition._split
-    call, with the edges and midpoint ids the walk already has (no
-    bisect_leaves and none of its checks, gathers or lookups), their
-    children measured in one Partition.longest_edges call, and the
-    children's bounds taken in one pass over the value array.  The trace,
+    holds NaN, and the children's bounds, max(lb, min(lo, f(mid)) - L * h)
+    in Python floats, are pushed at once.  A child that leads the next
+    planned entry in heap order ends the sweep there; one that ties its
+    bound has a larger id and waits for the planned entries of that bound.
+    At the sweep's end the members walked are split in one
+    Partition._split call, with the edges and midpoint ids the walk
+    already has, their children's h and (i, j) are written into the node
+    table, and the rest of the plan goes back on the queue.  The trace,
     the partition and the result are the bits the one-leaf-at-a-time loop
     gives, and so is the partition left behind when the objective raises
     or returns a non-finite value or a midpoint rounds onto a vertex: the
     members up to that one are registered and split first.
 
     No Simplex is built.  The roots' ratios come from one
-    Partition.regularity call; the children's are taken once, after the
-    search, in one more, which raises DegenerateSimplex at the first
-    degenerate child; the trace's eta_min column is filled from them then.
+    Partition.regularity call; the children's are taken after the
+    search, in creation order and in blocks of _PLAN nodes, which raises
+    DegenerateSimplex at the first degenerate child; the trace's eta_min
+    column is filled from them then.
     """
     lip = objective.lipschitz_constant
     if not (0 <= lip < math.inf):
@@ -149,11 +162,6 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     f = objective.evaluate
     values = np.full(p.n_vertices, np.nan)  # objective value by registry id, NaN until evaluated
     evaluations = 0
-
-    def bounds(node_ids: np.ndarray) -> np.ndarray:
-        """min f(vertices) - L * h of each node, in one stacked pass."""
-        return values[p._vertex_ids[node_ids]].min(axis=1) - lip * p.longest_edges(node_ids)[0]
-
     root_vids = p._vertex_ids[roots].ravel().tolist()
     for vid in root_vids:
         if math.isnan(values[vid]):
@@ -161,38 +169,44 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             evaluations += 1
     # the incumbent: the smallest value, ties to the smallest id
     best_val, best_vid = min((float(values[vid]), vid) for vid in root_vids)
-    heap: list[tuple[float, int]] = list(zip(bounds(roots).tolist(), roots))
+    root_bounds = values[p._vertex_ids[roots]].min(axis=1) - lip * p.longest_edges(roots)[0]
+    heap: list[tuple[float, int]] = list(zip(root_bounds.tolist(), roots))
     heapq.heapify(heap)
     eta_min = min(p.regularity(roots))
 
-    insert = p._insert
+    insert, pop, push = p._insert, heapq.heappop, heapq.heappush
     rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
-    while True:
-        lb, node_id = heap[0]
-        gap = best_val - lb
-        rows.append((len(rows), node_id, lb, best_val, gap))
-        if gap <= tol or evaluations >= budget:
-            stop_reason = "tol" if gap <= tol else "budget"
-            break
-        members = [heapq.heappop(heap)[1]]
-        while heap and heap[0][0] == lb and len(members) < budget - evaluations:
-            members.append(heapq.heappop(heap)[1])
-        nodes = np.array(members)
+    stop_reason = None
+    while stop_reason is None:
+        plan = [pop(heap) for _ in range(min(len(heap), _PLAN, p._parent.shape[0] // 4))]
+        nodes = np.array([node_id for _, node_id in plan])
         corner_vids = p._vertex_ids[nodes]
         i, j = p._edge[nodes].T
         at = np.arange(nodes.size)
-        mids = (p._coords[corner_vids[at, i]] + p._coords[corner_vids[at, j]]) / 2.0  # as bisect_leaves
+        corners = p._coords[corner_vids]
+        mids = (corners[at, i] + corners[at, j]) / 2.0  # as bisect_leaves
+        kids = np.repeat(corners[:, None], 2, axis=1)  # each member's children, as _split lays them out
+        kids[at, 0, j] = kids[at, 1, i] = mids
+        kid_h, kid_edge = _longest_edges(kids.reshape(-1, p.d + 1, p.d))
+        others = np.repeat(values[corner_vids][:, None], 2, axis=1)
+        others[at, 0, j] = others[at, 1, i] = np.inf
+        lo = others.min(axis=2).ravel().tolist()  # each child's smallest value but its midpoint's
+        reach = (lip * kid_h).tolist()
+        first = p._n_nodes
         mid_ids: list[int] = []  # registry id of each walked member's midpoint
         flat = None
         try:
-            for k, (node_id, vids, key, mid) in enumerate(
-                zip(members, corner_vids.tolist(), map(tuple, mids.tolist()), mids)
+            for k, (entry, vids, key, mid) in enumerate(
+                zip(plan, corner_vids.tolist(), map(tuple, mids.tolist()), mids)
             ):
-                if k:
-                    gap = best_val - lb
-                    if gap <= tol:
-                        break
-                    rows.append((len(rows), node_id, lb, best_val, gap))
+                if heap and heap[0] < entry:
+                    break  # a child leads the rest of the plan
+                lb, node_id = entry
+                gap = best_val - lb
+                rows.append((len(rows), node_id, lb, best_val, gap))
+                if gap <= tol or evaluations >= budget:
+                    stop_reason = "tol" if gap <= tol else "budget"
+                    break
                 # registered and split even if what follows raises, as one leaf at a time
                 vid = insert(key)
                 mid_ids.append(vid)
@@ -203,29 +217,33 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
                     break
                 if vid >= values.shape[0]:
                     values = _grown(values, vid + 1, fill=np.nan)
-                if math.isnan(values[vid]):
+                v = values[vid]
+                if math.isnan(v):
                     # a cached value was weighed against the incumbent when it was evaluated
                     v = values[vid] = _evaluated(f, mid, vid)
                     evaluations += 1
                     if v < best_val or (v == best_val and vid < best_vid):
                         best_val, best_vid = v, vid
+                else:
+                    v = float(v)
+                # inherited bound: a child region is inside its parent's, so the
+                # parent's bound still holds and only improves
+                push(heap, (max(lb, min(lo[2 * k], v) - reach[2 * k]), first + 2 * k))
+                push(heap, (max(lb, min(lo[2 * k + 1], v) - reach[2 * k + 1]), first + 2 * k + 1))
         finally:
             walked = len(mid_ids)
-            first = p._n_nodes
             p._split(nodes[:walked], i[:walked], j[:walked], mid_ids)
+            p._h[first : p._n_nodes] = kid_h[: 2 * walked]
+            p._edge[first : p._n_nodes] = kid_edge[: 2 * walked]
         if flat is not None:
-            p.volumes(range(len(roots), p._n_nodes))
-            raise DegenerateSimplex(flat)
-        children = np.arange(first, p._n_nodes)
-        # inherited bound: a child region is inside its parent's, so the
-        # parent's bound still holds and only improves
-        for child, bound in zip(children.tolist(), np.maximum(lb, bounds(children)).tolist()):
-            heapq.heappush(heap, (bound, child))
-        for node_id in members[walked:]:  # left by a gap <= tol; the next row stops there
-            heapq.heappush(heap, (lb, node_id))
+            break
+        for entry in plan[walked:]:
+            push(heap, entry)
 
     # row k saw the roots and the 2k children of the k bisections before it
-    etas = list(itertools.accumulate(p.regularity(range(len(roots), p._n_nodes)), min, initial=eta_min))
+    etas = list(itertools.accumulate(_child_ratios(p, len(roots)), min, initial=eta_min))
+    if flat is not None:  # when no child's volume raised first
+        raise DegenerateSimplex(flat)
     trace = [TraceRow(*row, eta_min=etas[2 * row[0]]) for row in rows]
     return OptimizeResult(
         point=p.vertex_coords(best_vid).copy(),
@@ -239,6 +257,12 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         trace=trace,
         partition=p,
     )
+
+
+def _child_ratios(p: Partition, first: int):
+    """Partition.regularity of nodes first onward, in creation order, one block of _PLAN nodes at a time."""
+    for start in range(first, p._n_nodes, _PLAN):
+        yield from p.regularity(range(start, min(start + _PLAN, p._n_nodes)))
 
 
 def _evaluated(f: Callable[[np.ndarray], float], x: np.ndarray, vid: int) -> float:

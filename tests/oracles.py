@@ -39,13 +39,25 @@ def cayley_menger_volume(vertices) -> float:
     return math.sqrt(max(vol2, 0.0))
 
 
+def norm(v) -> float:
+    """Euclidean norm of a vector in Python floats, the squares summed left to right.
+
+    The order the library sums squares in wherever it measures a length,
+    so its bits do not depend on a BLAS kernel.
+    """
+    total = 0.0
+    for x in np.asarray(v, dtype=float).tolist():
+        total += x * x
+    return math.sqrt(total)
+
+
 def naive_max_pairwise_distance(points) -> float:
     """O(n^2) max pairwise distance: per-pair norm calls, no pruning."""
     pts = np.asarray(points, dtype=float)
     best = 0.0
     for i in range(pts.shape[0] - 1):
         for j in range(i + 1, pts.shape[0]):
-            best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
+            best = max(best, norm(pts[i] - pts[j]))
     return best
 
 
@@ -53,7 +65,7 @@ def simplex_metrics_one_by_one(vertices) -> tuple[float, tuple[float, tuple[int,
     """(volume, (h, (i, j))) of one simplex, each quantity computed alone.
 
     The volume is one ``np.linalg.det`` of the edge matrix, and the
-    longest edge comes from a per-pair ``np.linalg.norm`` loop that keeps
+    longest edge comes from a per-pair ``norm`` loop that keeps
     the first strict maximum, so ties go to the lexicographically
     smallest pair.  This is the one-by-one route that the stacked build
     must match bitwise.
@@ -64,7 +76,7 @@ def simplex_metrics_one_by_one(vertices) -> tuple[float, tuple[float, tuple[int,
     best, pair = -1.0, (0, 1)
     for i in range(d):
         for j in range(i + 1, d + 1):
-            length = float(np.linalg.norm(v[i] - v[j]))
+            length = norm(v[i] - v[j])
             if length > best:
                 best, pair = length, (i, j)
     return volume, (best, pair)
@@ -84,7 +96,7 @@ def max_pairwise_distance(points: np.ndarray) -> float:
     """Exact maximum pairwise Euclidean distance of a finite point set.
 
     The value returned is the maximum over pairs of
-    ``np.linalg.norm(points[i] - points[j])``, bitwise, with two layers
+    ``norm(points[i] - points[j])``, bitwise, with two layers
     of acceleration that cannot change it:
 
     * centroid-ball pruning: if lb is a known pairwise distance, any
@@ -109,9 +121,9 @@ def max_pairwise_distance(points: np.ndarray) -> float:
     # scale-relative hair so float dust cannot over-prune
     a = int(np.argmax(radii))
     b = int(np.argmax(np.linalg.norm(pts - pts[a], axis=1)))
-    lb = float(np.linalg.norm(pts[a] - pts[b]))
+    lb = norm(pts[a] - pts[b])
     e = int(np.argmax(np.linalg.norm(pts - pts[b], axis=1)))
-    lb = max(lb, float(np.linalg.norm(pts[b] - pts[e])))
+    lb = max(lb, norm(pts[b] - pts[e]))
 
     keep = np.flatnonzero(radii >= lb - rmax - 1e-9 * rmax)
     cand = centered[keep]
@@ -137,7 +149,7 @@ def max_pairwise_distance(points: np.ndarray) -> float:
         for j in np.flatnonzero(d2_row >= best_d2 - margin):
             if j == i:
                 continue
-            val = float(np.linalg.norm(pts[keep[i]] - pts[keep[j]]))
+            val = norm(pts[keep[i]] - pts[keep[j]])
             if val > best:
                 best = val
     return best
@@ -188,12 +200,6 @@ def closed_form_fraction(halfspaces) -> float:
     sum taken left to right one rounded operation at a time: the bits the
     library's stacked closed forms must reproduce on any CPU.
     """
-
-    def norm(v):
-        total = 0.0
-        for x in v:
-            total += x * x
-        return math.sqrt(total)
 
     rows = [[x / norm(r) for x in r] for r in np.asarray(halfspaces, dtype=float).tolist()]
 

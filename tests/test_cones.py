@@ -161,6 +161,17 @@ def test_estimates_are_deterministic_and_shard_sensitive():
 # ---------------------------------------------------------- exact route
 
 
+def test_estimates_do_not_depend_on_the_draw_block(monkeypatch):
+    # each shard's generator fills the buffer block by block, which continues
+    # its stream, so blocks that do not divide the shards count the same hits
+    rng = np.random.default_rng(77)
+    config = MonteCarloConfig(samples=29_999, seed=7, shards=3)
+    cones = [cone_at_point(s, s.vertices[0]) for s in (random_simplex(3, rng), random_simplex(6, rng))]
+    whole = [solid_angle_fraction(cone, config) for cone in cones]
+    monkeypatch.setattr(cones_mod, "_DRAW_BLOCK", 997)
+    assert [solid_angle_fraction(cone, config) for cone in cones] == whole
+
+
 def test_exact_closed_forms():
     for d in (2, 3):
         half = VertexCone(np.zeros(d), halfspaces=np.eye(d)[:1])

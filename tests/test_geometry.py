@@ -26,6 +26,7 @@ from .oracles import (
     diameter_oracle,
     max_pairwise_distance,
     naive_max_pairwise_distance,
+    norm,
     sample_uniform,
     simplex_metrics_one_by_one,
 )
@@ -84,13 +85,9 @@ def test_longest_edge_matches_pairwise_max():
         d = int(rng.integers(2, 6))
         s = random_simplex(d, rng)
         h, (i, j) = s.longest_edge
-        dists = [
-            np.linalg.norm(s.vertices[a] - s.vertices[b])
-            for a in range(d + 1)
-            for b in range(a + 1, d + 1)
-        ]
+        dists = [norm(s.vertices[a] - s.vertices[b]) for a in range(d + 1) for b in range(a + 1, d + 1)]
         assert h == max(dists)
-        assert h == np.linalg.norm(s.vertices[i] - s.vertices[j])
+        assert h == norm(s.vertices[i] - s.vertices[j])
         assert i < j
 
 
@@ -104,9 +101,9 @@ def test_longest_edge_tie_break_is_lexicographic():
 
 
 def test_stacked_metrics_match_one_by_one_bitwise():
-    # the stacked dot and determinant give the bits of per-pair norm and
-    # per-matrix det calls, on non-dyadic vertices where a sum of squares
-    # would round differently; rows of odd d sit at unaligned offsets.  A
+    # the stacked lengths and determinant give the bits of per-pair norm
+    # calls (squares summed in index order) and per-matrix det calls, on
+    # non-dyadic vertices; rows of odd d sit at unaligned offsets.  A
     # built Simplex takes its volume and longest edge on first use from
     # the same kernels on a stack of one, so it gets those bits too
     rng = np.random.default_rng(1013)

@@ -1,7 +1,13 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import simpart.optimizer as optimizer_mod
 
 from simpart.cones import max_intersection_bound
 from simpart.errors import ArityError, BudgetTooSmall, DegenerateSimplex
@@ -253,26 +259,50 @@ def test_rounds_on_kuhn_roots_equal_per_node_builds_bitwise(name, d, budget, tol
 
 
 def _counting_bisections(monkeypatch):
-    """The oracle's bisections, the search's Partition._split calls and its bisect_leaves or _register_rows calls.
+    """The oracle's bisections, the search's plans, its flushes and its bisect_leaves or _register_rows calls.
 
-    All are recorded as they happen, so the caller builds its partitions first.
+    A plan is recorded as its size, from the one _longest_edges call on its
+    members' children, and a flush as the node ids of the members it
+    split, from its one Partition._split call.  All are recorded as they
+    happen, so the caller builds its partitions first.
     """
-    oracle_calls, rounds, rebuilt = [], [], []
-    bisect, split = oracles.bisect_longest_edge, Partition._split
+    oracle_calls, plans, flushes, rebuilt = [], [], [], []
+    bisect, split, measure = oracles.bisect_longest_edge, Partition._split, optimizer_mod._longest_edges
     monkeypatch.setattr(oracles, "bisect_longest_edge", lambda s: oracle_calls.append(s) or bisect(s))
+    monkeypatch.setattr(optimizer_mod, "_longest_edges", lambda kids: plans.append(len(kids) // 2) or measure(kids))
     monkeypatch.setattr(
-        Partition, "_split", lambda p, leaves, *rest: rounds.append(leaves.tolist()) or split(p, leaves, *rest)
+        Partition, "_split", lambda p, leaves, *rest: flushes.append(leaves.tolist()) or split(p, leaves, *rest)
     )
     for name in ("bisect_leaves", "_register_rows"):
         method = getattr(Partition, name)
         monkeypatch.setattr(
             Partition, name, lambda p, *args, name=name, method=method: rebuilt.append(name) or method(p, *args)
         )
-    return oracle_calls, rounds, rebuilt
+    return oracle_calls, plans, flushes, rebuilt
 
 
 class Refused(Exception):
     pass
+
+
+def _new_midpoint(p, rows, k):
+    """The coordinates of the midpoint that row k's bisection registered, or None when a neighbour had made it."""
+    child = len(p.roots) + 2 * k
+    vid = int(p._vertex_ids[child, p._edge[rows[k][1], 1]])
+    return tuple(p.vertex_coords(vid).tolist()) if vid > p._vertex_ids[:child].max() else None
+
+
+def _refusing(objective, bad, fails="raises"):
+    """objective.evaluate, but at the point bad it returns inf or raises Refused."""
+
+    def evaluate(x):
+        if tuple(x.tolist()) == bad:
+            if fails == "non-finite":
+                return math.inf
+            raise Refused(f"refused {bad}")
+        return objective.evaluate(x)
+
+    return evaluate
 
 
 @pytest.mark.parametrize("fails", ["non-finite", "raises"])
@@ -285,56 +315,177 @@ def test_a_failing_evaluation_inside_a_round_leaves_the_bisections_before_it(fai
     good = optimize(objective, kuhn_triangulation(d), budget=budget, tol=1e-3)
     p, n_roots = good.partition, len(good.partition.roots)
     rows = [tuple(row) for row in good.trace]
-
-    def new_midpoint(k):
-        child = n_roots + 2 * k
-        vid = int(p._vertex_ids[child, p._edge[rows[k][1], 1]])
-        return vid > p._vertex_ids[:child].max()
-
-    k = next(k for rd in _rounds(rows[:-1], n_roots) for k in rd[1:] if new_midpoint(k))
-    bad = tuple(p.vertex_coords(int(p._vertex_ids[n_roots + 2 * k, p._edge[rows[k][1], 1]])).tolist())
-
-    def evaluate(x, fails):
-        if tuple(x.tolist()) == bad:
-            if fails == "non-finite":
-                return math.inf
-            raise Refused(f"refused {bad}")
-        return objective.evaluate(x)
+    k = next(k for rd in _rounds(rows[:-1], n_roots) for k in rd[1:] if _new_midpoint(p, rows, k))
+    bad = _new_midpoint(p, rows, k)
 
     kuhn, q = kuhn_triangulation(d), kuhn_triangulation(d)
-    oracle_calls, rounds, rebuilt = _counting_bisections(monkeypatch)
+    oracle_calls, _, flushes, rebuilt = _counting_bisections(monkeypatch)
     with pytest.raises(Refused):
-        branch_and_bound_per_node(
-            lambda x: evaluate(x, "raises"), 4.0, [kuhn.simplex(r) for r in kuhn.roots], budget, 1e-3
-        )
+        branch_and_bound_per_node(_refusing(objective, bad), 4.0, [kuhn.simplex(r) for r in kuhn.roots], budget, 1e-3)
     assert len(oracle_calls) == k + 1
     with pytest.raises(ValueError if fails == "non-finite" else Refused):
-        optimize(Objective("bad", lambda x: evaluate(x, fails), 4.0), q, budget=budget, tol=1e-3)
-    assert len(rounds[-1]) > 1 and rebuilt == []
+        optimize(Objective("bad", _refusing(objective, bad, fails), 4.0), q, budget=budget, tol=1e-3)
+    assert len(flushes[-1]) > 1 and rebuilt == []
     assert len(q.nodes) == n_roots + 2 * len(oracle_calls)
     # the refused midpoint is registered, and nothing after it
     assert tuple(q.vertex_coords(q.n_vertices - 1).tolist()) == bad
     assert q.vertices.tobytes() == p.vertices[: q.n_vertices].tobytes()
 
 
-def test_a_midpoint_onto_a_vertex_inside_a_round_leaves_the_bisections_before_it(monkeypatch):
-    # a right triangle with legs of one ulp at the origin, where midpoints
-    # are exact, and its copy at (1, 1), where the hypotenuse's midpoint
-    # rounds onto the right-angle vertex: with f = 0 the two roots tie, so
-    # the copy is the second member of the first round
+def test_a_failing_evaluation_in_a_later_round_of_a_sweep_leaves_the_one_leaf_partition(monkeypatch):
+    # the bad point is a new midpoint of a member whose bound is above that
+    # of its sweep's first member: the members of the sweep's earlier
+    # rounds and the bad one are split in the sweep's one flush, and the
+    # partition left is the one bisecting the rows' nodes one at a time gives
+    d, budget = 3, 200
+    objective = build_objective("shifted-sphere", d)
+    _, plans, flushes, _ = _counting_bisections(monkeypatch)
+    good = optimize(objective, kuhn_triangulation(d), budget=budget, tol=1e-3)
+    p, rows = good.partition, [tuple(row) for row in good.trace]
+    starts = list(itertools.accumulate(map(len, flushes), initial=0))
+    s, k = next(
+        (s, k)
+        for s, (first, end) in enumerate(zip(starts, starts[1:]))
+        for k in range(first + 1, end)
+        if rows[k][2] > rows[first][2] and _new_midpoint(p, rows, k)
+    )
+    plans.clear()
+    flushes.clear()
+    q, kuhn = kuhn_triangulation(d), kuhn_triangulation(d)
+    with pytest.raises(Refused):
+        optimize(Objective("bad", _refusing(objective, _new_midpoint(p, rows, k)), 4.0), q, budget, 1e-3)
+    assert len(flushes) == s + 1 and len(flushes[-1]) == k - starts[s] + 1 < plans[-1]
+    for row in rows[: k + 1]:
+        kuhn.bisect(row[1])
+    assert q == kuhn
+
+
+def _flat_second_root(first_leg, monkeypatch):
+    """Search a right triangle with legs of first_leg ulps at the origin and a one-ulp copy at (1, 1), with f = 0.
+
+    Midpoints at the origin are exact; at (1, 1) the hypotenuse's midpoint
+    rounds onto the right-angle vertex.  Checks that the search raises
+    where the oracle does, having split both roots in its first sweep's
+    one flush, as the oracle bisected both.
+    """
     u = 2.0**-52
     roots = [
-        make_simplex([[0.0, 0.0], [u, 0.0], [0.0, u]]),
+        make_simplex([[0.0, 0.0], [first_leg * u, 0.0], [0.0, first_leg * u]]),
         make_simplex([[1.0, 1.0], [1.0 + u, 1.0], [1.0, 1.0 + u]]),
     ]
     p = partition_from_simplices(roots)
-    oracle_calls, rounds, rebuilt = _counting_bisections(monkeypatch)
+    oracle_calls, plans, flushes, rebuilt = _counting_bisections(monkeypatch)
     with pytest.raises(DegenerateSimplex):
         branch_and_bound_per_node(lambda x: 0.0, 1.0, roots, 10_000, 1e-300)
     with pytest.raises(DegenerateSimplex, match="volume 0.000e"):
         optimize(Objective("zero", lambda x: 0.0, 1.0), p, budget=10_000, tol=1e-300)
-    assert rounds == [[0, 1]] and rebuilt == []
+    assert plans == [2] and flushes == [[0, 1]] and rebuilt == []
     assert len(p.nodes) == len(roots) + 2 * len(oracle_calls)
+
+
+def test_a_midpoint_onto_a_vertex_inside_a_round_leaves_the_bisections_before_it(monkeypatch):
+    # equal legs: the two roots tie, so the copy is the second member of the first round
+    _flat_second_root(1.0, monkeypatch)
+
+
+def test_a_midpoint_onto_a_vertex_in_a_later_round_of_a_sweep_leaves_the_bisections_before_it(monkeypatch):
+    # legs of 1.25 ulps: the first root's bound is below the copy's and its
+    # children's (-1.25 ulps) above it, so the copy is the first sweep's second round
+    _flat_second_root(1.25, monkeypatch)
+
+
+# Dyadic triangles for the sweep's ends, searched with f = 0 and L = 1, so
+# a node's bound is -h: "big" (h = sqrt 2) has children of h = 1, the h of
+# "mid", whose children have h = sqrt(1/2); "small" has h = 1/2.  Nine
+# roots give the node table 16 rows, so a plan holds at most 4 entries.
+def _big(x):
+    return make_simplex([[x, 0.0], [x + 1.0, 0.0], [x, 1.0]])
+
+
+def _mid(x):
+    return make_simplex([[x, 0.0], [x + 1.0, 0.0], [x + 0.5, 0.5]])
+
+
+def _small(x):
+    return make_simplex([[x, 0.0], [x + 0.5, 0.0], [x + 0.25, 0.25]])
+
+
+def _sweep(roots, objective, budget, tol, monkeypatch):
+    """optimize on the roots, checked bitwise against the oracle; the result, the plans' sizes and the flushes."""
+    rows, _, vertices, _ = branch_and_bound_per_node(
+        objective.evaluate, objective.lipschitz_constant, roots, budget, tol
+    )
+    _, plans, flushes, _ = _counting_bisections(monkeypatch)
+    r = optimize(objective, partition_from_simplices(roots), budget=budget, tol=tol)
+    assert [tuple(row) for row in r.trace] == rows
+    assert r.partition.vertices.tobytes() == vertices.tobytes()
+    return r, plans, flushes
+
+
+ZERO = Objective("zero", lambda x: 0.0, 1.0)
+
+
+def test_a_child_that_leads_the_next_planned_entry_ends_the_sweep(monkeypatch):
+    # big's children (bound -1) lead the planned smalls (-1/2)
+    roots = [_big(0.0)] + [_small(2.0 + k) for k in range(8)]
+    r, plans, flushes = _sweep(roots, ZERO, 40, 1e-9, monkeypatch)
+    assert plans[0] == 4 and flushes[0] == [0]
+    assert [row.node_id for row in r.trace[:3]] == [0, 9, 10]
+
+
+def test_a_sweep_walks_a_tied_child_after_the_planned_members_of_its_level(monkeypatch):
+    # big's children tie the two mids' bound, -1, and come after them: the
+    # sweep walks both mids and ends before the first planned small
+    roots = [_big(0.0), _mid(2.0), _mid(4.0)] + [_small(6.0 + k) for k in range(6)]
+    r, plans, flushes = _sweep(roots, ZERO, 40, 1e-9, monkeypatch)
+    assert plans[0] == 4 and flushes[0] == [0, 1, 2]
+    assert [row.node_id for row in r.trace[:5]] == [0, 1, 2, 9, 10]
+
+
+def test_a_sweep_stops_where_the_budget_runs_out_inside_a_planned_level(monkeypatch):
+    # nine tied smalls with 27 vertices: two new midpoints use the budget up,
+    # and the third planned member's row is the last
+    roots = [_small(2.0 * k) for k in range(9)]
+    r, plans, flushes = _sweep(roots, ZERO, 29, 1e-9, monkeypatch)
+    assert r.stop_reason == "budget" and len(r.trace) == 3
+    assert plans == [4] and flushes == [[0, 1]]
+    assert len({row.lower_bound for row in r.trace}) == 1
+
+
+def test_a_sweep_stops_where_the_gap_reaches_tol_inside_a_planned_level(monkeypatch):
+    # f is the distance to the nearest of the smalls' longest-edge midpoints
+    # (1-Lipschitz): every root's bound is 1/4 - 1/2, and the first member's
+    # midpoint brings the incumbent from 1/4 to 0, so the second row's gap
+    # is 1/4 <= tol while two more members of that level are planned
+    roots = [_small(2.0 * k) for k in range(9)]
+    centres = [(2.0 * k + 0.25, 0.0) for k in range(9)]
+    nearest = Objective("nearest", lambda x: min(math.dist(x, c) for c in centres), 1.0)
+    r, plans, flushes = _sweep(roots, nearest, 1000, 0.3, monkeypatch)
+    assert r.stop_reason == "tol" and [row.gap for row in r.trace] == [0.5, 0.25]
+    assert plans == [4] and flushes == [[0]]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**16), budget=st.integers(60, 400))
+def test_sweeps_equal_the_one_leaf_loop_and_stay_below_the_grid_minimum(d, seed, budget):
+    # seeded shifted spheres as the benchmark draws them; L = 4 dominates
+    # 2 |x - c| on the unit cube for these centres in d <= 3
+    centre = np.random.default_rng(seed).uniform(0.2, 0.8, d)
+
+    def evaluate(x):
+        return float(np.sum((x - centre) ** 2))
+
+    kuhn = kuhn_triangulation(d)
+    roots = [kuhn.simplex(k) for k in kuhn.roots]
+    plans = []
+    measure = optimizer_mod._longest_edges
+    with mock.patch.object(optimizer_mod, "_longest_edges", lambda kids: plans.append(len(kids)) or measure(kids)):
+        r = optimize(Objective("shifted", evaluate, 4.0), kuhn, budget=budget, tol=1e-3)
+    assert len(plans) >= 3
+    rows, _, _, _ = branch_and_bound_per_node(evaluate, 4.0, roots, budget, 1e-3)
+    assert [tuple(row) for row in r.trace] == rows
+    floor = grid_minimum(evaluate, [0.0] * d, [1.0] * d, 11)
+    assert all(row.lower_bound <= floor for row in r.trace)
 
 
 def test_every_generation_respects_the_valence_bound():

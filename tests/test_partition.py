@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import simpart.cones as cones_mod
+import simpart.optimizer as optimizer_mod
 import simpart.partition as partition_mod
 from simpart.cones import (
     EXACT_STDERR,
@@ -646,22 +647,23 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     # kuhn(3)@4: every round, eta_min and the replay of each generation
     # measure their nodes at once, one _longest_edges and one _volumes
     # call each, and build no Simplex; the optimizer measures its roots'
-    # and each round's children's edges, and every child's volume at the
-    # end, and splits each round's leaves in one Partition._split call
-    # without going through bisect_leaves or _register_rows
+    # edges, then each sweep's children's edges in one call and splits the
+    # members it walked in one Partition._split call, without going through
+    # bisect_leaves or _register_rows, and takes every child's volume at the
+    # end in blocks of optimizer_mod._PLAN nodes
     calls = []
 
-    def counted(name):
-        kernel = getattr(partition_mod, name)
+    def counted(module, name):
+        kernel = getattr(module, name)
 
         def wrapper(verts, *args):
             calls.append((name, len(verts)))
             return kernel(verts, *args)
 
-        monkeypatch.setattr(partition_mod, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("_longest_edges", "_volumes"):
-        counted(name)
+        counted(partition_mod, name)
     p = kuhn_triangulation(3)
     for _ in range(4):
         refine(p, 1)
@@ -674,23 +676,27 @@ def test_each_pass_builds_its_nodes_in_one_stacked_call(monkeypatch, tmp_path):
     q = read_partition(path)
     assert calls == [(name, n) for n in rounds[:-1] for name in ("_longest_edges", "_volumes")]
     kuhn = kuhn_triangulation(3)
+    counted(optimizer_mod, "_longest_edges")
     calls.clear()
-    rounds, rebuilt = [], []
+    flushes, rebuilt = [], []
     split = partition_mod.Partition._split
     monkeypatch.setattr(
         partition_mod.Partition,
         "_split",
-        lambda p, leaves, *rest: rounds.append(len(leaves)) or split(p, leaves, *rest),
+        lambda p, leaves, *rest: flushes.append(len(leaves)) or split(p, leaves, *rest),
     )
     for name in ("bisect_leaves", "_register_rows"):
         monkeypatch.setattr(partition_mod.Partition, name, lambda p, *args, name=name: rebuilt.append(name))
     r = optimize(build_objective("shifted-sphere", 3), kuhn, budget=300, tol=1e-3)
-    assert sum(rounds) == r.leaves_explored and len(rounds) < r.leaves_explored
+    assert sum(flushes) == r.leaves_explored and len(flushes) < r.leaves_explored
     assert rebuilt == []
+    sweeps = [n // 2 for name, n in calls[2:] if name == "_longest_edges"]
+    assert len(sweeps) == len(flushes) and all(m <= n for m, n in zip(flushes, sweeps))
+    children, block = 2 * r.leaves_explored, optimizer_mod._PLAN
     assert calls == (
         [("_longest_edges", 6), ("_volumes", 6)]
-        + [("_longest_edges", 2 * m) for m in rounds]
-        + [("_volumes", 2 * r.leaves_explored)]
+        + [("_longest_edges", 2 * n) for n in sweeps]
+        + [("_volumes", min(block, children - k)) for k in range(0, children, block)]
     )
 
 
