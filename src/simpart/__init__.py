@@ -2,9 +2,9 @@
 
 The package is organised around one experiment: take a partition of a box
 into simplices, keep every cell's regularity ratio vol(S) / h(S)^d above a
-floor eta, and check by solid-angle measurement (exact in d <= 5, Monte Carlo
-beyond) that no point of space meets more than (1/eta) * (2*e*pi/d)^(d/2) of
-the cells.  `geometry` holds the simplex primitives, `cones` the tangent-cone
+floor eta, and check by exact solid-angle measurement, in every dimension,
+that no point of space meets more than (1/eta) * (2*e*pi/d)^(d/2) of the
+cells.  `geometry` holds the simplex primitives, `cones` the tangent-cone
 measures and the bound arithmetic, `partition` the refinement machinery and
 the audit, `optimizer` a small Lipschitz branch-and-bound built on the same
 partitions, and `cli` the command-line front end.

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .cones import MonteCarloConfig, cone_at_point, solid_angle_fraction
-from .errors import BudgetTooSmall, SimpartError, UnsupportedDimension
+from .errors import BudgetTooSmall, DimensionMismatch, SimpartError, UnsupportedDimension
 from .geometry import make_simplex
 from .optimizer import OBJECTIVES, build_objective, optimize
 from .partition import (
@@ -49,7 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ref = sub.add_parser("refine", help="build and refine a partition, write it as JSON")
     p_ref.add_argument("--root", default="kuhn", help="'kuhn' or a path to a simplex JSON file")
-    p_ref.add_argument("--dim", type=int, default=None, help="dimension for the kuhn root (>= 2)")
+    p_ref.add_argument(
+        "--dim", type=int, default=None, help="dimension for the kuhn root (>= 2); with a file, it must match"
+    )
     p_ref.add_argument("--steps", type=int, default=0, help="refinement rounds")
     p_ref.add_argument(
         "--strategy",
@@ -93,7 +95,10 @@ def cmd_refine(args) -> int:
             raise ValueError("--dim is required with --root kuhn")
         p = kuhn_triangulation(args.dim)
     else:
-        p = partition_from_simplices([read_simplex(args.root)])
+        s = read_simplex(args.root)
+        if args.dim is not None and args.dim != s.dimension:
+            raise DimensionMismatch(f"--dim {args.dim} does not match the d = {s.dimension} simplex of {args.root}")
+        p = partition_from_simplices([s])
     refine(p, args.steps, args.strategy)
     # measures and validates every leaf in stacked passes before the
     # descent; a degenerate leaf stops the command before any file is written

@@ -110,22 +110,22 @@ class VertexCone:
         return np.all(self.halfspaces @ u.T >= 0.0, axis=0)
 
 
-def cone_at_point(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> VertexCone:
+def cone_at_point(s: Simplex, p) -> VertexCone:
     """Tangent cone of s at a point p of s.
 
-    The active set collects barycentric coordinates within tol of zero,
-    and the cone is cut by their gradients.  Only the id tells the cases
-    apart: "<s>:int" for an interior point (no active coordinate),
+    The active set collects barycentric coordinates within MEMBERSHIP_TOL
+    of zero, and the cone is cut by their gradients.  Only the id tells the
+    cases apart: "<s>:int" for an interior point (no active coordinate),
     "<s>:v<k>" for vertex k (d active coordinates), and "<s>:f<i.j...>"
     for a point on the face where the listed coordinates vanish.
 
-    Raises PointOutsideSimplex when p is not in s up to tol.
+    Raises PointOutsideSimplex when p is not in s up to MEMBERSHIP_TOL.
     """
     p = as_point(p, s.dimension)
-    lam, inside = barycentric(s, p, tol)
+    lam, inside = barycentric(s, p)
     if not inside:
         raise PointOutsideSimplex(f"point is outside simplex {s.id} (min lambda {lam.min():.3e})")
-    active = np.flatnonzero(lam <= tol)
+    active = np.flatnonzero(lam <= MEMBERSHIP_TOL)
     if active.size == 0:
         where = "int"
     elif active.size == s.dimension:

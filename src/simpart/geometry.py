@@ -38,7 +38,8 @@ BarycentricCoords = np.ndarray
 # invariant under uniform scaling.
 VOLUME_EPS_REL = 1e-12
 
-# Default tolerance on barycentric coordinates for membership tests.
+# The tolerance on barycentric coordinates of every membership test: a
+# point is in a simplex when no coordinate is below -MEMBERSHIP_TOL.
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -278,17 +279,17 @@ def regular_simplex_ratio(d: int) -> float:
     return math.sqrt(d + 1) / (math.factorial(d) * 2 ** (d / 2))
 
 
-def barycentric(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> tuple[BarycentricCoords, bool]:
+def barycentric(s: Simplex, p) -> tuple[BarycentricCoords, bool]:
     """Barycentric coordinates of ``p`` and a membership flag.
 
     Solves p = sum_i lambda_i v_i with sum_i lambda_i = 1: lambda_i for
     i >= 1 is the cached gradient row i times p - v_0, and lambda_0 is
     what is left of 1.  ``inside`` is true when every coordinate is
-    >= -tol.
+    >= -MEMBERSHIP_TOL.
     """
     p = as_point(p, s.dimension)
     coords = barycentric_many(s, p[None, :])[0]
-    inside = bool(np.all(coords >= -tol))
+    inside = bool(np.all(coords >= -MEMBERSHIP_TOL))
     return coords, inside
 
 
@@ -297,9 +298,9 @@ def barycentric_many(s: Simplex, points: np.ndarray) -> np.ndarray:
     return _barycentric(s.barycentric_gradients[1:], np.asarray(points, dtype=float) - s.vertices[0])
 
 
-def contains(s: Simplex, p, tol: float = MEMBERSHIP_TOL) -> bool:
+def contains(s: Simplex, p) -> bool:
     """Membership test via barycentric coordinates."""
-    return barycentric(s, p, tol)[1]
+    return barycentric(s, p)[1]
 
 
 def canonical_simplex(kind: str, d: int, id: str | None = None) -> Simplex:

@@ -46,15 +46,18 @@ def simplex_lower_bound(vertex_values, lipschitz_constant: float, h: float, d: i
 
     Any point of the simplex is within h of the vertex attaining the
     minimum, so an L-Lipschitz objective stays above this everywhere.
-    When d is given, the value count is checked against d + 1.
+    When d is given, the value count is checked against d + 1.  A
+    non-finite constant, h or vertex value raises ValueError.
     """
     values = list(vertex_values)
     if d is not None and len(values) != d + 1:
         raise ArityError(f"need {d + 1} vertex values for d={d}, got {len(values)}")
-    if lipschitz_constant < 0:
-        raise ValueError(f"Lipschitz constant must be >= 0, got {lipschitz_constant}")
-    if not (h > 0):
-        raise ValueError(f"h must be positive, got {h}")
+    if not (0 <= lipschitz_constant < math.inf):
+        raise ValueError(f"Lipschitz constant must be finite and >= 0, got {lipschitz_constant}")
+    if not (0 < h < math.inf):
+        raise ValueError(f"h must be finite and positive, got {h}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"vertex values must be finite, got {values}")
     return min(values) - lipschitz_constant * h
 
 

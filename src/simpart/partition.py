@@ -132,8 +132,10 @@ class Partition:
     its midpoint as (a + b) / 2 from the same registry coordinates, and
     IEEE addition commutes, so the two results are bitwise equal.
 
-    Mutation (adding roots, bisecting) is single-stream; reads may be
-    performed concurrently between mutations.
+    Calls must not overlap, measuring ones included: besides adding
+    roots and bisecting, longest_edges, volumes and regularity (and
+    min_regularity and verify_theorem through them) write the NaN
+    columns they fill.
     """
 
     def __init__(self, d: int):
@@ -480,22 +482,23 @@ def min_regularity(p: Partition) -> float:
     return min(p.regularity(leaves))
 
 
-def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _incidence(p: Partition, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(point index, leaf id) pairs of every leaf whose closure holds a point.
 
     A tree descent from the roots, one generation at a time: the frontier
     is a pair of arrays (point index, node id), and a pair stays in it
-    when the point's barycentric coordinates in the node are all >= -tol,
-    so a hanging vertex on a leaf's face is found as well as the leaf
-    corners.  Per generation, the distinct frontier nodes take their
-    vertex coordinates straight from the registry and their gradient rows
-    1..d from one _gradient_rows call (row 0 is never read), and one
-    _barycentric call on each pair's rows gives every pair's coordinates,
-    the bits barycentric_many gives on the node's Simplex.  Pairs on a leaf are
-    recorded, the others move on to both children through the node
-    table's children column.  Only the nodes a point reaches are read, so
-    one point costs a path, not the forest.  No volume is measured, so the
-    leaves are not validated here; min_regularity does that.
+    when the point's barycentric coordinates in the node are all
+    >= -MEMBERSHIP_TOL, so a hanging vertex on a leaf's face is found as
+    well as the leaf corners.  Per generation, the distinct frontier nodes
+    take their vertex coordinates straight from the registry and their
+    gradient rows 1..d from one _gradient_rows call (row 0 is never read),
+    and one _barycentric call on each pair's rows gives every pair's
+    coordinates, the bits barycentric_many gives on the node's Simplex.
+    Pairs on a leaf are recorded, the others move on to both children
+    through the node table's children column.  Only the nodes a point
+    reaches are read, so one point costs a path, not the forest.  No
+    volume is measured, so the leaves are not validated here;
+    min_regularity does that.
     """
     _, _, children, vertex_ids = p._columns()
     coords = p.vertices
@@ -512,7 +515,7 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
         at = slot[node]
         verts = coords[vertex_ids[distinct]]
         lam = _barycentric(_gradient_rows(verts)[at], points[point] - verts[at, 0])
-        inside = np.all(lam >= -tol, axis=1)
+        inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
         point, node = point[inside], node[inside]
         kids = children[distinct][at[inside]]
         leaf = kids[:, 0] < 0
@@ -522,30 +525,30 @@ def _incidence(p: Partition, points: np.ndarray, tol: float) -> tuple[np.ndarray
     return np.concatenate(found_point), np.concatenate(found_leaf)
 
 
-def vertex_valence(p: Partition, point, tol: float = MEMBERSHIP_TOL) -> int:
+def vertex_valence(p: Partition, point) -> int:
     """Number of leaves whose closure contains the point.
 
-    Membership is geometric (barycentric test with tolerance), so the
+    Membership is geometric (barycentric test with MEMBERSHIP_TOL), so the
     count is correct even for hanging nodes of a non-conforming state.
     """
     pt = as_point(point, p.d)
     if not p.leaves:
         raise EmptyPartition("partition has no leaves")
-    count = _incidence(p, pt[None, :], tol)[0].size
+    count = _incidence(p, pt[None, :])[0].size
     if count == 0:
         # roots tile the domain, so zero leaves means outside it
         raise PointOutsideDomain(f"point {pt.tolist()} is outside the root domain")
     return count
 
 
-def registry_valences(p: Partition, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+def registry_valences(p: Partition) -> np.ndarray:
     """Valence of every registry vertex, in registry order."""
     if not p.leaves:
         raise EmptyPartition("partition has no leaves")
-    return np.bincount(_incidence(p, p.vertices, tol)[0], minlength=p.n_vertices)
+    return np.bincount(_incidence(p, p.vertices)[0], minlength=p.n_vertices)
 
 
-def max_valence(p: Partition, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, int]:
+def max_valence(p: Partition) -> tuple[np.ndarray, int]:
     """(witness point, count) maximizing valence over registry vertices.
 
     For a face-to-face forest the maximum over all points of the domain
@@ -553,7 +556,7 @@ def max_valence(p: Partition, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, 
     contains every leaf around the lowest-dimensional face holding x,
     and that face's vertices belong to at least those leaves.
     """
-    counts = registry_valences(p, tol)
+    counts = registry_valences(p)
     k = int(np.argmax(counts))  # first maximal vertex wins
     return p.vertex_coords(k).copy(), int(counts[k])
 
@@ -564,22 +567,19 @@ def max_valence(p: Partition, tol: float = MEMBERSHIP_TOL) -> tuple[np.ndarray, 
 class VertexCheck(NamedTuple):
     """One (leaf, vertex) cone audit row.
 
-    strong_bound uses the leaf's own regularity ratio; uniform_bound
-    uses the partition-wide eta_min.  Both must sit below the measured
-    fraction plus 3 standard errors; an exact fraction carries
-    EXACT_STDERR as its rounding allowance.
+    strong_bound is per_simplex_angle_bound of the leaf's own regularity
+    ratio, and it must sit below the measured fraction plus 3 standard
+    errors; an exact fraction carries EXACT_STDERR as its rounding
+    allowance.  The bound at the partition-wide eta_min is never larger,
+    since eta_min is the smallest leaf ratio, so no row checks it.
     """
 
     leaf_id: int
     vertex_id: int
-    cone_id: str
     fraction: float
     stderr: float
-    rho: float
     strong_bound: float
-    uniform_bound: float
     passed_strong: bool
-    passed_uniform: bool
 
 
 class DecompositionCheck(NamedTuple):
@@ -683,14 +683,15 @@ def verify_theorem(p: Partition) -> TheoremReport:
     Only the face cones of hanging vertices are cut by cone_at_point, from
     Partition.simplex, in (vertex, leaf) order, with the same classes.
 
-    The records are built from columns: both verdicts of every pair come
-    from one numpy comparison, and the VertexChecks and
-    DecompositionChecks from VertexCheck._make and
-    DecompositionCheck._make over zipped columns.  Each decomposition sum
-    and its stderr are summed left to right in ascending leaf id, rank by
-    rank: the r-th incidence of every vertex with more than r is added to
-    its running totals in one operation, which gives the bits of a
-    per-vertex Python loop in O(incidences) memory.
+    The records are built from columns: every pair's verdict comes from
+    one numpy comparison, and the VertexChecks and DecompositionChecks
+    from VertexCheck._make and DecompositionCheck._make over zipped
+    columns.  Each decomposition sum is taken left to right in ascending
+    leaf id, rank by rank: the r-th incidence of every vertex with more
+    than r is added to its running total in one operation, which gives
+    the bits of a per-vertex Python loop in O(incidences) memory.  Every
+    term carries EXACT_STDERR, so the combined stderr is read by valence
+    from one running sum of the squares.
     """
     leaves = p.leaves
     if not leaves:
@@ -698,10 +699,9 @@ def verify_theorem(p: Partition) -> TheoremReport:
     eta_min = min_regularity(p)
     d = p.d
     bound_n = max_intersection_bound(eta_min, d)
-    uniform_bound = per_simplex_angle_bound(eta_min, d)
 
     n = p.n_vertices
-    at_vertex, at_leaf = _incidence(p, p.vertices, MEMBERSHIP_TOL)
+    at_vertex, at_leaf = _incidence(p, p.vertices)
     valences = np.bincount(at_vertex, minlength=n)
     witness_id = int(np.argmax(valences))
     max_val = int(valences[witness_id])
@@ -717,30 +717,13 @@ def verify_theorem(p: Partition) -> TheoremReport:
     classes: dict = {}  # the fraction of each cone class, local to this audit
     fraction = exact_solid_angle_fractions(_corner_normals(p, leaves).reshape(total_pairs, d, d), cone_ids, classes)
 
-    # the records share each leaf's rho and bound, as Python floats
-    rho = p.regularity(leaves)
-    strong = [per_simplex_angle_bound(r, d) for r in rho]
-    rho_col, strong_col = list(map(rho.__getitem__, slot)), list(map(strong.__getitem__, slot))
+    # the records share each leaf's bound, as Python floats
+    strong = [per_simplex_angle_bound(r, d) for r in p.regularity(leaves)]
+    strong_col = list(map(strong.__getitem__, slot))
     fraction_at = np.array(fraction)
-    bounds = np.array([strong_col, [uniform_bound] * total_pairs])
-    passed_strong, passed_uniform = (fraction_at >= bounds - 3.0 * EXACT_STDERR).tolist()
-    checks = list(
-        map(
-            VertexCheck._make,
-            zip(
-                leaf_col,
-                vid_col,
-                cone_ids,
-                fraction,
-                itertools.repeat(EXACT_STDERR),
-                rho_col,
-                strong_col,
-                itertools.repeat(uniform_bound),
-                passed_strong,
-                passed_uniform,
-            ),
-        )
-    )
+    passed_strong = (fraction_at >= np.array(strong_col) - 3.0 * EXACT_STDERR).tolist()
+    columns = (leaf_col, vid_col, fraction, itertools.repeat(EXACT_STDERR), strong_col, passed_strong)
+    checks = list(map(VertexCheck._make, zip(*columns)))
 
     # every incidence, in (vertex, leaf) order: the order of the sums
     order = np.lexsort((at_leaf, at_vertex))
@@ -749,15 +732,14 @@ def verify_theorem(p: Partition) -> TheoremReport:
     at, k = np.nonzero(p._vertex_ids[inc_leaf] == inc_vertex[:, None])
     leaf_slot = np.zeros(p._n_nodes, dtype=np.intp)
     leaf_slot[leaves] = np.arange(len(leaves))
-    terms = np.full((inc_vertex.size, 2), EXACT_STDERR)  # each incidence's fraction and stderr, then stderr squared
-    terms[at, 0] = fraction_at[leaf_slot[inc_leaf[at]] * width + k]
+    terms = np.empty(inc_vertex.size)  # each incidence's fraction
+    terms[at] = fraction_at[leaf_slot[inc_leaf[at]] * width + k]
     # the others hang on a face of their leaf: its face cone, cut and measured in this order
     face = np.zeros(inc_vertex.size, dtype=bool)
     face[at] = True
     face = np.flatnonzero(~face)
     for row, leaf, vid in zip(face.tolist(), inc_leaf[face].tolist(), inc_vertex[face].tolist()):
-        terms[row, 0] = exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), classes)
-    terms[:, 1] *= terms[:, 1]
+        terms[row] = exact_solid_angle_fraction(cone_at_point(p.simplex(leaf), p.vertex_coords(vid)), classes)
 
     # Each sum is taken left to right, as a Python loop would take it (from
     # Python 3.12 the builtin sum compensates, which would make the report's
@@ -773,11 +755,15 @@ def verify_theorem(p: Partition) -> TheoremReport:
     rank = np.arange(inc_vertex.size) - (np.cumsum(valences) - valences)[inc_vertex]
     ranked = np.empty_like(terms)
     ranked[block[rank] + place[inc_vertex]] = terms
-    running = np.zeros((n, 2))
+    running = np.zeros(n)
     for start, count in zip(block.tolist(), live.tolist()):
         running[:count] += ranked[start : start + count]
-    total, variance = running[place].T
-    sigma = np.sqrt(variance)
+    total = running[place]
+    # every term's stderr is EXACT_STDERR, so a vertex's variance is the
+    # left-to-right sum of as many of its squares as its valence
+    squares = np.full(max_val + 1, EXACT_STDERR * EXACT_STDERR)
+    squares[0] = 0.0
+    sigma = np.sqrt(np.cumsum(squares))[valences]
     interior = ~boundary_vertex_mask(p)
     passed = np.where(interior, np.abs(total - 1.0) <= 4.0 * sigma, total <= 1.0 + 4.0 * sigma)
     columns = (np.arange(n), interior, valences, total, sigma, passed)

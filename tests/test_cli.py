@@ -201,6 +201,19 @@ def test_refine_from_simplex_file(tmp_path, capsys):
     assert "leaves=2" in out
 
 
+def test_refine_rejects_a_dim_that_disagrees_with_the_simplex_file(tmp_path, capsys):
+    root = tmp_path / "tri.json"
+    write_simplex(make_simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], id="R"), root)
+    out_path = tmp_path / "p.json"
+    code, out, err = run_cli(capsys, "refine", "--root", str(root), "--dim", "3", "-o", str(out_path))
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("simpart: error: ") and len(err.splitlines()) == 1
+    assert "--dim 3" in err and "d = 2" in err
+    # a --dim that agrees is accepted
+    code, out, _ = run_cli(capsys, "refine", "--root", str(root), "--dim", "2", "--steps", "1", "-o", str(out_path))
+    assert code == 0 and "leaves=2" in out
+
+
 def test_refine_writes_no_file_when_a_leaf_is_degenerate(tmp_path, capsys):
     # the root of test_degenerate_sibling_raises_only_when_requested: its
     # bisection leaves a child below the degeneracy threshold

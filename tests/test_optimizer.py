@@ -39,6 +39,17 @@ def test_simplex_lower_bound_validation():
         simplex_lower_bound([0, 1, 2], -1.0, 1.0)
     with pytest.raises(ValueError):
         simplex_lower_bound([0, 1, 2], 1.0, 0.0)
+    # a non-finite constant, h or vertex value would give a nan or -inf bound
+    for values, lip, h in [
+        ([1, 2, 3], math.nan, 1.0),
+        ([1, 2, 3], math.inf, 1.0),
+        ([1, 2, 3], 1.0, math.nan),
+        ([1, 2, 3], 1.0, math.inf),
+        ([1, math.nan, 3], 1.0, 1.0),
+        ([1, 2, -math.inf], 1.0, 1.0),
+    ]:
+        with pytest.raises(ValueError):
+            simplex_lower_bound(values, lip, h)
 
 
 def test_objective_registry():

@@ -11,6 +11,7 @@ from simpart.cones import (
     cone_at_point,
     exact_solid_angle_fraction,
     max_intersection_bound,
+    per_simplex_angle_bound,
 )
 from simpart.errors import (
     DegenerateSimplex,
@@ -21,7 +22,6 @@ from simpart.errors import (
     UnsupportedDimension,
 )
 from simpart.geometry import (
-    MEMBERSHIP_TOL,
     VOLUME_EPS_REL,
     _barycentric,
     _degenerate,
@@ -582,7 +582,7 @@ def test_incidence_matches_flat_scan_of_every_pair(d, steps):
     outside[np.arange(20), rng.integers(0, d, 20)] = rng.choice([-0.25, 1.25], 20)
     points = np.vstack([p.vertices, *on_facets, rng.random((30, d)), outside])
 
-    at_point, at_leaf = partition_mod._incidence(p, points, MEMBERSHIP_TOL)
+    at_point, at_leaf = partition_mod._incidence(p, points)
     got = sorted(zip(at_point.tolist(), at_leaf.tolist()))
     expected = flat_scan_pairs(points, leaves)
     assert got == expected
@@ -830,7 +830,7 @@ def test_decomposition_sums_are_left_to_right(monkeypatch, d, steps):
     # vertex's incidences in ascending leaf id, face cones included, and
     # the face cones must be cut in (vertex, leaf) order
     p = refine(kuhn_triangulation(d), steps, "bisect-largest-leaf")
-    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices)
     incidences = zip(at_vertex.tolist(), at_leaf.tolist())
     faces = sorted((v, leaf) for v, leaf in incidences if v not in p.nodes[leaf].vertex_ids)
     assert faces
@@ -967,13 +967,26 @@ def test_audit_fractions_equal_per_cone_measurement_bitwise(name):
     assert report.passed
     for c in report.per_vertex_checks:
         assert c.fraction.hex() == per_cone(c.leaf_id, c.vertex_id).hex()
-    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices)
     assert len(report.decomposition_checks) == p.n_vertices
     for c in report.decomposition_checks:
         leaves = sorted(at_leaf[at_vertex == c.vertex_id].tolist())
         assert c.fraction_sum.hex() == _sum_left_to_right(per_cone(leaf, c.vertex_id) for leaf in leaves).hex()
     # the sums of the last two cases take face cones at hanging vertices
     assert bool(_hanging_vertices(p)) == (name in ("largest-kuhn4@30", "random4@3"))
+
+
+@pytest.mark.parametrize("name", ["kuhn3@4", "largest-kuhn4@30", "random4@3"])
+def test_bound_at_eta_min_is_never_above_a_leaf_bound(name):
+    # each cone is checked against its leaf's own bound only: eta_min is
+    # the smallest of the same leaf ratios, so the bound at eta_min is the
+    # smallest row bound, and a row that passes its own passes that one
+    p = refine(kuhn_triangulation(3), 4) if name == "kuhn3@4" else _audit_case(name)
+    report = verify_theorem(p)
+    uniform = per_simplex_angle_bound(report.eta_min, p.d)
+    assert all(uniform <= c.strong_bound for c in report.per_vertex_checks)
+    assert uniform == min(c.strong_bound for c in report.per_vertex_checks)
+    assert all(c.fraction >= uniform - 3.0 * c.stderr for c in report.per_vertex_checks if c.passed_strong)
 
 
 @pytest.mark.parametrize(
@@ -1001,7 +1014,7 @@ def test_stacked_closed_form_cones_equal_per_cone_build_bitwise(d, steps, strate
     for c in report.per_vertex_checks:
         normals = cone_at_point(p.simplex(c.leaf_id), p.vertex_coords(c.vertex_id)).halfspaces
         assert c.fraction.hex() == per_cone(c.leaf_id, c.vertex_id).hex() == closed_form_fraction(normals).hex()
-    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices, MEMBERSHIP_TOL)
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices)
     for c in report.decomposition_checks:
         leaves = sorted(at_leaf[at_vertex == c.vertex_id].tolist())
         assert c.fraction_sum.hex() == _sum_left_to_right(per_cone(leaf, c.vertex_id) for leaf in leaves).hex()
