@@ -482,32 +482,71 @@ def min_regularity(p: Partition) -> float:
     return min(p.regularity(leaves))
 
 
+def _all_columns(mask: np.ndarray) -> np.ndarray:
+    """np.all(mask, axis=1) of an (m, k) bool array, as k - 1 elementwise ands.
+
+    numpy's reduction over rows this short is several times slower.
+    """
+    out = mask[:, 0].copy()
+    for column in mask.T[1:]:
+        out &= column
+    return out
+
+
 def _incidence(p: Partition, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(point index, leaf id) pairs of every leaf whose closure holds a point.
 
-    A tree descent from the roots, one generation at a time: the frontier
-    is a pair of arrays (point index, node id), and a pair stays in it
-    when the point's barycentric coordinates in the node are all
-    >= -MEMBERSHIP_TOL, so a hanging vertex on a leaf's face is found as
-    well as the leaf corners.  Per generation, the distinct frontier nodes
-    take their vertex coordinates straight from the registry and their
-    gradient rows 1..d from one _gradient_rows call (row 0 is never read),
-    and one _barycentric call on each pair's rows gives every pair's
-    coordinates, the bits barycentric_many gives on the node's Simplex.
-    Pairs on a leaf are recorded, the others move on to both children
-    through the node table's children column.  Only the nodes a point
-    reaches are read, so one point costs a path, not the forest.  No
-    volume is measured, so the leaves are not validated here;
+    The pairs come in two parts.  Corner incidences need no geometry: a
+    bisection child keeps every corner of its parent but one, and the one
+    it drops lies outside it (its coordinate there is -1), so a registry
+    vertex that is a corner of a node lies in exactly the leaves below it
+    that name it.  Each query row takes the registry id of its
+    coordinates (Partition._ids); a row off the registry, or one that
+    repeats an earlier row's vertex, takes -1.  One pass over the leaves'
+    vertex ids then gives every (row, leaf) pair whose leaf names the
+    row's vertex.
+
+    The other pairs are found by a tree descent from the roots, one
+    generation at a time: the frontier is a pair of arrays (point index,
+    node id).  A pair whose point names its node leaves the frontier,
+    since the corner pass has its leaves; any other stays when the point's
+    barycentric coordinates in the node are all >= -MEMBERSHIP_TOL, so a
+    vertex hanging on a leaf's face is found too.  Per generation, the
+    distinct frontier nodes take their vertex coordinates straight from
+    the registry and their gradient rows 1..d from one _gradient_rows call
+    (row 0 is never read), and one _barycentric call on each pair's rows
+    gives every pair's coordinates, the bits barycentric_many gives on the
+    node's Simplex.  Pairs on a leaf are recorded, the others move on to
+    both children through the node table's children column.  Only the
+    nodes a point reaches are read, so one point costs a path, not the
+    forest.  No volume is measured, so the leaves are not validated here;
     min_regularity does that.
     """
     _, _, children, vertex_ids = p._columns()
     coords = p.vertices
+    m = points.shape[0]
+    ids = list(map(p._ids.get, map(tuple, points.tolist())))  # None off the registry
+    first = dict(zip(reversed(ids), range(m - 1, -1, -1)))  # each vertex's first row: the last write wins
+    first.pop(None, None)
+    vertex, row = list(first), list(first.values())
+    row_of = np.full(p.n_vertices, -1, dtype=np.intp)
+    row_of[vertex] = row
+    vid = np.full(m, -1, dtype=np.intp)
+    vid[row] = vertex
+    leaves = np.flatnonzero(children[:, 0] < 0)
+    rows = row_of[vertex_ids[leaves]]
+    named = rows >= 0
+    found_point, found_leaf = [rows[named]], [np.broadcast_to(leaves[:, None], rows.shape)[named]]
+
     roots = np.array(p.roots, dtype=np.intp)
-    point = np.repeat(np.arange(points.shape[0]), roots.size)
-    node = np.tile(roots, points.shape[0])
-    found_point, found_leaf = [point[:0]], [node[:0]]
+    point = np.repeat(np.arange(m), roots.size)
+    node = np.tile(roots, m)
     slot = np.empty(len(children), dtype=np.intp)
-    while point.size:
+    while True:
+        off = _all_columns(vertex_ids[node] != vid[point, None])
+        point, node = point[off], node[off]
+        if not point.size:
+            break
         # the distinct frontier nodes and each pair's index among them (not
         # np.unique, whose sort kernels add half a MiB of resident pages)
         distinct = np.flatnonzero(np.bincount(node, minlength=len(children)))
@@ -515,7 +554,7 @@ def _incidence(p: Partition, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
         at = slot[node]
         verts = coords[vertex_ids[distinct]]
         lam = _barycentric(_gradient_rows(verts)[at], points[point] - verts[at, 0])
-        inside = np.all(lam >= -MEMBERSHIP_TOL, axis=1)
+        inside = _all_columns(lam >= -MEMBERSHIP_TOL)
         point, node = point[inside], node[inside]
         kids = children[distinct][at[inside]]
         leaf = kids[:, 0] < 0
@@ -528,7 +567,8 @@ def _incidence(p: Partition, points: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def vertex_valence(p: Partition, point) -> int:
     """Number of leaves whose closure contains the point.
 
-    Membership is geometric (barycentric test with MEMBERSHIP_TOL), so the
+    A registry vertex meets the leaves that name it; beyond those,
+    membership is geometric (barycentric test with MEMBERSHIP_TOL), so the
     count is correct even for hanging nodes of a non-conforming state.
     """
     pt = as_point(point, p.d)
@@ -667,13 +707,15 @@ def verify_theorem(p: Partition) -> TheoremReport:
     """End-to-end audit of the intersection-number bound.
 
     Steps: compute eta_min and the theoretical bound N(eta_min, d);
-    locate every registry vertex by one tree descent, whose (vertex,
-    leaf) incidences give both the valences and the leaves around each
-    vertex; measure the solid-angle fraction of each (leaf, vertex) cone
-    and check it against the per-simplex bound minus 3 stderr; and sum
-    the fractions of the incident leaves around every vertex, with the
-    face cone of each leaf the vertex hangs on (interior sums must hit 1
-    within 4 combined stderr, boundary sums must not exceed 1 by more).
+    locate every registry vertex once (_incidence: the leaves naming it
+    from the leaf table, the leaves it hangs on by the tree descent),
+    whose (vertex, leaf) incidences give both the valences and the
+    leaves around each vertex; measure the solid-angle fraction of each
+    (leaf, vertex) cone and check it against the per-simplex bound minus
+    3 stderr; and sum the fractions of the incident leaves around every
+    vertex, with the face cone of each leaf the vertex hangs on (interior
+    sums must hit 1 within 4 combined stderr, boundary sums must not
+    exceed 1 by more).
 
     The corner cones are one stack (_corner_normals), and each leaf's
     rho (Partition.regularity) and bound are computed once.  One

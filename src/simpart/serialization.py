@@ -104,8 +104,19 @@ def write_partition(p: Partition, path) -> None:
 
 
 def _read_object(path, what: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The JSON object in a what file; ValueError names the file kind when it holds none.
+
+    A file that is not UTF-8 text, or that nests deeper than the JSON
+    decoder recurses, is refused with a one-line message of its own.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} file is not UTF-8 text (byte offset {exc.start})") from None
+    except RecursionError:
+        raise ValueError(f"{what} file nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{what} file must hold a JSON object, got {type(doc).__name__}")
     return doc

@@ -589,6 +589,36 @@ def test_malformed_simplex_file_is_usage_error(tmp_path, capsys, command, text):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def _file_commands(tmp_path, path):
+    """argv of each command that reads a JSON file, the partition reader first."""
+    return [
+        ["verify", str(path)],
+        ["refine", "--root", str(path), "-o", str(tmp_path / "p.json")],
+        ["cone", "--simplex", str(path), "--point", "0,0"],
+    ]
+
+
+@pytest.mark.parametrize("command", range(3), ids=["verify", "refine", "cone"])
+def test_deeply_nested_file_is_usage_error(tmp_path, capsys, command):
+    # the JSON decoder recurses once per bracket, so this used to escape as RecursionError (exit 4)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, *_file_commands(tmp_path, path)[command])
+    kind = "partition" if command == 0 else "simplex"
+    assert (code, out, err) == (2, "", f"simpart: error: {kind} file nests too deeply\n")
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("command", range(3), ids=["verify", "refine", "cone"])
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    # the message used to be the codec's name alone: "simpart: error: utf-8"
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'{"d": 2,\n\xff\xfe}')
+    code, out, err = run_cli(capsys, *_file_commands(tmp_path, path)[command])
+    kind = "partition" if command == 0 else "simplex"
+    assert (code, out, err) == (2, "", f"simpart: error: {kind} file is not UTF-8 text (byte offset 9)\n")
+
+
 def test_cone_outside_point_is_usage_error(tmp_path, capsys):
     s_path = tmp_path / "s.json"
     write_simplex(canonical_simplex("unit-corner", 2), s_path)

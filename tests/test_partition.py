@@ -592,6 +592,74 @@ def test_incidence_matches_flat_scan_of_every_pair(d, steps):
     assert np.any(valences > corners)  # some vertex hangs on a leaf face
 
 
+def _leaf_corner_counts(p):
+    """How many leaves name each registry vertex, from the node table alone."""
+    return np.bincount(p._vertex_ids[p.leaves].ravel(), minlength=p.n_vertices)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["kuhn2@6", "kuhn3@5", "kuhn4@3", "kuhn5@2", "random3@5", "random4@3"],
+)
+def test_incidence_matches_flat_scan_on_uniform_and_random_roots(name):
+    # corner incidences come from the leaf table and only the other pairs
+    # take the barycentric test; both together must be the flat scan's set
+    d, steps = int(name[-3]), int(name[-1])
+    rng = np.random.default_rng(3300 + d)
+    if name.startswith("kuhn"):
+        p = refine(kuhn_triangulation(d), steps)
+    else:
+        p = refine(partition_from_simplices([random_simplex(d, rng)]), steps)
+    leaves = {i: p.simplex(i).vertices for i in p.leaves}
+    points = np.vstack([p.vertices, p._corners(p.leaves[:10]).mean(axis=1), rng.normal(size=(10, d))])
+    at_point, at_leaf = partition_mod._incidence(p, points)
+    assert sorted(zip(at_point.tolist(), at_leaf.tolist())) == flat_scan_pairs(points, leaves)
+
+
+@pytest.mark.parametrize("name", ["largest-kuhn3@54", "random4@3"])
+def test_incidence_of_repeated_rows_is_every_leaf_of_their_vertex(name):
+    # only a vertex's first row is matched to the registry; a repeat is
+    # located by the descent and must meet the same leaves, hanging ones
+    # included, and a point off the registry meets the flat scan's leaves
+    rng = np.random.default_rng(3400)
+    if name == "random4@3":
+        p = refine(partition_from_simplices([random_simplex(4, rng)]), 3)
+    else:
+        p = refine(kuhn_triangulation(3), 54, strategy="bisect-largest-leaf")
+    hanging = np.flatnonzero(registry_valences(p) > _leaf_corner_counts(p))
+    assert hanging.size or name == "random4@3"
+    picks = np.concatenate([hanging[:5], rng.integers(0, p.n_vertices, 10)])
+    off = rng.normal(0.5, 0.5, size=(15, p.d))
+    points = np.vstack([p.vertices[picks], off, p.vertices, p.vertices[picks]])
+    at_point, at_leaf = partition_mod._incidence(p, points)
+    pairs = sorted(zip(at_point.tolist(), at_leaf.tolist()))
+    assert pairs == flat_scan_pairs(points, {i: p.simplex(i).vertices for i in p.leaves})
+    leaves_of = [sorted(at_leaf[at_point == row].tolist()) for row in range(len(points))]
+    first, repeats = len(picks) + len(off), len(picks) + len(off) + p.n_vertices
+    for k, vid in enumerate(picks.tolist()):
+        assert leaves_of[k] == leaves_of[first + vid] == leaves_of[repeats + k] != []
+
+
+@pytest.mark.parametrize("d, steps", [(2, 6), (3, 5)])
+def test_conforming_incidences_are_the_leaf_corners(d, steps):
+    # uniform Kuhn refinement in d <= 3 is conforming: no vertex hangs, so
+    # a vertex's valence is the number of leaves that name it
+    p = refine(kuhn_triangulation(d), steps)
+    assert registry_valences(p).tolist() == _leaf_corner_counts(p).tolist()
+
+
+def test_hanging_incidences_of_uniform_kuhn4():
+    # uniform kuhn(4)@4 is not conforming: 312 (vertex, leaf) incidences
+    # put a vertex on a face of a leaf that does not name it, and only the
+    # descent's barycentric test finds them
+    p = refine(kuhn_triangulation(4), 4)
+    at_vertex, at_leaf = partition_mod._incidence(p, p.vertices)
+    named = np.any(p._vertex_ids[at_leaf] == at_vertex[:, None], axis=1)
+    assert (at_vertex.size, int(np.count_nonzero(~named))) == (2232, 312)
+    valences = registry_valences(p)
+    assert valences.sum() == 2232 and np.all(valences >= _leaf_corner_counts(p))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_barycentric_many_equals_the_descent_kernel_bitwise(d):
     # the descent gathers each pair's gradient rows 1..d and vertex 0 from
