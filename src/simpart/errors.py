@@ -18,7 +18,7 @@ class DegenerateSimplex(SimpartError):
 
 
 class UnsupportedDimension(SimpartError):
-    """Requested ambient dimension is below 2."""
+    """Requested ambient dimension is below 2, or too large for what is being built."""
 
 
 class PointOutsideSimplex(SimpartError):

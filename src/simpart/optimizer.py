@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ArityError, BudgetTooSmall, DegenerateSimplex, EmptyPartition
 from .geometry import _longest_edges
 from .geometry import regularity_ratio  # not called here; bound for perfbench/tracing.py's span of it
-from .partition import Partition, _grown
+from .partition import Partition, _grown, _midpoints, _place_midpoints
 
 # The most queue entries one sweep plans, and the most nodes one
 # Partition.regularity call measures after the search.
@@ -118,29 +118,27 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     next entries in heap order, at most _PLAN of them and at most a
     quarter of the node table's rows (the children of more could outgrow
     the doubled table _grown makes room in, and it would size the table
-    exactly instead).  One stacked pass over the plan computes every
-    member's midpoint, (v_i + v_j) / 2 as bisect_leaves computes it, its
-    children's corners and their longest edges (one _longest_edges call),
-    and each child's smallest vertex value but its midpoint's: the
-    parent's without vertex j, and without vertex i.  The plan is then
-    walked in order as the loop that takes one leaf at a time takes it:
-    each member gets its trace row, and the search stops at a row whose
-    gap is <= tol or whose evaluations have used up the budget.  A
-    member's midpoint is registered as the walk reaches it, through the
-    registry's one insert (Partition._insert), the objective is called
-    only where the array of vertex values indexed by registry id still
-    holds NaN, and the children's bounds, max(lb, min(lo, f(mid)) - L * h)
-    in Python floats, are pushed at once.  A child that leads the next
-    planned entry in heap order ends the sweep there; one that ties its
-    bound has a larger id and waits for the planned entries of that bound.
-    At the sweep's end the members walked are split in one
-    Partition._split call, with the edges and midpoint ids the walk
-    already has, their children's h and (i, j) are written into the node
-    table, and the rest of the plan goes back on the queue.  The trace,
-    the partition and the result are the bits the one-leaf-at-a-time loop
-    gives, and so is the partition left behind when the objective raises
-    or returns a non-finite value or a midpoint rounds onto a vertex: the
-    members up to that one are registered and split first.
+    exactly instead).  One stacked pass over the plan computes the
+    members' midpoints, their children's corners and longest edges (one
+    _longest_edges call), and each child's smallest vertex value but its
+    midpoint's, the children laid out by _place_midpoints.  The
+    plan is then walked in order as the loop that takes one leaf at a
+    time takes it: each member gets its trace row, and the search stops
+    at a row whose gap is <= tol or whose evaluations have used up the
+    budget.  A member's midpoint is registered as the walk reaches it
+    (Partition._insert), the objective is called only where the array of
+    vertex values indexed by registry id still holds NaN, and the
+    children's bounds, max(lb, min(lo, f(mid)) - L * h) in Python floats,
+    are pushed at once.  A child that leads the next planned entry in heap
+    order ends the sweep there; one that ties its bound has a larger id
+    and waits for the planned entries of that bound.  At the sweep's end
+    the members walked are split in one Partition._split call, their
+    children's h and (i, j) are written into the node table, and the rest
+    of the plan goes back on the queue.  The trace, the partition and the
+    result are the bits the one-leaf-at-a-time loop gives, and so is the
+    partition left behind when the objective raises or returns a
+    non-finite value or a midpoint rounds onto a vertex: the members up to
+    that one are registered and split first.
 
     No Simplex is built.  The roots' ratios come from one
     Partition.regularity call; the children's are taken after the
@@ -185,14 +183,13 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         nodes = np.array([node_id for _, node_id in plan])
         corner_vids = p._vertex_ids[nodes]
         i, j = p._edge[nodes].T
-        at = np.arange(nodes.size)
         corners = p._coords[corner_vids]
-        mids = (corners[at, i] + corners[at, j]) / 2.0  # as bisect_leaves
-        kids = np.repeat(corners[:, None], 2, axis=1)  # each member's children, as _split lays them out
-        kids[at, 0, j] = kids[at, 1, i] = mids
+        mids = _midpoints(corners, i, j)
+        kids = np.repeat(corners[:, None], 2, axis=1)  # each member's children
+        _place_midpoints(kids, i, j, mids)
         kid_h, kid_edge = _longest_edges(kids.reshape(-1, p.d + 1, p.d))
         others = np.repeat(values[corner_vids][:, None], 2, axis=1)
-        others[at, 0, j] = others[at, 1, i] = np.inf
+        _place_midpoints(others, i, j, np.inf)
         lo = others.min(axis=2).ravel().tolist()  # each child's smallest value but its midpoint's
         reach = (lip * kid_h).tolist()
         first = p._n_nodes

@@ -114,6 +114,23 @@ def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
     return out
 
 
+def _midpoints(corners: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(v_i + v_j) / 2 of each edge (i[k], j[k]) of an (m, d+1, d) corner stack: every bisection's midpoint."""
+    rows = np.arange(corners.shape[0])
+    return (corners[rows, i] + corners[rows, j]) / 2.0
+
+
+def _place_midpoints(kids: np.ndarray, i: np.ndarray, j: np.ndarray, mid) -> None:
+    """The bisection's layout of the children, written in place into kids, (m, 2, d+1, ...).
+
+    kids[k] is two copies of leaf k's rows (vertex ids, corners or values);
+    mid[k], or one value for all, goes into slot j[k] of the first child and
+    slot i[k] of the second: each keeps one end of the split edge (i[k], j[k]).
+    """
+    rows = np.arange(kids.shape[0])
+    kids[rows, 0, j] = kids[rows, 1, i] = mid
+
+
 class Partition:
     """Refinement forest with a deduplicated vertex registry.
 
@@ -164,18 +181,13 @@ class Partition:
         with the same bits), points one ulp apart are two, and shared
         midpoints agree bitwise (above).
         """
-        return self._register(as_point(p, self.d) + 0.0)
-
-    def _register(self, p: np.ndarray) -> int:
-        """vertex_id without its input checks; p must be a finite (d,) array.
-
-        Bisection midpoints are: the mean of two registry vertices, whose
-        coordinates make_simplex caps far below overflow.
-        """
-        return self._insert(tuple(p.tolist()))
+        return self._insert(tuple((as_point(p, self.d) + 0.0).tolist()))
 
     def _register_rows(self, points: np.ndarray) -> list[int]:
-        """_register of each row of an (m, d) array, in row order."""
+        """vertex_id of each row of an (m, d) array, in row order, unchecked: rows must be finite, with no -0.0.
+
+        Roots add 0.0 first; midpoints are means of registry vertices, which make_simplex caps far below overflow.
+        """
         return list(map(self._insert, map(tuple, points.tolist())))
 
     def _insert(self, key: tuple) -> int:
@@ -323,15 +335,13 @@ class Partition:
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
 
-        The midpoint of the canonical longest edge (u, w) goes through
-        the registry, so one a neighbour already made keeps its id; it
-        replaces w in the first child and u in the second, so each child
-        keeps one endpoint of the split edge and the parent's vertex order.
-        Both children are appended at the end of the node table, so node
-        ids are creation order, which is what lets a partition file be its
-        roots and split ids in that order (read_partition replays them).
-        The edge comes from longest_edges; nothing is built or checked
-        here, so a caller that needs its leaves valid asks volumes.
+        The edge comes from longest_edges and its midpoint goes through the
+        registry, so one a neighbour already made keeps its id.  _split
+        appends the children, laid out by _place_midpoints, to the node
+        table, so node ids are creation order, which lets a partition file
+        be its roots and split ids in that order (read_partition replays
+        them).  Nothing is built or checked here, so a caller that needs its
+        leaves valid asks volumes.
         """
         if not 0 <= node_id < self._n_nodes:
             raise IndexError(f"node {node_id} is not in the partition")
@@ -339,28 +349,18 @@ class Partition:
             raise ValueError(f"node {node_id} is not a leaf")
         if math.isnan(self._h[node_id]):
             self.longest_edges((node_id,))
-        i, j = self._edge[node_id].tolist()
-        vids = self._vertex_ids[node_id].tolist()
-        mid = self._register((self._coords[vids[i]] + self._coords[vids[j]]) / 2.0)
-        first = self._new_nodes(2)
-        kids = self._vertex_ids[first : first + 2]
-        kids[:] = self._vertex_ids[node_id]
-        kids[0, j] = kids[1, i] = mid
-        self._parent[first] = self._parent[first + 1] = node_id
-        self._generation[first] = self._generation[first + 1] = self._generation[node_id] + 1
-        self._children[node_id, 0], self._children[node_id, 1] = first, first + 1
-        return first, first + 1
+        leaf = np.array([node_id], dtype=np.intp)
+        i, j = self._edge[leaf].T
+        self._split(leaf, i, j, self._register_rows(_midpoints(self._corners(leaf), i, j)))
+        return tuple(self._children[node_id].tolist())
 
     def bisect_leaves(self, node_ids) -> None:
         """Bisect distinct leaves as bisect on each of them in turn would.
 
-        One leaf takes bisect.  More are split in one stacked pass: the
-        longest edges come from one longest_edges call, every midpoint is
-        (v_i + v_j) / 2 in one elementwise operation on the gathered
-        corners (the bits bisect gets), the midpoints are registered in the
-        given order (_register_rows), and _split writes the children.  A
-        partition refined either way has the same node table and registry,
-        bit for bit.
+        One leaf takes bisect.  More are split in one stacked pass (one
+        longest_edges, _midpoints and _split call, the midpoints registered
+        in the given order), to the same node table and registry, bit for
+        bit.
         """
         node_ids = list(node_ids)
         if len(node_ids) <= 1:
@@ -373,24 +373,19 @@ class Partition:
         if np.any(self._children[leaves, 0] >= 0) or len(set(node_ids)) < len(node_ids):
             raise ValueError("bisect_leaves needs distinct leaves")
         i, j = self.longest_edges(leaves)[1].T
-        rows = np.arange(leaves.size)
-        verts = self._corners(leaves)
-        self._split(leaves, i, j, self._register_rows((verts[rows, i] + verts[rows, j]) / 2.0))
+        self._split(leaves, i, j, self._register_rows(_midpoints(self._corners(leaves), i, j)))
 
     def _split(self, leaves: np.ndarray, i: np.ndarray, j: np.ndarray, mid) -> None:
-        """Write the leaves' children into the node table, as bisect lays them out.
+        """Append the leaves' children to the node table, laid out by _place_midpoints: every split's one writer.
 
-        Leaf k's longest edge is (i[k], j[k]) and its midpoint has registry
-        id mid[k]; its children get the next ids 2k and 2k + 1, the first
-        with mid in place of vertex j[k], the second in place of i[k].  The
-        caller has checked the leaves and registered the midpoints.
+        Leaf k's split edge is (i[k], j[k]) and mid[k] is its midpoint's
+        registry id.  The caller has checked the leaves.
         """
         first = self._new_nodes(2 * leaves.size)
         new = slice(first, self._n_nodes)
-        rows = np.arange(leaves.size)
         kids = self._vertex_ids[new].reshape(-1, 2, self.d + 1)  # each leaf's first and second child
         kids[:] = self._vertex_ids[leaves, None]
-        kids[rows, 0, j] = kids[rows, 1, i] = mid
+        _place_midpoints(kids, i, j, mid)
         self._parent[new].reshape(-1, 2)[:] = leaves[:, None]
         self._generation[new].reshape(-1, 2)[:] = self._generation[leaves, None] + 1
         self._children[leaves] = np.arange(first, self._n_nodes).reshape(-1, 2)
@@ -412,10 +407,17 @@ def kuhn_triangulation(d: int) -> Partition:
 
     The simplex of permutation pi walks from the origin to (1, ..., 1)
     adding one coordinate step e_pi(k) at a time; permutations are
-    enumerated in lexicographic order so root ids are stable.
+    enumerated in lexicographic order so root ids are stable.  Their rho
+    is 1 / (d! d^(d/2)), so a d past the last with rho > VOLUME_EPS_REL
+    (10) is refused before anything is allocated.
     """
     if d < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
+    top = 2
+    while 1.0 / (math.factorial(top + 1) * (top + 1) ** ((top + 1) / 2)) > VOLUME_EPS_REL:
+        top += 1
+    if d > top:
+        raise UnsupportedDimension(f"dimension {d} is above {top}, the largest whose Kuhn simplices are not degenerate")
     p = Partition(d)
     for perm in itertools.permutations(range(d)):
         verts = np.zeros((d + 1, d))

@@ -776,6 +776,26 @@ def test_optimize_refuses_before_building_the_objective(capsys, monkeypatch, dim
     assert ("dimension" if dim < 2 else "budget") in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("refine", "--dim", "11"),
+        ("refine", "--dim", "1000000"),
+        ("refine", "--dim", "100000000000000000000"),
+        ("optimize", "--objective", "sphere", "--dim", "11", "--budget", "1000000000000000"),
+    ],
+)
+def test_a_kuhn_dimension_whose_simplices_are_degenerate_is_refused_naming_the_limit(capsys, tmp_path, argv):
+    # rho = 1 / (d! d^(d/2)) is 2.76e-12 at d = 10 and 4.7e-14 at d = 11, below VOLUME_EPS_REL
+    out_path = tmp_path / "p.json"
+    if argv[0] == "refine":
+        argv += ("-o", str(out_path))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert f"dimension {argv[argv.index('--dim') + 1]} is above 10, the largest" in err
+    assert not out_path.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys)[0] == 2

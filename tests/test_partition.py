@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -327,6 +328,68 @@ def test_bisect_leaves_requires_distinct_leaves():
     with pytest.raises(IndexError):
         p.bisect_leaves([1, 4])
     assert len(p.nodes) == 4 and p.leaves == [1, 2, 3]
+
+
+def test_bisect_refuses_before_it_writes():
+    # its checks are all that stands before _split's writes
+    p = refine(kuhn_triangulation(2), 2, strategy="bisect-largest-leaf")
+    before, n_vertices = copy.deepcopy(p), p.n_vertices
+    for node_id, error in ((len(p.nodes), IndexError), (10**6, IndexError), (-1, IndexError), (0, ValueError)):
+        with pytest.raises(error):
+            p.bisect(node_id)
+        assert p == before and p.n_vertices == n_vertices
+
+
+def spy_on_split(monkeypatch) -> list:
+    """Record each Partition._split call as (leaves, the node ids it made, the rows it wrote)."""
+    calls = []
+    split = Partition._split
+
+    def spy(p, leaves, *rest):
+        first = p._n_nodes
+        split(p, leaves, *rest)
+        made = range(first, p._n_nodes)
+        rows = [c[made].copy() for c in (p._parent, p._generation, p._vertex_ids)] + [p._children[leaves].copy()]
+        calls.append((leaves.tolist(), made, rows))
+
+    monkeypatch.setattr(Partition, "_split", spy)
+    return calls
+
+
+def assert_every_split_went_through(p, calls, bisections):
+    """Each non-root node was made by a recorded _split call, one leaf per bisection, and kept its rows."""
+    made = [k for _, ids, _ in calls for k in ids]
+    assert made == [node.id for node in p.nodes if node.parent is not None]
+    assert len(made) == 2 * bisections
+    split_leaves = [leaf for leaves, _, _ in calls for leaf in leaves]
+    assert split_leaves == [p.nodes[k].parent for k in made[::2]]
+    for leaves, ids, rows in calls:
+        assert len(ids) == 2 * len(leaves)
+        now = [c[ids] for c in (p._parent, p._generation, p._vertex_ids)] + [p._children[leaves]]
+        assert all(np.array_equal(a, b) for a, b in zip(rows, now))
+
+
+def test_every_split_writes_through_partition_split(monkeypatch, tmp_path):
+    calls = spy_on_split(monkeypatch)
+    p = kuhn_triangulation(2)
+    assert p.bisect(0) == (2, 3)
+    assert calls[0][0] == [0]
+    p.bisect_leaves([2])
+    p.bisect_leaves(p.leaves)
+    assert_every_split_went_through(p, calls, 1 + 1 + 4)
+    for strategy, steps, bisections in (("bisect-all-leaves", 3, 6 + 12 + 24), ("bisect-largest-leaf", 20, 20)):
+        calls.clear()
+        p = refine(kuhn_triangulation(3), steps, strategy=strategy)
+        assert_every_split_went_through(p, calls, bisections)
+        path = tmp_path / f"{strategy}.json"
+        write_partition(p, path)
+        calls.clear()
+        q = read_partition(path)
+        assert q == p
+        assert_every_split_went_through(q, calls, bisections)
+    calls.clear()
+    r = optimize(build_objective("shifted-sphere", 3), kuhn_triangulation(3), budget=300, tol=1e-3)
+    assert_every_split_went_through(r.partition, calls, r.leaves_explored)
 
 
 def bisected_one_at_a_time(p, steps):
