@@ -9,12 +9,12 @@ bounds of the children inherit the parent's (they can only be tighter),
 so the global lower bound climbs monotonically toward the incumbent.
 
 Everything is deterministic: vertex evaluations are cached by registry
-id, heap ties break on node id, and no randomness is involved.
+id, the queue is kept sorted by (bound, node id), so equal bounds are
+taken in node id order, and no randomness is involved.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,10 +25,10 @@ import numpy as np
 from .errors import ArityError, BudgetTooSmall, DegenerateSimplex, EmptyPartition
 from .geometry import _longest_edges
 from .geometry import regularity_ratio  # not called here; bound for perfbench/tracing.py's span of it
-from .partition import Partition, _grown, _midpoints, _place_midpoints
+from .partition import Partition, _midpoints, _place_midpoints
 
-# The most queue entries one sweep plans, and the most nodes one
-# Partition.regularity call measures after the search.
+# The most queue entries one sweep plans (the front of the sorted queue),
+# and the most nodes one Partition.regularity call measures after the search.
 _PLAN = 1024
 
 
@@ -114,37 +114,43 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     Lipschitz constant must be finite and >= 0, or the bounds order
     nothing.
 
-    The search runs in sweeps.  A sweep pops a plan off the queue: its
-    next entries in heap order, at most _PLAN of them and at most a
+    The search runs in sweeps over a queue of two arrays, bounds and node
+    ids, kept sorted by (bound, id): the order a heap of (bound, id)
+    tuples pops in, with no ties, since ids are unique.  A sweep's plan is
+    the queue's first entries, at most _PLAN of them and at most a
     quarter of the node table's rows (the children of more could outgrow
     the doubled table _grown makes room in, and it would size the table
     exactly instead).  One stacked pass over the plan computes the
     members' midpoints, their children's corners and longest edges (one
     _longest_edges call), and each child's smallest vertex value but its
-    midpoint's, the children laid out by _place_midpoints.  The
-    plan is then walked in order as the loop that takes one leaf at a
-    time takes it: each member gets its trace row, and the search stops
-    at a row whose gap is <= tol or whose evaluations have used up the
-    budget.  A member's midpoint is registered as the walk reaches it
-    (Partition._insert), the objective is called only where the array of
-    vertex values indexed by registry id still holds NaN, and the
-    children's bounds, max(lb, min(lo, f(mid)) - L * h) in Python floats,
-    are pushed at once.  A child that leads the next planned entry in heap
-    order ends the sweep there; one that ties its bound has a larger id
-    and waits for the planned entries of that bound.  At the sweep's end
-    the members walked are split in one Partition._split call, their
-    children's h and (i, j) are written into the node table, and the rest
-    of the plan goes back on the queue.  The trace, the partition and the
-    result are the bits the one-leaf-at-a-time loop gives, and so is the
-    partition left behind when the objective raises or returns a
-    non-finite value or a midpoint rounds onto a vertex: the members up to
-    that one are registered and split first.
+    midpoint's, the children laid out by _place_midpoints; one registry
+    lookup gives the midpoints' ids at the sweep's start.  The plan is
+    then walked in order as the loop that takes one leaf at a time takes
+    it: each member gets its trace row, and the search stops at a row
+    whose gap is <= tol or whose evaluations have used up the budget.  A
+    midpoint new at the sweep's start is registered as the walk reaches
+    it (Partition._insert), the objective is called only where the list
+    of vertex values indexed by registry id still holds NaN (a vertex
+    registered before the search is evaluated when the walk reaches it),
+    and the children's bounds are max(lb, min(lo, f(mid)) - L * h) in
+    Python floats.  Only this sweep's children can lead a planned entry,
+    and their ids are above every queued one, so the first child whose
+    bound is below the next planned entry's ends the sweep there; one that
+    ties it waits for the planned entries of that bound.  At the sweep's
+    end the members walked are split in one Partition._split call, their
+    children's h and (i, j) are written into the node table, and the
+    children are merged into the rest of the queue in one step (_merged).
+    The trace, the partition and the result are the bits the
+    one-leaf-at-a-time loop gives, and so is the partition left behind
+    when the objective raises or returns a non-finite value or a midpoint
+    rounds onto a vertex: the members up to that one are registered and
+    split first.
 
     No Simplex is built.  The roots' ratios come from one
     Partition.regularity call; the children's are taken after the
     search, in creation order and in blocks of _PLAN nodes, which raises
     DegenerateSimplex at the first degenerate child; the trace's eta_min
-    column is filled from them then.
+    column is then their running minimum (one np.minimum.accumulate).
     """
     lip = objective.lipschitz_constant
     if not (0 <= lip < math.inf):
@@ -171,16 +177,17 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
     # the incumbent: the smallest value, ties to the smallest id
     best_val, best_vid = min((float(values[vid]), vid) for vid in root_vids)
     root_bounds = values[p._vertex_ids[roots]].min(axis=1) - lip * p.longest_edges(roots)[0]
-    heap: list[tuple[float, int]] = list(zip(root_bounds.tolist(), roots))
-    heapq.heapify(heap)
+    # the queue, sorted by (bound, id); an unrefined partition's roots are nodes 0, 1, ...
+    bounds, ids = _merged(np.empty(0), np.empty(0, dtype=np.intp), root_bounds, 0)
+    vals = values.tolist()
     eta_min = min(p.regularity(roots))
 
-    insert, pop, push = p._insert, heapq.heappop, heapq.heappush
+    insert, lookup, nan = p._insert, p._ids.get, math.nan
     rows: list[tuple[int, int, float, float, float]] = []  # TraceRow without eta_min
     stop_reason = None
     while stop_reason is None:
-        plan = [pop(heap) for _ in range(min(len(heap), _PLAN, p._parent.shape[0] // 4))]
-        nodes = np.array([node_id for _, node_id in plan])
+        n = min(ids.size, _PLAN, p._parent.shape[0] // 4)
+        plan_bounds, nodes = bounds[:n].tolist(), ids[:n]
         corner_vids = p._vertex_ids[nodes]
         i, j = p._edge[nodes].T
         corners = p._coords[corner_vids]
@@ -188,48 +195,65 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         kids = np.repeat(corners[:, None], 2, axis=1)  # each member's children
         _place_midpoints(kids, i, j, mids)
         kid_h, kid_edge = _longest_edges(kids.reshape(-1, p.d + 1, p.d))
-        others = np.repeat(values[corner_vids][:, None], 2, axis=1)
+        others = np.repeat(np.array(vals)[corner_vids][:, None], 2, axis=1)
         _place_midpoints(others, i, j, np.inf)
-        lo = others.min(axis=2).ravel().tolist()  # each child's smallest value but its midpoint's
-        reach = (lip * kid_h).tolist()
+        # one list for the members' first children and one for their second,
+        # not a list per member: fewer objects for the garbage collector
+        lo = others.min(axis=2).T.tolist()  # each child's smallest value but its midpoint's
+        reach = (lip * kid_h).reshape(-1, 2).T.tolist()  # each child's L * h
+        keys = list(map(tuple, mids.tolist()))
+        known = list(map(lookup, keys, itertools.repeat(-1)))  # registry id at the sweep's start, or -1
+        # whether a midpoint known at the sweep's start is one of its member's corners
+        onto = (corner_vids == np.array(known)[:, None]).any(axis=1).tolist()
         first = p._n_nodes
         mid_ids: list[int] = []  # registry id of each walked member's midpoint
+        kid_bounds: list[float] = []  # the walked members' children's bounds, in id order
+        lead = math.inf  # the smallest of them
         flat = None
         try:
-            for k, (entry, vids, key, mid) in enumerate(
-                zip(plan, corner_vids.tolist(), map(tuple, mids.tolist()), mids)
+            for k, (lb, node_id, vid, on_corner, lo0, lo1, r0, r1) in enumerate(
+                zip(plan_bounds, nodes.tolist(), known, onto, *lo, *reach)
             ):
-                if heap and heap[0] < entry:
-                    break  # a child leads the rest of the plan
-                lb, node_id = entry
+                # a child's id is above every queued one, so it leads this
+                # entry exactly when its bound is smaller
+                if lead < lb:
+                    break
                 gap = best_val - lb
                 rows.append((len(rows), node_id, lb, best_val, gap))
                 if gap <= tol or evaluations >= budget:
                     stop_reason = "tol" if gap <= tol else "budget"
                     break
                 # registered and split even if what follows raises, as one leaf at a time
-                vid = insert(key)
+                if vid < 0:  # new at the sweep's start, so no queued node's corner
+                    vid = lookup(keys[k], -1)  # made earlier in the sweep, or new
+                    if vid < 0:
+                        vid = insert(keys[k])
+                        vals.append(nan)
                 mid_ids.append(vid)
-                if vid in vids:
+                if on_corner:
                     # the midpoint rounded onto a vertex, so a child repeats one;
                     # stop here rather than split a copy of the parent forever
                     flat = f"node {node_id}: its longest edge {i[k]}-{j[k]} is too short to bisect"
                     break
-                if vid >= values.shape[0]:
-                    values = _grown(values, vid + 1, fill=np.nan)
-                v = values[vid]
-                if math.isnan(v):
+                v = vals[vid]
+                if v != v:
                     # a cached value was weighed against the incumbent when it was evaluated
-                    v = values[vid] = _evaluated(f, mid, vid)
+                    v = vals[vid] = _evaluated(f, mids[k], vid)
                     evaluations += 1
                     if v < best_val or (v == best_val and vid < best_vid):
                         best_val, best_vid = v, vid
-                else:
-                    v = float(v)
                 # inherited bound: a child region is inside its parent's, so the
-                # parent's bound still holds and only improves
-                push(heap, (max(lb, min(lo[2 * k], v) - reach[2 * k]), first + 2 * k))
-                push(heap, (max(lb, min(lo[2 * k + 1], v) - reach[2 * k + 1]), first + 2 * k + 1))
+                # parent's bound still holds and only improves; this is
+                # max(lb, min(lo, v) - reach), each keeping its first argument on a tie
+                x0 = (v if v < lo0 else lo0) - r0
+                x1 = (v if v < lo1 else lo1) - r1
+                x0 = x0 if x0 > lb else lb
+                x1 = x1 if x1 > lb else lb
+                kid_bounds += x0, x1
+                if x0 < lead:
+                    lead = x0
+                if x1 < lead:
+                    lead = x1
         finally:
             walked = len(mid_ids)
             p._split(nodes[:walked], i[:walked], j[:walked], mid_ids)
@@ -237,14 +261,13 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
             p._edge[first : p._n_nodes] = kid_edge[: 2 * walked]
         if flat is not None:
             break
-        for entry in plan[walked:]:
-            push(heap, entry)
+        bounds, ids = _merged(bounds[walked:], ids[walked:], np.array(kid_bounds), first)
 
     # row k saw the roots and the 2k children of the k bisections before it
-    etas = list(itertools.accumulate(_child_ratios(p, len(roots)), min, initial=eta_min))
+    etas = np.minimum.accumulate(np.concatenate(([eta_min], *_child_ratios(p, len(roots)))))
     if flat is not None:  # when no child's volume raised first
         raise DegenerateSimplex(flat)
-    trace = [TraceRow(*row, eta_min=etas[2 * row[0]]) for row in rows]
+    trace = [TraceRow(*row, eta) for row, eta in zip(rows, etas[: 2 * len(rows) : 2].tolist())]
     return OptimizeResult(
         point=p.vertex_coords(best_vid).copy(),
         value=best_val,
@@ -252,17 +275,29 @@ def optimize(objective: Objective, p: Partition, budget: int, tol: float) -> Opt
         lower_bound=trace[-1].lower_bound,
         leaves_explored=len(rows) - 1,
         evaluations=evaluations,
-        eta_min=etas[-1],
+        eta_min=float(etas[-1]),
         stop_reason=stop_reason,
         trace=trace,
         partition=p,
     )
 
 
+def _merged(bounds: np.ndarray, ids: np.ndarray, kid_bounds: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The queue (bounds, ids), sorted by (bound, id), with children first, first + 1, ... of kid_bounds merged in.
+
+    The children's ids are above every queued one, so each goes after the
+    queued entries of an equal bound, and after its elder siblings of one.
+    """
+    order = np.argsort(kid_bounds, kind="stable")
+    kid_bounds = kid_bounds[order]
+    at = np.searchsorted(bounds, kid_bounds, side="right")
+    return np.insert(bounds, at, kid_bounds), np.insert(ids, at, order + first)
+
+
 def _child_ratios(p: Partition, first: int):
-    """Partition.regularity of nodes first onward, in creation order, one block of _PLAN nodes at a time."""
+    """Partition.regularity of nodes first onward, in creation order, one list per block of _PLAN nodes."""
     for start in range(first, p._n_nodes, _PLAN):
-        yield from p.regularity(range(start, min(start + _PLAN, p._n_nodes)))
+        yield p.regularity(range(start, min(start + _PLAN, p._n_nodes)))
 
 
 def _evaluated(f: Callable[[np.ndarray], float], x: np.ndarray, vid: int) -> float:

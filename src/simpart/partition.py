@@ -330,7 +330,8 @@ class Partition:
         """
         vol = self.volumes(node_ids).tolist()
         h = self.longest_edges(node_ids)[0].tolist()
-        return [v / hk**self.d for v, hk in zip(vol, h)]
+        d = self.d
+        return [v / hk**d for v, hk in zip(vol, h)]
 
     def bisect(self, node_id: int) -> tuple[int, int]:
         """Longest-edge bisection of a leaf; returns the child node ids.
@@ -406,10 +407,16 @@ def kuhn_triangulation(d: int) -> Partition:
     """Unit cube split into d! path simplices sharing the main diagonal.
 
     The simplex of permutation pi walks from the origin to (1, ..., 1)
-    adding one coordinate step e_pi(k) at a time; permutations are
-    enumerated in lexicographic order so root ids are stable.  Their rho
-    is 1 / (d! d^(d/2)), so a d past the last with rho > VOLUME_EPS_REL
-    (10) is refused before anything is allocated.
+    adding one coordinate step e_pi(k) at a time, so its vertex k is the
+    sum of e_pi(0), ..., e_pi(k-1); permutations are enumerated in
+    lexicographic order so root ids are stable.  The roots are built as
+    one stack: the 2^d cube corners are registered in the order add_root
+    on each root in turn would meet them, and the root rows are written
+    once.  They are not validated one by one, because their construction
+    does it: every vertex is 0 or 1 in each coordinate, and every Kuhn
+    simplex has volume 1/d! and longest edge sqrt(d), so rho = 1 / (d!
+    d^(d/2)), and a d past the last with rho > VOLUME_EPS_REL (10) is
+    refused before anything is allocated.
     """
     if d < 2:
         raise UnsupportedDimension(f"dimension must be >= 2, got {d}")
@@ -418,13 +425,27 @@ def kuhn_triangulation(d: int) -> Partition:
         top += 1
     if d > top:
         raise UnsupportedDimension(f"dimension {d} is above {top}, the largest whose Kuhn simplices are not degenerate")
+    n = math.factorial(d)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(d))), np.int8, n * d)
+    # each vertex as the bit mask of its unit coordinates: 0, then the running sums of 2^pi(k)
+    codes = np.zeros((n, d + 1), dtype=np.intp)
+    np.cumsum(np.left_shift(1, perms.reshape(n, d), dtype=np.intp), axis=1, out=codes[:, 1:])
+
+    def first_met(c: int) -> tuple[list[int], int]:
+        # add_root on each root in turn first meets corner c in the first root
+        # that starts with its axes (them, then the other axes, each in
+        # increasing order), as that root's vertex |c|
+        axes = [a for a in range(d) if c >> a & 1]
+        return axes + [a for a in range(d) if not c >> a & 1], len(axes)
+
+    corners = sorted(range(2**d), key=first_met)  # in the order they are first met
     p = Partition(d)
-    for perm in itertools.permutations(range(d)):
-        verts = np.zeros((d + 1, d))
-        for k, axis in enumerate(perm):
-            verts[k + 1] = verts[k]
-            verts[k + 1, axis] += 1.0
-        p.add_root(verts)
+    vids = np.empty(2**d, dtype=np.intp)
+    vids[corners] = p._register_rows(((np.array(corners)[:, None] >> np.arange(d)) & 1).astype(float))
+    p._new_nodes(n)  # the roots are nodes 0, ..., n - 1
+    p._parent[:n] = -1
+    p._generation[:n] = 0
+    p._vertex_ids[:n] = vids[codes]
     return p
 
 

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 from unittest import mock
@@ -15,6 +16,7 @@ from simpart.geometry import barycentric_many, make_simplex
 from simpart.optimizer import (
     OBJECTIVES,
     Objective,
+    _merged,
     build_objective,
     optimize,
     simplex_lower_bound,
@@ -497,6 +499,105 @@ def test_sweeps_equal_the_one_leaf_loop_and_stay_below_the_grid_minimum(d, seed,
     assert [tuple(row) for row in r.trace] == rows
     floor = grid_minimum(evaluate, [0.0] * d, [1.0] * d, 11)
     assert all(row.lower_bound <= floor for row in r.trace)
+
+
+def _recording(objective):
+    """objective with an evaluate that also records a copy of every point it is called at, and that list."""
+    points = []
+
+    def evaluate(x):
+        points.append(np.array(x, copy=True))
+        return objective.evaluate(x)
+
+    return Objective(objective.name, evaluate, objective.lipschitz_constant), points
+
+
+def _random_roots(d, seed):
+    """Two random roots and a shifted sphere centred in the first, with L = 6."""
+    rng = np.random.default_rng(seed)
+    roots = [random_simplex(d, rng) for _ in range(2)]
+    centre = roots[0].vertices.mean(axis=0)
+    return roots, Objective("shifted", lambda x: float(np.sum((x - centre) ** 2)), 6.0)
+
+
+def _kuhn_roots(name, d):
+    kuhn = kuhn_triangulation(d)
+    return [kuhn.simplex(k) for k in kuhn.roots], build_objective(name, d)
+
+
+@pytest.mark.parametrize(
+    "case, budget, tol, reason",
+    [
+        (lambda: _kuhn_roots("shifted-sphere", 2), 400, 2.8, "tol"),
+        (lambda: _kuhn_roots("shifted-sphere", 3), 24, 1e-3, "budget"),
+        (lambda: _kuhn_roots("shifted-sphere", 3), 200, 3.4, "tol"),
+        (lambda: _kuhn_roots("sphere", 4), 200, 1e-3, "budget"),
+        (lambda: _random_roots(3, 7300), 300, 1e-6, "budget"),
+        (lambda: _random_roots(4, 7400), 10_000, 3.0, "tol"),
+    ],
+)
+def test_the_objective_is_called_in_the_oracles_vertex_order(case, budget, tol, reason, monkeypatch):
+    # the points passed to evaluate are the oracle's vertices in its
+    # numbering, one call each, and nothing is evaluated ahead of the walk:
+    # the search stops inside a sweep that has walked some of its members
+    roots, objective = case()
+    rows, _, vertices, _ = branch_and_bound_per_node(
+        objective.evaluate, objective.lipschitz_constant, roots, budget, tol
+    )
+    recording, points = _recording(objective)
+    _, _, flushes, _ = _counting_bisections(monkeypatch)
+    r = optimize(recording, partition_from_simplices(roots), budget=budget, tol=tol)
+    assert r.stop_reason == reason and [tuple(row) for row in r.trace] == rows
+    assert np.array(points).tobytes() == vertices.tobytes()
+    assert r.evaluations == len(points) == len(vertices)
+    assert flushes[-1]
+
+
+bound_levels = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(roots=st.lists(bound_levels, min_size=1, max_size=10), data=st.data())
+def test_merged_queue_pops_in_heapq_order(roots, data):
+    # tie-heavy (bound, id) sets with both zeros, which compare equal: a
+    # sweep takes a plan off the front, walks some of it and merges the
+    # walked members' children, whose ids are above every queued one; the
+    # arrays must hold the entries in the order heapq pops them
+    heap = [(b, k) for k, b in enumerate(roots)]
+    heapq.heapify(heap)
+    bounds, ids = _merged(np.empty(0), np.empty(0, dtype=np.intp), np.array(roots), 0)
+    first = len(roots)
+    for _ in range(data.draw(st.integers(1, 5))):
+        n = data.draw(st.integers(1, len(heap)))
+        plan = [heapq.heappop(heap) for _ in range(n)]
+        assert ids[:n].tolist() == [k for _, k in plan]
+        walked = data.draw(st.integers(0, n))
+        kids = data.draw(st.lists(bound_levels, min_size=2 * walked, max_size=2 * walked))
+        for k, b in enumerate(kids):
+            heapq.heappush(heap, (b, first + k))
+        for entry in plan[walked:]:
+            heapq.heappush(heap, entry)
+        bounds, ids = _merged(bounds[walked:], ids[walked:], np.array(kids, dtype=float), first)
+        first += len(kids)
+    popped = [heapq.heappop(heap) for _ in range(len(heap))]
+    assert ids.tolist() == [k for _, k in popped]
+    assert bounds.tobytes() == np.array([b for b, _ in popped], dtype=float).tobytes()
+
+
+def test_a_midpoint_registered_before_the_search_is_evaluated_when_reached():
+    # kuhn(2)'s first midpoint, (0.5, 0.5), is in the registry but has no
+    # value: the search evaluates it where it would have registered it
+    objective = build_objective("sphere", 2)
+    recording, plain_points = _recording(objective)
+    plain = optimize(recording, kuhn_triangulation(2), budget=50, tol=1e-3)
+    p = kuhn_triangulation(2)
+    assert p.vertex_id([0.5, 0.5]) == 4
+    recording, points = _recording(objective)
+    r = optimize(recording, p, budget=50, tol=1e-3)
+    assert r.trace == plain.trace and r.evaluations == plain.evaluations == len(points)
+    assert np.array(points).tobytes() == np.array(plain_points).tobytes()
+    assert tuple(points[4].tolist()) == (0.5, 0.5)
+    assert r.partition == plain.partition
 
 
 def test_every_generation_respects_the_valence_bound():

@@ -1,5 +1,7 @@
 import copy
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +89,36 @@ def test_kuhn_volumes_and_diagonal():
         for i in p.roots:
             vids = p.nodes[i].vertex_ids
             assert vids[0] == origin and vids[-1] == far
+
+
+def _kuhn_one_root_at_a_time(d):
+    """Kuhn's roots added one add_root call each, vertex k the sum of the first k unit steps."""
+    p = Partition(d)
+    for perm in itertools.permutations(range(d)):
+        verts = np.zeros((d + 1, d))
+        for k, axis in enumerate(perm):
+            verts[k + 1] = verts[k]
+            verts[k + 1, axis] += 1.0
+        p.add_root(verts)
+    return p
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_kuhn_roots_equal_one_root_at_a_time(d):
+    p, q = kuhn_triangulation(d), _kuhn_one_root_at_a_time(d)
+    assert p == q
+    # the registry holds the same corners under the same ids, in the same order
+    assert list(p._ids.items()) == list(q._ids.items())
+    assert p.vertices.tobytes() == q.vertices.tobytes()
+    n = len(p.roots)
+    assert np.isnan(p._h[:n]).all() and np.isnan(p._vol[:n]).all()
+
+
+def test_kuhn8_builds_in_under_a_second():
+    start = time.perf_counter()
+    p = kuhn_triangulation(8)
+    assert time.perf_counter() - start < 1.0
+    assert len(p.roots) == math.factorial(8) and p.n_vertices == 2**8
 
 
 def test_kuhn_rejects_dimension_below_two():
