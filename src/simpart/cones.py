@@ -3,8 +3,10 @@
 The tangent cone of a simplex S at a point p collects the directions one
 can move in from p without leaving S.  Its size is measured as a
 fraction of the full sphere of directions: exactly, in closed form for
-cones with at most three facets and by a checked quadrature beyond
-(exact_solid_angle_fractions), and by Monte Carlo as an independent
+cones with at most three facets, and beyond that by counting the
+chambers of the signed-permutation group B_d inside a cone whose normals
+are type-B roots, or else by a checked quadrature
+(exact_solid_angle_fractions); and by Monte Carlo as an independent
 check (solid_angle_fraction).  Two bounds tie the measure to the
 regularity ratio:
 
@@ -45,13 +47,13 @@ _DRAW_BLOCK = 1 << 16
 
 # Rounding allowance reported as the standard error of an exact fraction.
 # The closed forms are accurate to a few units in the last place (worst
-# interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), and a
-# quadrature is only returned once two rules agree to QUADRATURE_TOL,
-# 1e-13, at every level (worst interior sum on kuhn(4)@6: 5.8e-15, on
-# kuhn(6)@2: 8.4e-14), so 4 sigma of one cone, 1e-12, is a wide margin
-# that still lets the audit's sigma-based tests apply to exact rows
-# unchanged.  It covers _orthant_quadrature's worst-case error budget up
-# to seven facets, not at eight (3.4e-12).
+# interior decomposition sum on kuhn(3)@6: 2.2e-15 away from 1), a chamber
+# count is an integer over 2^d d!, correctly rounded, and a quadrature is
+# only returned once two rules agree to QUADRATURE_TOL, 1e-13, at every
+# level (worst interior sum on kuhn(4)@6: 5.8e-15), so 4 sigma of one
+# cone, 1e-12, is a wide margin that still lets the audit's sigma-based
+# tests apply to exact rows unchanged.  It covers _orthant_quadrature's
+# worst-case error budget up to seven facets, not at eight (3.4e-12).
 EXACT_STDERR = 2.5e-13
 
 
@@ -423,6 +425,55 @@ def _orthants(q: int, r: np.ndarray) -> np.ndarray:
     return value.reshape(r.shape[:-1])
 
 
+# Elements of the largest int64 array one block of the chamber count holds
+# (8 MiB); the points go in blocks of whole sign vectors.
+_CHAMBER_BLOCK = 1 << 20
+
+
+def _type_b_roots(n: np.ndarray) -> np.ndarray | None:
+    """A class key's rows as integer type-B roots (+-e_i, +-e_i +- e_j), or None if a row is not one.
+
+    Each unit row is divided by its largest |entry|, and every quotient
+    must be exactly -1, 0 or 1, with at most two nonzeros per row: no
+    tolerance, so a row one ulp off a root is not one.
+    """
+    r = n / np.abs(n).max(axis=1, keepdims=True)
+    if np.all((r == 0.0) | (np.abs(r) == 1.0)) and np.all(np.count_nonzero(r, axis=1) <= 2):
+        return r.astype(np.int64)
+    return None
+
+
+@functools.cache
+def _permutations(d: int) -> np.ndarray:
+    """Every permutation of (d, ..., 1), one int64 row each (2.6 MB at d = 8)."""
+    return np.array(list(itertools.permutations(range(d, 0, -1))), dtype=np.int64)
+
+
+def _count_chambers(roots: np.ndarray) -> int:
+    """Chambers of B_d, the signed permutations, inside the cone {u : roots u >= 0} of integer type-B rows.
+
+    The point w(d, ..., 1) of each signed permutation w lies inside its
+    own chamber and on no mirror x_i = 0, x_i = +-x_j, and no chamber
+    straddles a type-B root's hyperplane, so a chamber is in the cone
+    exactly when its point gives roots u > 0 in every row: a strict,
+    exact test in int64, where matmul makes no BLAS call.  The 2^d d!
+    points are never stored (660 MB at d = 8): with signs s and a
+    permutation p the point is s * p, and roots (s * p) = (roots * s) p,
+    so each block multiplies the table of permutations by a run of
+    sign-flipped copies of the roots, at most _CHAMBER_BLOCK elements.
+    """
+    k, d = roots.shape
+    perms = _permutations(d)
+    signs = 1 - 2 * ((np.arange(2**d)[:, None] >> np.arange(d)) & 1)
+    flipped = (signs[:, None, :] * roots).reshape(-1, d)
+    step = k * max(1, _CHAMBER_BLOCK // (len(perms) * k))  # rows of flipped per block
+    count = 0
+    for start in range(0, len(flipped), step):
+        inside = (perms @ flipped[start : start + step].T > 0).reshape(len(perms), -1, k).all(axis=2)
+        count += int(np.count_nonzero(inside))
+    return count
+
+
 def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | None = None) -> list[float]:
     """Fraction of the sphere of directions in each cone of a stack, without sampling.
 
@@ -435,18 +486,30 @@ def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | Non
     normals is a k-dimensional cone times a flat factor, so the formulas
     hold in any ambient dimension; every cone of a simplex in d <= 3 has
     k <= 3.  Beyond three facets there is no elementary formula (Ribando,
-    "Measuring solid angles beyond dimension three", 2006), but the
-    fraction is the normal orthant probability P(H Z >= 0), a checked
-    quadrature, nested from k = 6 on (_orthant_quadrature, which gives
-    its error budget and cost), which raises QuadratureError naming the
-    cone when no pair of rules agrees.
+    "Measuring solid angles beyond dimension three", 2006), so each class
+    of cones takes one of two routes:
 
-    The quadrature runs once per distinct class key (_cone_classes), on
-    the first cone with it, so cones equal up to a signed permutation of
-    the coordinates get the same bits.  A caller may pass a dict as
-    classes, mapping each class measured so far to its fraction, to carry
-    them from one call to the next.  No value depends on the dict, on the
-    stack's size or on a cone's place in it.
+    * when every normal is a type-B root, +-e_i or +-e_i +-e_j up to a
+      positive factor (_type_b_roots, with no tolerance), as the facet
+      normals of a Kuhn cube are, and of its longest-edge refinements in
+      their first rounds (every cone of kuhn(4)@3, kuhn(5)@4, kuhn(6)@2
+      and kuhn(7)@0), the cone is a union of chambers of B_d, the 2^d d!
+      signed permutations (Coxeter, Regular Polytopes, 1973; Humphreys,
+      Reflection Groups and Coxeter Groups, 1990, ch. 1 and 4), and its
+      fraction is (chambers inside) / (2^d d!), counted exactly in int64
+      (_count_chambers: under a millisecond in d = 4, 4 ms in d = 6,
+      0.7 s at a traced peak of 11 MiB in d = 8);
+    * otherwise the fraction is the normal orthant probability
+      P(H Z >= 0), a checked quadrature, nested from k = 6 on
+      (_orthant_quadrature, which gives its error budget and cost), which
+      raises QuadratureError naming the cone when no pair of rules agrees.
+
+    Either route runs once per distinct class key (_cone_classes), on the
+    first cone with it, so cones equal up to a signed permutation of the
+    coordinates get the same bits.  A caller may pass a dict as classes,
+    mapping each class measured so far to its fraction, to carry them from
+    one call to the next.  No value depends on the dict, on the stack's
+    size or on a cone's place in it.
 
     The normals must be linearly independent, as they are for every cone
     cone_at_point builds.
@@ -469,7 +532,12 @@ def exact_solid_angle_fractions(halfspaces: np.ndarray, ids, classes: dict | Non
             key = ((k, d), n.tobytes())
             fraction = classes.get(key)
             if fraction is None:
-                fraction = classes[key] = _orthant_quadrature(n, cone_id)
+                roots = _type_b_roots(n)
+                if roots is None:
+                    fraction = _orthant_quadrature(n, cone_id)
+                else:
+                    fraction = _count_chambers(roots) / (2**d * math.factorial(d))
+                classes[key] = fraction
             out.append(fraction)
         return out
     raise UnsupportedDimension(f"no exact solid angle for a cone with {k} facets in d={d}")

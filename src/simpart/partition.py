@@ -665,9 +665,10 @@ class DecompositionCheck(NamedTuple):
 class TheoremReport:
     """Outcome of verify_theorem, with a VertexCheck for each of the total_pairs (leaf, vertex) pairs.
 
-    cone_classes is the number of quadratures the audit ran, one per class
-    key of cones with four or more facets, corner or face (0 in d <= 3);
-    it is not in the report.
+    cone_classes is the number of cone classes the audit measured, one per
+    class key of cones with four or more facets, corner or face (0 in
+    d <= 3), whether by a chamber count or by the quadrature; it is not
+    in the report.
     """
 
     d: int
@@ -743,8 +744,11 @@ def verify_theorem(p: Partition) -> TheoremReport:
     The corner cones are one stack (_corner_normals), and each leaf's
     rho (Partition.regularity) and bound are computed once.  One
     exact_solid_angle_fractions call measures the stack with stderr
-    EXACT_STDERR (closed forms up to three facets, one checked quadrature
-    per cone class beyond, which raises QuadratureError naming the cone).
+    EXACT_STDERR: closed forms up to three facets, and beyond that one
+    measurement per cone class, a chamber count when the class's normals
+    are type-B roots (every class of a Kuhn cube and of its first rounds)
+    and otherwise a checked quadrature, which raises QuadratureError
+    naming the cone.
     Only the face cones of hanging vertices are cut by cone_at_point, from
     Partition.simplex, in (vertex, leaf) order, with the same classes.
 

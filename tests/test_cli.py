@@ -52,6 +52,7 @@ from simpart.serialization import (
 )
 
 from .oracles import theorem_report_csv_by_rows
+from .support import random_simplex
 
 
 # ---------------------------------------------------------------- formats
@@ -296,10 +297,12 @@ def test_verify_ignores_the_sampling_flags(tmp_path, capsys):
 
 def test_verify_refuses_an_unchecked_quadrature(tmp_path, capsys, monkeypatch):
     # a quadrature that fails its own check is an error on one line
-    # (exit 2), never a failed theorem check (exit 1)
+    # (exit 2), never a failed theorem check (exit 1); the root is random,
+    # since a random root's normals are not type-B roots and take the
+    # quadrature, where a Kuhn root's classes are counted by chambers
     monkeypatch.setattr(cones_mod, "QUADRATURE_TOL", 0.0)
     p_path = tmp_path / "p.json"
-    write_partition(kuhn_triangulation(4), p_path)
+    write_partition(partition_from_simplices([random_simplex(4, np.random.default_rng(2300))]), p_path)
     code, out, err = run_cli(capsys, "verify", str(p_path))
     assert code == 2 and out == ""
     assert err.startswith("simpart: error: solid angle of cone 0:v") and "quadrature rules disagree" in err
@@ -837,22 +840,24 @@ def test_cli_verify_agrees_with_library(tmp_path, capsys):
 # kuhn(2)@3 is audited by the exact route: the hash pins the closed forms
 GOLDEN_KUHN2_3_REPORT_SHA256 = "955be84ba58018fb74f0e778fadd89c9a53db5792ed58a9f081a7bc5404b858f"
 
-# kuhn(4)@1 is audited by the exact route too: the hash pins the
-# quadrature of the four-facet vertex cones, run on each class's
-# canonical normals.
-GOLDEN_KUHN4_1_REPORT_SHA256 = "8aa4a2ce51c24c7eab734f4d09a1c520d68a028c2ecc1c7b91a3270316a7d0a7"
+# kuhn(4)@1 is audited by the exact route too: every facet normal is a
+# type-B root, so the hash pins the chamber counts of the four-facet
+# vertex cones, one per class of canonical normals.
+GOLDEN_KUHN4_1_REPORT_SHA256 = "5d92ad3fa3701348d6d94fb2c4611ab80be51f0065560b66888e9e8773191beb"
 
-# kuhn(6)@0 is audited exactly as well: the hash pins the nested
-# quadrature of its six-facet vertex cones (7 classes, each run on its
-# canonical normals, one level of Plackett's reduction inside another).
-GOLDEN_KUHN6_0_REPORT_SHA256 = "5fa20744d1f92008ff3e33dcd88cab0db457212a75e2af5f9508609ad7b1e6ac"
+# kuhn(6)@0 is audited exactly as well: the hash pins the chamber counts
+# of its six-facet vertex cones (7 classes, each counted on its canonical
+# normals among the 2^6 6! chambers of B_6).
+GOLDEN_KUHN6_0_REPORT_SHA256 = "57de2fc7b77d990a9f97ced3905697bc17fbd93156ea4c3e1a0701bf9743797c"
 
 # Largest-leaf refinement leaves vertices hanging on the faces of leaves
 # they are not corners of, so these sums include face cones, measured
-# exactly in kuhn(2)@40, kuhn(4)@30 and kuhn(6)@4.
+# exactly in kuhn(2)@40, kuhn(4)@30 and kuhn(6)@4: by the closed forms in
+# d = 2, and in d = 4 and 6, where every normal is a type-B root, the
+# hashes pin the chamber counts.
 GOLDEN_LARGEST_KUHN2_40_REPORT_SHA256 = "fb5b1017b430f7449e47126ae8a046c979be98fd48a9aca1904445411412c777"
-GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "75db11909f72d4aa83a444d156fb922f1739b3cb06bd9e097a3049f32d781d0e"
-GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "4612be08f68fc3cd251c6ff110a5bb467271289427c527ca706eaacf9600ff88"
+GOLDEN_LARGEST_KUHN4_30_REPORT_SHA256 = "03fb47451077a258088f260f006f98b6f294ea02ef2677a2c7ef0ce1285633df"
+GOLDEN_LARGEST_KUHN6_4_REPORT_SHA256 = "a5029ad28f5218b23c56ab296be15ff699c183e5b7270c1bb66429fcb47d917f"
 
 # Optimizer trace and refined partitions on the Kuhn cube: every vertex
 # is dyadic, so no edge length or midpoint depends on the BLAS kernel.

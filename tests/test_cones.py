@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simpart.cones as cones_mod
+import simpart.partition as partition_mod
 from simpart.cones import (
     EXACT_STDERR,
     FractionEstimate,
@@ -20,6 +22,7 @@ from simpart.cones import (
 )
 from simpart.errors import InvalidEta, PointOutsideSimplex, QuadratureError, UnsupportedDimension
 from simpart.geometry import barycentric_many, canonical_simplex, make_simplex, regularity_ratio
+from simpart.partition import kuhn_triangulation, refine, verify_theorem
 
 from .oracles import cone_class_one_by_one, orthant_fraction_mp, triangle_vertex_angle
 from .support import jittered_regular_simplex, random_simplex
@@ -403,6 +406,115 @@ def test_stacked_cone_class_keys_equal_per_cone_sort_bitwise(d, k):
     for key, cone in zip(keys, h):
         assert key.tobytes() == cone_class_one_by_one(cone).tobytes()
     assert len({key.tobytes() for key in keys}) == 60
+
+
+# ------------------------------------------ chamber counts, type-B normals
+
+
+def _recorded(monkeypatch, name):
+    """The argument tuples of every call to simpart.cones.<name>, appended as it runs."""
+    calls = []
+    original = getattr(cones_mod, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cones_mod, name, recording)
+    return calls
+
+
+def _kuhn_corner_cones(d, rounds):
+    """kuhn(d)@rounds, its audit and the class key of each corner cone, in the audit's row order."""
+    p = refine(kuhn_triangulation(d), rounds)
+    keys = cones_mod._cone_classes(partition_mod._corner_normals(p, p.leaves).reshape(-1, d, d))
+    return verify_theorem(p), keys
+
+
+@pytest.mark.parametrize("d, rounds", [(4, 3), (5, 2), (6, 0)])
+def test_chamber_counts_of_kuhn_cones_are_integers_and_match_the_quadrature(d, rounds):
+    # every facet normal of a Kuhn descendant here is a type-B root, so the
+    # audit counts chambers: each fraction is an integer over 2^d d!,
+    # correctly rounded, and within 1e-15 of the quadrature forced on the
+    # same class key
+    chambers = 2**d * math.factorial(d)
+    report, keys = _kuhn_corner_cones(d, rounds)
+    assert report.passed
+    counts = {}
+    for key, c in zip(keys, report.per_vertex_checks):
+        if key.tobytes() not in counts:
+            roots = cones_mod._type_b_roots(key)
+            assert roots is not None
+            counts[key.tobytes()] = cones_mod._count_chambers(roots)
+        assert c.fraction.hex() == (counts[key.tobytes()] / chambers).hex()
+    assert len(counts) == report.cone_classes
+    for key in {key.tobytes(): key for key in keys}.values():
+        counted = counts[key.tobytes()] / chambers
+        assert abs(counted - cones_mod._orthant_quadrature(key, "forced")) <= 1e-15
+
+
+@pytest.mark.parametrize("d, rounds", [(2, 4), (3, 3)])
+def test_chamber_counts_match_the_closed_forms_in_d2_d3(monkeypatch, d, rounds):
+    # in d = 2, 3 the normals are type-B roots too, but the closed forms
+    # stay the route: the audit counts nothing, and the count agrees
+    count_chambers = cones_mod._count_chambers
+    calls = _recorded(monkeypatch, "_count_chambers")
+    report, keys = _kuhn_corner_cones(d, rounds)
+    assert report.passed and report.cone_classes == 0
+    assert calls == []
+    chambers = 2**d * math.factorial(d)
+    for key, c in zip(keys, report.per_vertex_checks):
+        assert abs(count_chambers(cones_mod._type_b_roots(key)) / chambers - c.fraction) <= 1e-15
+
+
+def test_a_class_one_ulp_off_type_b_is_not_counted_by_chambers(monkeypatch):
+    # the type-B test has no tolerance: moving one entry of a Kuhn corner
+    # cone by one ulp sends its class to the quadrature, whose value stays
+    # within 1e-15 of the count
+    h = np.array([[-1.0, 0, 0, 0], [1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]])
+    nudged = h.copy()
+    nudged[1, 1] = np.nextafter(-1.0, 0.0)
+    calls = _recorded(monkeypatch, "_orthant_quadrature")
+    counted = exact_solid_angle_fraction(VertexCone(np.zeros(4), h, id="kuhn"))
+    assert calls == [] and counted == 1 / 384
+    got = exact_solid_angle_fraction(VertexCone(np.zeros(4), nudged, id="nudged"))
+    assert [cone_id for _, cone_id in calls] == ["nudged"]
+    assert abs(got - counted) <= 1e-15
+
+
+def test_a_d8_chamber_count_stays_under_its_memory_bound():
+    # 2^8 8! = 10,321,920 chamber points would take 660 MB as one int64
+    # table; in blocks the count of one eight-facet class, the permutation
+    # table included, peaks under 32 MiB.  At vertex m of the Kuhn
+    # orthoscheme 1 >= x_1 >= ... >= x_8 >= 0 the cone fixes the signs and
+    # the order within the first m and the last 8 - m coordinates, so it
+    # holds C(8, m) chambers
+    s = make_simplex(np.tril(np.ones((9, 8)), -1), id="kuhn8")
+    cone = cone_at_point(s, s.vertices[4])
+    assert cone.halfspaces.shape == (8, 8)
+    cones_mod._permutations.cache_clear()
+    tracemalloc.start()
+    try:
+        got = exact_solid_angle_fraction(cone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == math.comb(8, 4) / (2**8 * math.factorial(8))
+    assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_nested_quadrature_matches_the_chamber_count(k):
+    # the equicorrelated cones of k facets in d = k + 1 are type-B and are
+    # counted; the nested quadrature, forced on the same key, must agree
+    # within 1e-15, so it stays tested at six and seven facets
+    h = np.zeros((k, k + 1))
+    h[:, :k] = np.eye(k)
+    h[:, k] = 1.0
+    key = cones_mod._cone_classes(h[None])[0]
+    counted = exact_solid_angle_fraction(VertexCone(np.zeros(k + 1), h))
+    assert counted == 1.0 / (k + 1)
+    assert abs(cones_mod._orthant_quadrature(key, "forced") - counted) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

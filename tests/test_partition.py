@@ -1184,7 +1184,8 @@ def test_stacked_closed_form_cones_equal_per_cone_build_bitwise(d, steps, strate
     assert _hanging_vertices(p) or strategy == "bisect-all-leaves"
 
 
-def test_report_counts_one_quadrature_per_cone_class(monkeypatch):
+def _spy_quadrature(monkeypatch):
+    """The cone ids _orthant_quadrature is called with, appended as it runs."""
     calls = []
     quadrature = cones_mod._orthant_quadrature
 
@@ -1193,9 +1194,31 @@ def test_report_counts_one_quadrature_per_cone_class(monkeypatch):
         return quadrature(n, cone_id)
 
     monkeypatch.setattr(cones_mod, "_orthant_quadrature", counted)
-    report = verify_theorem(refine(kuhn_triangulation(4), 3))
-    assert report.total_pairs == 960
+    return calls
+
+
+def test_report_counts_one_quadrature_per_cone_class(monkeypatch):
+    # a random root's normals are not type-B roots, so its classes take the
+    # quadrature; under longest-edge bisection each of its cones is a class
+    # of its own, so the partition is six disjoint copies of one seeded
+    # root, translated by whole numbers from dyadic vertices: every copy's
+    # edges, and so its cones, have the same bits
+    v = np.round(random_simplex(4, np.random.default_rng(2300)).vertices * 1024.0) / 1024.0
+    roots = [make_simplex(v + [10.0 * r, 0.0, 0.0, 0.0], id=str(r)) for r in range(6)]
+    calls = _spy_quadrature(monkeypatch)
+    report = verify_theorem(refine(partition_from_simplices(roots), 1))
+    assert report.total_pairs == 60
     assert report.cone_classes == len(calls)
+    assert 0 < report.cone_classes < report.total_pairs / 5
+
+
+def test_kuhn4_audit_counts_chambers_and_runs_no_quadrature(monkeypatch):
+    # every facet normal of kuhn(4)@3 is a type-B root, so every class is
+    # counted by chambers
+    calls = _spy_quadrature(monkeypatch)
+    report = verify_theorem(refine(kuhn_triangulation(4), 3))
+    assert report.passed and report.total_pairs == 960
+    assert calls == []
     assert 0 < report.cone_classes < report.total_pairs / 5
 
 
